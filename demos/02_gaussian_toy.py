@@ -15,6 +15,7 @@ from flowcond import (
     OptimizerState,
     PromptAssembly,
     VectorFieldModel,
+    init_params,
     integrate_batch,
     make_field_fn,
 )
@@ -29,7 +30,7 @@ rng = np.random.default_rng(0)
 cfg = ModelConfig(n_layers=2, n_heads=2, d_model=64, d_ffn=128, d_phn=4,
                   n_phonemes=4, feature_dim=2)
 model = VectorFieldModel(cfg)
-params = model.init_params(rng)
+params = init_params(cfg, rng)
 state = OptimizerState(schedule=LrSchedule(peak=2e-3, warmup_steps=100, total_steps=STEPS))
 
 blank = dict(

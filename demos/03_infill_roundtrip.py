@@ -12,7 +12,7 @@ from flowcond import (
     GuidanceConfig,
     ModelConfig,
     PromptAssembly,
-    integrate,
+    integrate_batch,
     make_field_fn,
     sample_mask,
     VectorFieldModel,
@@ -53,12 +53,12 @@ prompt = PromptAssembly(
     emo=held.emo,
     generated_region=(start, end),
 )
-out = integrate(
+out = integrate_batch(
     make_field_fn(VectorFieldModel(cfg), params),
-    prompt,
+    [prompt],
     GuidanceConfig(strength=1.0, nfe=32),
     np.random.default_rng(2),
-)
+)[0]
 truth = held.features[:, start:end]
 rmse = np.sqrt(np.mean((out - truth) ** 2))
 base = np.concatenate(

@@ -19,12 +19,10 @@ from .fm_core import (
     conditional_vector_field,
     on_path_field,
     make_flow_sample,
-    cfm_loss,
 )
 from .infill import (
     TemporalMask,
     ConditionBundle,
-    TrainingExample,
     sample_mask,
     build_example,
     apply_condition_dropout,
@@ -39,7 +37,6 @@ from .sampler import (
     interpolate_stream,
     assemble_prompt,
     guided_field,
-    integrate,
     integrate_batch,
 )
 from .seqmodel import (

@@ -14,12 +14,11 @@ import sys
 _KNOBS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def pin_threads(n: int | None = None) -> None:
-    if n is None:
-        raw = os.environ.get("FLOWCOND_THREADS")
-        if not raw:
-            return
-        n = int(raw)
+def pin_threads() -> None:
+    raw = os.environ.get("FLOWCOND_THREADS")
+    if not raw:
+        return
+    n = int(raw)
     if "numpy" in sys.modules:
         return
     for knob in _KNOBS:

@@ -10,13 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
-
-from . import _thread_env
-
-_thread_env.pin_threads()  # honor FLOWCOND_THREADS before numpy loads
 
 import numpy as np
 
@@ -33,7 +28,7 @@ from .features import (
 )
 from .infill import NV_DIM, EMO_DIM
 from .metrics import aggregate_seeds, frame_cosine_sim
-from .sampler import GuidanceConfig, assemble_prompt, integrate
+from .sampler import GuidanceConfig, assemble_prompt, integrate_batch
 from .seqmodel import (
     ModelConfig,
     PRESETS,
@@ -224,7 +219,6 @@ def cmd_train(args) -> int:
             "warmup_steps": settings.warmup_steps,
             "sigma_min": settings.sigma_min,
             "p_drop": settings.p_drop,
-            "threads": args.threads,
         },
     )
     final_loss = history[-1][1] if history else float("nan")
@@ -233,6 +227,15 @@ def cmd_train(args) -> int:
 
 
 # -- sample --------------------------------------------------------------------
+
+
+def _check_vocab(tokens: np.ndarray, path: str, n_phonemes: int) -> None:
+    bad = tokens[(tokens < 0) | (tokens >= n_phonemes)]
+    if bad.size:
+        raise CliError(
+            f"phoneme id {bad[0]} in {path} is outside the checkpoint vocabulary "
+            f"(ids 0..{n_phonemes - 1})"
+        )
 
 
 def cmd_sample(args) -> int:
@@ -244,6 +247,7 @@ def cmd_sample(args) -> int:
     t_text = text_tokens.shape[0]
     if t_text < 1:
         raise CliError(f"text phoneme file {args.text_phonemes} is empty")
+    _check_vocab(text_tokens, args.text_phonemes, model_cfg.n_phonemes)
 
     spk_args = (args.spk_features, args.spk_phonemes, args.spk_nv, args.spk_emo)
     if any(spk_args) and not all(spk_args):
@@ -258,6 +262,7 @@ def cmd_sample(args) -> int:
                 f"checkpoint expects {model_cfg.feature_dim}"
             )
         spk_tokens = load_phonemes(args.spk_phonemes)
+        _check_vocab(spk_tokens, args.spk_phonemes, model_cfg.n_phonemes)
         spk_nv = load_feature_matrix(args.spk_nv).values.astype(np.float64)
         spk_emo = load_feature_matrix(args.spk_emo).values.astype(np.float64)
     else:
@@ -289,7 +294,7 @@ def cmd_sample(args) -> int:
     )
     guidance = GuidanceConfig(strength=args.guidance, nfe=args.nfe, solver=args.solver)
     rng = np.random.default_rng(args.seed)
-    generated = integrate(make_field_fn(model, params), prompt, guidance, rng)
+    generated = integrate_batch(make_field_fn(model, params), [prompt], guidance, rng)[0]
 
     out = Path(args.out)
     store_feature_matrix(
@@ -404,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flowcond",
         description="Conditional flow-matching engine for frame-sequence infilling",
     )
-    default_threads = int(os.environ.get("FLOWCOND_THREADS") or "1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic oracle corpus")
@@ -432,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-drop", type=float)
     p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -451,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guidance", type=float, default=1.0)
     p.add_argument("--solver", choices=["euler", "midpoint"], default="euler")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -2,8 +2,9 @@
 
 Everything here is exact, double-precision math on F x T frame matrices:
 the affine probability path from a standard-normal prior draw to a data
-sample, the target vector field along that path, and the regression loss
-used to train a parametric field against it.
+sample and the target vector field along that path.  The masked
+regression loss that trains a parametric field against this target is
+``seqmodel.masked_batch_loss_grad``.
 """
 
 from __future__ import annotations
@@ -125,31 +126,3 @@ def make_flow_sample(
     x_t = sample_conditional_path(x1, t, x0, cfg)
     return FlowSample(x_t=x_t, t=t, u_target=on_path_field(x0, x1, cfg), x0=x0, x1=x1)
 
-
-def cfm_loss(
-    v_pred: np.ndarray, u_target: np.ndarray, mask: np.ndarray | None = None
-) -> float:
-    """Mean squared error between predicted and target fields.
-
-    With ``mask`` (binary per-frame vector of length T) only the masked
-    frames contribute; the mean is taken over the included elements.  An
-    all-zero mask is rejected since it leaves nothing to score.
-    """
-    if v_pred.shape != u_target.shape:
-        raise ValueError(
-            f"v_pred shape {v_pred.shape} != u_target shape {u_target.shape}"
-        )
-    diff = v_pred - u_target
-    if mask is None:
-        return float(np.mean(diff * diff))
-    mask = np.asarray(mask)
-    if mask.ndim != 1 or mask.shape[0] != v_pred.shape[1]:
-        raise ValueError(
-            f"mask length {mask.shape} does not match frame count {v_pred.shape[1]}"
-        )
-    included = mask.astype(bool)
-    n = int(included.sum())
-    if n == 0:
-        raise ValueError("mask selects no frames; loss undefined")
-    sub = diff[:, included]
-    return float(np.mean(sub * sub))

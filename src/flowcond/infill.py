@@ -85,15 +85,6 @@ class ConditionBundle:
         return self.phonemes.shape[0]
 
 
-@dataclass
-class TrainingExample:
-    """Masked target region together with its conditioning bundle."""
-
-    target: np.ndarray
-    cond: ConditionBundle
-    mask: TemporalMask
-
-
 def sample_mask(
     T: int, rng: np.random.Generator, ratio_range: tuple[float, float] = (0.7, 1.0)
 ) -> TemporalMask:
@@ -123,11 +114,11 @@ def build_example(
     nv: np.ndarray,
     emo: np.ndarray,
     mask: TemporalMask,
-) -> TrainingExample:
-    """Split features into masked target and visible context.
+) -> ConditionBundle:
+    """Condition bundle whose visible context hides the masked span.
 
-    context = (1 - m) * features and target = m * features, so the two
-    pieces always sum back to the original matrix exactly.
+    context = (1 - m) * features: frames under the mask are zero and
+    every other frame is copied from ``features`` unchanged.
     """
     if mask.count == 0:
         raise ValueError("training mask must select at least one frame")
@@ -136,11 +127,8 @@ def build_example(
         raise ValueError(
             f"features must be F x {T}, got shape {features.shape}"
         )
-    row = mask.as_row()
-    target = row * features
-    context = (1.0 - row) * features
-    cond = ConditionBundle(phonemes=phonemes, nv=nv, emo=emo, context=context, mask=mask)
-    return TrainingExample(target=target, cond=cond, mask=mask)
+    context = (1.0 - mask.as_row()) * features
+    return ConditionBundle(phonemes=phonemes, nv=nv, emo=emo, context=context, mask=mask)
 
 
 def zero_conditions(cond: ConditionBundle) -> ConditionBundle:

@@ -3,8 +3,7 @@
 A prompt is assembled by concatenating reference-audio streams with the
 streams for the text to generate (features zero there), then a learned
 vector field is integrated from noise to data over the whole assembly
-under classifier-free guidance.  Only the generated slice is returned;
-the reference region is restored from the prompt afterwards.
+under classifier-free guidance.  Only the generated slice is returned.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ class PromptAssembly:
     @property
     def total_length(self) -> int:
         return self.phonemes.shape[0]
-
-    @property
-    def prompt_length(self) -> int:
-        return self.generated_region[0]
 
     def condition_bundle(self) -> ConditionBundle:
         """Bundle for the full assembly; the generated region is the mask."""
@@ -203,9 +198,6 @@ def integrate_batch(
     prompts: Sequence[PromptAssembly],
     cfg: GuidanceConfig,
     rng: np.random.Generator,
-    *,
-    return_full: bool = False,
-    clamp_prompt_each_step: bool = False,
 ) -> list[np.ndarray]:
     """Integrate the guided field from noise to data for a batch of prompts.
 
@@ -213,9 +205,8 @@ def integrate_batch(
     generated region.  The state starts as standard-normal noise over
     the full assembly and is stepped from t=0 to t=1 in ``cfg.nfe``
     steps; under guidance each step evaluates the field once with the
-    real conditions and once with blanked conditions.  After the loop
-    the reference region is overwritten from the prompt features and the
-    generated slice (or, on request, the full assembly) is returned.
+    real conditions and once with blanked conditions.  The generated
+    slice of each final state is returned.
     """
     if not prompts:
         raise ValueError("no prompts to integrate")
@@ -231,16 +222,6 @@ def integrate_batch(
 
     b = len(prompts)
     x = rng.standard_normal((b, f, total))
-    lo, hi = region
-    outside = np.ones(total, dtype=bool)
-    outside[lo:hi] = False
-
-    def clamp():
-        for i, p in enumerate(prompts):
-            x[i][:, outside] = p.features[:, outside]
-
-    if clamp_prompt_each_step:
-        clamp()
     h = 1.0 / cfg.nfe
     for k in range(cfg.nfe):
         t = k * h
@@ -253,30 +234,7 @@ def integrate_batch(
             x = x + h * v_mid
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state after step {k + 1}/{cfg.nfe}")
-        if clamp_prompt_each_step:
-            clamp()
 
-    clamp()
-    if return_full:
-        return [x[i] for i in range(b)]
+    lo, hi = region
     return [x[i, :, lo:hi] for i in range(b)]
 
-
-def integrate(
-    field: FieldFn,
-    prompt: PromptAssembly,
-    cfg: GuidanceConfig,
-    rng: np.random.Generator,
-    *,
-    return_full: bool = False,
-    clamp_prompt_each_step: bool = False,
-) -> np.ndarray:
-    """Single-prompt wrapper around :func:`integrate_batch`."""
-    return integrate_batch(
-        field,
-        [prompt],
-        cfg,
-        rng,
-        return_full=return_full,
-        clamp_prompt_each_step=clamp_prompt_each_step,
-    )[0]

@@ -287,9 +287,6 @@ class VectorFieldModel:
     def __init__(self, config: ModelConfig):
         self.config = config
 
-    def init_params(self, rng, *, zero_output: bool = True):
-        return init_params(self.config, rng, zero_output=zero_output)
-
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, inputs: BatchInputs, params, *, want_cache: bool = False):
@@ -356,14 +353,6 @@ class VectorFieldModel:
         cache = {"u": u, "tokens": inputs.tokens, "blocks": blocks,
                  "g_out": g_out, "lnfc": lnfc, "scale": scale}
         return out, cache
-
-    def forward(
-        self, x_t: np.ndarray, t: float, cond: ConditionBundle, params
-    ) -> np.ndarray:
-        """Single-example forward; output shape matches x_t."""
-        inputs = BatchInputs.from_examples([x_t], [t], [cond])
-        out, _ = self.forward_batch(inputs, params)
-        return out[0]
 
     # -- backward ----------------------------------------------------------
 
@@ -447,18 +436,16 @@ class TrainingDivergedError(RuntimeError):
 
 
 def masked_batch_loss_grad(
-    v_pred: np.ndarray, u_target: np.ndarray, mask_bits: np.ndarray | None
+    v_pred: np.ndarray, u_target: np.ndarray, mask_bits: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """MSE over scored elements and its gradient w.r.t. v_pred.
+    """Flow-matching regression loss and its gradient w.r.t. v_pred.
 
-    ``mask_bits`` (B, T) restricts scoring to masked frames; None scores
-    everything.
+    The loss is the mean squared error between predicted and target
+    fields (B, F, T) over the frames that ``mask_bits`` (B, T) selects;
+    an all-ones mask scores every element.  A mask that selects nothing
+    is rejected since it leaves nothing to score.
     """
     diff = v_pred - u_target
-    if mask_bits is None:
-        count = diff.size
-        loss = float(np.sum(diff * diff) / count)
-        return loss, 2.0 * diff / count
     sel = mask_bits[:, None, :]
     count = float(sel.sum() * v_pred.shape[1])
     if count == 0:
@@ -523,13 +510,11 @@ def train_step(
     batch: Sequence[tuple[FlowSample, ConditionBundle]],
     params,
     opt_state: OptimizerState,
-    *,
-    mask_loss: bool = True,
 ) -> tuple[dict, float, float]:
     """One optimizer update on a batch of (flow sample, conditions) pairs.
 
     Returns (params, pre-update batch loss, learning rate applied).  The
-    loss is restricted to masked frames unless ``mask_loss`` is False.
+    loss is restricted to the masked frames of each example.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -541,9 +526,7 @@ def train_step(
     u_target = np.stack([s.u_target for s in samples])
 
     v_pred, cache = model.forward_batch(inputs, params, want_cache=True)
-    loss, dv = masked_batch_loss_grad(
-        v_pred, u_target, inputs.mask_bits if mask_loss else None
-    )
+    loss, dv = masked_batch_loss_grad(v_pred, u_target, inputs.mask_bits)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite loss at optimizer step {opt_state.step + 1}"
@@ -614,7 +597,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version} in {path}")
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg = ModelConfig(**json.loads(take(cfg_len, "config block")))
+    cfg_block = take(cfg_len, "config block")
+    try:
+        cfg = ModelConfig(**json.loads(cfg_block))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad config block in checkpoint {path}: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
 
     params: dict[str, np.ndarray] = {}

@@ -22,6 +22,7 @@ from .seqmodel import (
     ModelConfig,
     OptimizerState,
     VectorFieldModel,
+    init_params,
     save_checkpoint,
     train_step,
 )
@@ -38,7 +39,6 @@ class TrainSettings:
     mask_ratio_hi: float = 1.0
     p_drop: float = 0.2
     checkpoint_every: int = 0  # 0: only the final checkpoint
-    mask_loss: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -109,7 +109,7 @@ def train_loop(
 
     rng = np.random.default_rng(settings.seed)
     model = VectorFieldModel(model_cfg)
-    params = model.init_params(rng)
+    params = init_params(model_cfg, rng)
     state = OptimizerState(
         schedule=LrSchedule(
             peak=settings.peak_lr,
@@ -140,13 +140,11 @@ def train_loop(
             corpus = corpora[src]
             ex = corpus[int(rng.integers(len(corpus)))]
             mask = sample_mask(T, rng, (settings.mask_ratio_lo, settings.mask_ratio_hi))
-            example = build_example(ex.features, ex.phonemes, ex.nv, ex.emo, mask)
-            cond = apply_condition_dropout(example.cond, settings.p_drop, rng)
+            cond = build_example(ex.features, ex.phonemes, ex.nv, ex.emo, mask)
+            cond = apply_condition_dropout(cond, settings.p_drop, rng)
             flow = make_flow_sample(ex.features, rng, path_cfg)
             batch.append((flow, cond))
-        params, loss, lr = train_step(
-            model, batch, params, state, mask_loss=settings.mask_loss
-        )
+        params, loss, lr = train_step(model, batch, params, state)
         history.append((step, loss, lr))
         if on_step is not None:
             on_step(step, loss, lr)

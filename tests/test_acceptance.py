@@ -25,7 +25,7 @@ from flowcond import (
     build_example,
     conditional_vector_field,
     guided_field,
-    integrate,
+    init_params,
     integrate_batch,
     load_checkpoint,
     make_field_fn,
@@ -82,7 +82,7 @@ def oracle_corpus(kind, n, seed, T=T_FRAMES):
 def train_on_corpus(corpus, steps, seed, peak=2e-3, per_batch=12, warmup=100):
     rng = np.random.default_rng(seed)
     model = VectorFieldModel(DESK)
-    params = model.init_params(rng)
+    params = init_params(DESK, rng)
     state = OptimizerState(
         schedule=LrSchedule(peak=peak, warmup_steps=warmup, total_steps=steps)
     )
@@ -92,8 +92,8 @@ def train_on_corpus(corpus, steps, seed, peak=2e-3, per_batch=12, warmup=100):
         for _ in range(per_batch):
             feats, phn, nv, emo = corpus[int(rng.integers(len(corpus)))]
             mask = sample_mask(T, rng, (0.7, 1.0))
-            ex = build_example(feats, phn, nv, emo, mask)
-            cond = apply_condition_dropout(ex.cond, 0.2, rng)
+            cond = build_example(feats, phn, nv, emo, mask)
+            cond = apply_condition_dropout(cond, 0.2, rng)
             batch.append((make_flow_sample(feats, rng, PATH_CFG), cond))
         params, _, _ = train_step(model, batch, params, state)
     return model, params
@@ -135,7 +135,7 @@ def test_criterion_1_analytic_path_exactness():
                 x = x + h * conditional_vector_field(x, x1, k * h, PATH_CFG)
             worst = max(worst, float(np.max(np.abs(x - target))))
 
-    # the same exactness through the sampler's integrate()
+    # the same exactness through the sampler's integrate_batch()
     x1 = rng.standard_normal((F_DIM, 12))
 
     def field(x, t, conds):
@@ -152,7 +152,7 @@ def test_criterion_1_analytic_path_exactness():
     )
     for nfe in (1, 4, 32):
         seed_rng = np.random.default_rng(50)
-        out = integrate(field, prompt, GuidanceConfig(strength=0.0, nfe=nfe), seed_rng)
+        out = integrate_batch(field, [prompt], GuidanceConfig(strength=0.0, nfe=nfe), seed_rng)[0]
         x0 = np.random.default_rng(50).standard_normal((1, F_DIM, 12))[0]
         worst = max(worst, float(np.max(np.abs(out - (x1 + SIGMA_MIN * x0)))))
 
@@ -173,7 +173,7 @@ def test_criterion_2_gradient_correctness():
     )
     model = VectorFieldModel(cfg)
     rng = np.random.default_rng(3)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(cfg, rng, zero_output=False)
 
     from flowcond import ConditionBundle, TemporalMask
 
@@ -268,7 +268,7 @@ def test_criterion_3_gaussian_recovery():
     )
     model = VectorFieldModel(cfg)
     rng = np.random.default_rng(0)
-    params = model.init_params(rng)
+    params = init_params(cfg, rng)
 
     from flowcond import ConditionBundle, TemporalMask
     from flowcond.fm_core import FlowSample
@@ -460,8 +460,8 @@ def test_criterion_6_cfg_sanity():
         emo=np.zeros((2, 6)),
         generated_region=(0, 6),
     )
-    integrate(
-        counting_field, prompt, GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
+    integrate_batch(
+        counting_field, [prompt], GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
     )
     assert calls["n"] == 64
     report(6, "guided_field(.,.,0) bitwise-equal to conditional field; 64 evals at nfe=32 w=1")

@@ -257,6 +257,30 @@ def test_sample_dim_mismatch_names_both_dims(tmp_path, corpus_dir, trained_run, 
     assert "4" in err and "8" in err
 
 
+def test_sample_out_of_vocab_phoneme_rejected(tmp_path, corpus_dir, trained_run, capsys):
+    bad = tmp_path / "bad.phn"
+    bad.write_text(" ".join(["1"] * 23 + ["99"]) + "\n")
+    out = tmp_path / "x.fmat"
+    speaker = [
+        "--spk-features", corpus_dir / "mixed_00000.fmat",
+        "--spk-nv", corpus_dir / "mixed_00000.nv.fmat",
+        "--spk-emo", corpus_dir / "mixed_00000.emo.fmat",
+    ]
+    for phonemes in (
+        ["--text-phonemes", bad],
+        ["--text-phonemes", corpus_dir / "mixed_00001.phn", "--spk-phonemes", bad, *speaker],
+    ):
+        assert run_cli(
+            "sample", "--checkpoint", trained_run / "checkpoint.fmck", *phonemes,
+            "--zero-nv", "--zero-emo", "--out", out,
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "99" in err and str(bad) in err
+        assert not out.exists()
+        assert not (tmp_path / "x.fmat.json").exists()
+
+
 # -- curate / eval ------------------------------------------------------------
 
 

@@ -5,7 +5,6 @@ import sympy
 from flowcond import (
     PathConfig,
     FlowSample,
-    cfm_loss,
     conditional_vector_field,
     on_path_field,
     make_flow_sample,
@@ -13,6 +12,7 @@ from flowcond import (
     sample_conditional_path,
     sample_time,
 )
+from flowcond.seqmodel import masked_batch_loss_grad
 
 
 def test_path_config_rejects_bad_sigma():
@@ -133,14 +133,23 @@ def test_euler_exactness_any_step_count():
         assert np.max(np.abs(x - target)) < 1e-10
 
 
+# The flow-matching regression loss is seqmodel.masked_batch_loss_grad;
+# these checks score one example as a batch of 1.
+
+
+def example_loss(v, u, mask):
+    loss, _ = masked_batch_loss_grad(v[None], u[None], np.asarray(mask, dtype=np.float64)[None])
+    return loss
+
+
 def test_cfm_loss_zero_at_perfect_prediction():
     u = np.random.default_rng(1).standard_normal((3, 8))
-    assert cfm_loss(u, u) == 0.0
+    assert example_loss(u, u, np.ones(8)) == 0.0
 
 
 def test_cfm_loss_unit_offset():
     u = np.random.default_rng(2).standard_normal((3, 8))
-    assert cfm_loss(u + 1.0, u) == pytest.approx(1.0, abs=1e-12)
+    assert example_loss(u + 1.0, u, np.ones(8)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cfm_loss_matches_double_loop_oracle():
@@ -151,7 +160,7 @@ def test_cfm_loss_matches_double_loop_oracle():
     for i in range(4):
         for j in range(9):
             total += (v[i, j] - u[i, j]) ** 2
-    assert cfm_loss(v, u) == pytest.approx(total / 36, rel=1e-12)
+    assert example_loss(v, u, np.ones(9)) == pytest.approx(total / 36, rel=1e-12)
 
 
 def test_cfm_loss_masked_matches_oracle():
@@ -165,25 +174,26 @@ def test_cfm_loss_masked_matches_oracle():
             if mask[j]:
                 total += (v[i, j] - u[i, j]) ** 2
                 n += 1
-    assert cfm_loss(v, u, mask) == pytest.approx(total / n, rel=1e-12)
+    assert example_loss(v, u, mask) == pytest.approx(total / n, rel=1e-12)
 
 
 def test_cfm_loss_empty_mask_rejected():
     v = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        cfm_loss(v, v, np.zeros(3, dtype=np.uint8))
+        example_loss(v, v, np.zeros(3, dtype=np.uint8))
 
 
 def test_cfm_loss_nonnegative_and_permutation_invariant():
     rng = np.random.default_rng(6)
+    ones = np.ones(7)
     for _ in range(20):
         v = rng.standard_normal((3, 7))
         u = rng.standard_normal((3, 7))
-        loss = cfm_loss(v, u)
+        loss = example_loss(v, u, ones)
         assert loss >= 0.0
         perm = rng.permutation(7)
-        assert cfm_loss(v[:, perm], u[:, perm]) == pytest.approx(loss, rel=1e-12)
-    assert cfm_loss(v, v) == 0.0
+        assert example_loss(v[:, perm], u[:, perm], ones) == pytest.approx(loss, rel=1e-12)
+    assert example_loss(v, v, ones) == 0.0
 
 
 def test_flow_sample_invariants():

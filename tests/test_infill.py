@@ -85,15 +85,15 @@ def test_build_example_full_mask():
     rng = np.random.default_rng(1)
     T, F = 5, 3
     feats = rng.standard_normal((F, T))
-    ex = build_example(
+    cond = build_example(
         feats,
         rng.integers(0, 4, T),
         rng.standard_normal((32, T)),
         rng.uniform(-0.5, 0.5, (2, T)),
         TemporalMask(np.ones(T, dtype=np.uint8)),
     )
-    assert np.array_equal(ex.target, feats)
-    assert np.all(ex.cond.context == 0.0)
+    assert cond.context.shape == feats.shape
+    assert np.all(cond.context == 0.0)
 
 
 def test_build_example_rejects_empty_mask():
@@ -114,16 +114,17 @@ def test_reconstruction_identity():
         T, F = int(rng.integers(2, 12)), int(rng.integers(1, 6))
         feats = rng.standard_normal((F, T))
         mask = sample_mask(T, rng, ratio_range=(0.2, 0.9))
-        ex = build_example(
+        cond = build_example(
             feats,
             rng.integers(0, 4, T),
             rng.standard_normal((32, T)),
             rng.uniform(-0.5, 0.5, (2, T)),
             mask,
         )
-        # each element is either copied or zeroed, so the sum is exact
-        assert np.array_equal(ex.target + ex.cond.context, feats)
-        assert np.all(ex.target[:, mask.bits == 0] == 0.0)
+        # each element is either zeroed under the mask or copied exactly
+        hidden = mask.bits == 1
+        assert np.all(cond.context[:, hidden] == 0.0)
+        assert np.array_equal(cond.context[:, ~hidden], feats[:, ~hidden])
 
 
 def test_bundle_length_mismatch():

@@ -8,7 +8,6 @@ from flowcond import (
     assemble_prompt,
     conditional_vector_field,
     guided_field,
-    integrate,
     integrate_batch,
     interpolate_stream,
 )
@@ -184,7 +183,7 @@ def test_guided_shape_mismatch():
         guided_field(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
 
 
-# -- integrate ---------------------------------------------------------------
+# -- integrate_batch -----------------------------------------------------------
 
 
 def analytic_field_toward(x1, cfg_path):
@@ -205,30 +204,16 @@ def test_integrate_analytic_euler_exact_any_nfe():
     x1 = rng.standard_normal((3, 10))
     field = analytic_field_toward(x1, path_cfg)
     for nfe in (1, 4, 32):
-        out = integrate(
+        out = integrate_batch(
             field,
-            prompt,
+            [prompt],
             GuidanceConfig(strength=0.0, nfe=nfe, solver="euler"),
             np.random.default_rng(100),
-        )
+        )[0]
         # reconstruct the expected endpoint from the same noise draw
         x0 = np.random.default_rng(100).standard_normal((1, 3, 10))[0]
         target = (x1 + path_cfg.sigma_min * x0)[:, 4:]
         assert np.max(np.abs(out - target)) < 1e-10
-
-
-def test_integrate_speaker_region_preserved_in_full_mode():
-    path_cfg = PathConfig(sigma_min=1e-5)
-    prompt = make_prompt(F=3, t_spk=4, t_text=6, seed=3)
-    x1 = np.random.default_rng(10).standard_normal((3, 10))
-    out = integrate(
-        analytic_field_toward(x1, path_cfg),
-        prompt,
-        GuidanceConfig(strength=0.0, nfe=8),
-        np.random.default_rng(0),
-        return_full=True,
-    )
-    assert np.array_equal(out[:, :4], prompt.features[:, :4])
 
 
 def test_integrate_fixed_seed_bitwise_identical():
@@ -237,8 +222,8 @@ def test_integrate_fixed_seed_bitwise_identical():
     x1 = np.random.default_rng(11).standard_normal((3, 10))
     field = analytic_field_toward(x1, path_cfg)
     cfg = GuidanceConfig(strength=0.0, nfe=8)
-    a = integrate(field, prompt, cfg, np.random.default_rng(42))
-    b = integrate(field, prompt, cfg, np.random.default_rng(42))
+    a = integrate_batch(field, [prompt], cfg, np.random.default_rng(42))[0]
+    b = integrate_batch(field, [prompt], cfg, np.random.default_rng(42))[0]
     assert np.array_equal(a, b)
 
 
@@ -250,18 +235,18 @@ def test_integrate_evaluation_count_under_guidance():
         calls["n"] += 1
         return np.zeros_like(x)
 
-    integrate(
+    integrate_batch(
         counting_field,
-        prompt,
+        [prompt],
         GuidanceConfig(strength=1.0, nfe=32, solver="euler"),
         np.random.default_rng(0),
     )
     assert calls["n"] == 64
 
     calls["n"] = 0
-    integrate(
+    integrate_batch(
         counting_field,
-        prompt,
+        [prompt],
         GuidanceConfig(strength=0.0, nfe=32, solver="euler"),
         np.random.default_rng(0),
     )
@@ -275,9 +260,9 @@ def test_integrate_nonfinite_state_reports_step():
         return np.full_like(x, np.inf)
 
     with pytest.raises(FloatingPointError, match="step 1"):
-        integrate(
+        integrate_batch(
             exploding_field,
-            prompt,
+            [prompt],
             GuidanceConfig(strength=0.0, nfe=4),
             np.random.default_rng(0),
         )

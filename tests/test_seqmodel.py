@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from flowcond import (
     TrainingDivergedError,
     VectorFieldModel,
     embed_phonemes,
+    init_params,
     load_checkpoint,
     make_flow_sample,
     save_checkpoint,
@@ -34,6 +38,12 @@ def make_cond(T, F, rng, cfg=SMALL):
         context=rng.standard_normal((F, T)),
         mask=TemporalMask(bits),
     )
+
+
+def forward_one(model, x_t, t, cond, params):
+    """Model output for a single example, shaped like x_t."""
+    out, _ = model.forward_batch(BatchInputs.from_examples([x_t], [t], [cond]), params)
+    return out[0]
 
 
 def make_batch(B, T, cfg, rng):
@@ -94,11 +104,11 @@ def test_embed_out_of_vocab():
 def test_forward_deterministic_and_shaped():
     rng = np.random.default_rng(1)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     cond = make_cond(7, 3, rng)
     x_t = rng.standard_normal((3, 7))
-    a = model.forward(x_t, 0.4, cond, params)
-    b = model.forward(x_t, 0.4, cond, params)
+    a = forward_one(model, x_t, 0.4, cond, params)
+    b = forward_one(model, x_t, 0.4, cond, params)
     assert a.shape == (3, 7)
     assert np.array_equal(a, b)
     assert np.isfinite(a).all()
@@ -107,31 +117,31 @@ def test_forward_deterministic_and_shaped():
 def test_forward_output_shape_tracks_length():
     rng = np.random.default_rng(2)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     for T in (1, 2, 5, 13):
         cond = make_cond(T, 3, rng)
-        out = model.forward(rng.standard_normal((3, T)), 0.5, cond, params)
+        out = forward_one(model, rng.standard_normal((3, T)), 0.5, cond, params)
         assert out.shape == (3, T)
 
 
 def test_forward_zero_output_projection_gives_zero_field():
     rng = np.random.default_rng(3)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=True)
+    params = init_params(SMALL, rng, zero_output=True)
     cond = make_cond(6, 3, rng)
-    out = model.forward(rng.standard_normal((3, 6)), 0.7, cond, params)
+    out = forward_one(model, rng.standard_normal((3, 6)), 0.7, cond, params)
     assert np.all(out == 0.0)
 
 
 def test_forward_rejects_nonfinite_input():
     rng = np.random.default_rng(4)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng)
+    params = init_params(SMALL, rng)
     cond = make_cond(5, 3, rng)
     x = rng.standard_normal((3, 5))
     x[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
-        model.forward(x, 0.5, cond, params)
+        forward_one(model, x, 0.5, cond, params)
 
 
 def test_forward_permutation_equivariant_without_positions():
@@ -141,11 +151,11 @@ def test_forward_permutation_equivariant_without_positions():
     )
     rng = np.random.default_rng(5)
     model = VectorFieldModel(cfg)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(cfg, rng, zero_output=False)
     T = 9
     cond = make_cond(T, 3, rng, cfg)
     x_t = rng.standard_normal((3, T))
-    out = model.forward(x_t, 0.3, cond, params)
+    out = forward_one(model, x_t, 0.3, cond, params)
 
     perm = rng.permutation(T)
     cond_p = ConditionBundle(
@@ -155,17 +165,17 @@ def test_forward_permutation_equivariant_without_positions():
         context=cond.context[:, perm],
         mask=TemporalMask(cond.mask.bits[perm]),
     )
-    out_p = model.forward(x_t[:, perm], 0.3, cond_p, params)
+    out_p = forward_one(model, x_t[:, perm], 0.3, cond_p, params)
     assert np.allclose(out_p, out[:, perm], atol=1e-12)
 
 
 def test_forward_sensitive_to_emo_stream():
     rng = np.random.default_rng(6)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     cond = make_cond(6, 3, rng)
     x_t = rng.standard_normal((3, 6))
-    base = model.forward(x_t, 0.5, cond, params)
+    base = forward_one(model, x_t, 0.5, cond, params)
     bumped = ConditionBundle(
         phonemes=cond.phonemes,
         nv=cond.nv,
@@ -173,7 +183,7 @@ def test_forward_sensitive_to_emo_stream():
         context=cond.context,
         mask=cond.mask,
     )
-    out = model.forward(x_t, 0.5, bumped, params)
+    out = forward_one(model, x_t, 0.5, bumped, params)
     assert np.max(np.abs(out - base)) > 0.0
 
 
@@ -213,7 +223,7 @@ def fd_check(model, params, inputs, u_target, names, coords_per_tensor, rng, h=1
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 5, SMALL, rng)
     u_target = rng.standard_normal((2, 3, 5))
     worst = fd_check(
@@ -226,7 +236,7 @@ def test_gradients_match_finite_differences():
 def test_backward_zero_loss_grad_gives_zero_grads():
     rng = np.random.default_rng(8)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 4, SMALL, rng)
     _, cache = model.forward_batch(inputs, params, want_cache=True)
     grads = model.backward_batch(np.zeros((2, 3, 4)), cache, params)
@@ -237,7 +247,7 @@ def test_backward_zero_loss_grad_gives_zero_grads():
 def test_gradient_of_loss_at_minimum_is_zero():
     rng = np.random.default_rng(9)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 4, SMALL, rng)
     v, cache = model.forward_batch(inputs, params, want_cache=True)
     loss, dv = masked_batch_loss_grad(v, v.copy(), inputs.mask_bits)
@@ -249,7 +259,7 @@ def test_gradient_of_loss_at_minimum_is_zero():
 
 def test_backward_requires_cache():
     model = VectorFieldModel(SMALL)
-    params = model.init_params(np.random.default_rng(0))
+    params = init_params(SMALL, np.random.default_rng(0))
     with pytest.raises(RuntimeError):
         model.backward_batch(np.zeros((1, 3, 4)), None, params)
 
@@ -273,7 +283,7 @@ def test_lr_schedule_linear_decay_to_zero():
 def test_train_step_zero_lr_leaves_params_bitwise():
     rng = np.random.default_rng(10)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     before = {k: v.copy() for k, v in params.items()}
     batch = make_training_batch(rng, 3, 5)
     state = OptimizerState(schedule=LrSchedule(peak=0.0, warmup_steps=1, total_steps=10))
@@ -296,7 +306,7 @@ def make_training_batch(rng, B, T, cfg=SMALL):
 
 def test_train_step_rejects_empty_batch():
     model = VectorFieldModel(SMALL)
-    params = model.init_params(np.random.default_rng(0))
+    params = init_params(SMALL, np.random.default_rng(0))
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
     with pytest.raises(ValueError):
         train_step(model, [], params, state)
@@ -305,7 +315,7 @@ def test_train_step_rejects_empty_batch():
 def test_train_step_diverged_loss_raises():
     rng = np.random.default_rng(11)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     params["out_b"][:] = np.inf
     batch = make_training_batch(rng, 2, 4)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
@@ -316,7 +326,7 @@ def test_train_step_diverged_loss_raises():
 def test_overfit_single_batch_loss_decreases():
     rng = np.random.default_rng(12)
     model = VectorFieldModel(SMALL)
-    params = model.init_params(rng)
+    params = init_params(SMALL, rng)
     batch = make_training_batch(rng, 4, 6)
     state = OptimizerState(schedule=LrSchedule(peak=3e-3, warmup_steps=10, total_steps=10_000))
     losses = []
@@ -335,23 +345,22 @@ def test_checkpoint_round_trip_forward_bitwise(tmp_path):
     rng = np.random.default_rng(13)
     model = VectorFieldModel(SMALL)
     # fresh params are exactly float32-representable, so save/load is lossless
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     cond = make_cond(6, 3, rng)
     x_t = rng.standard_normal((3, 6))
-    before = model.forward(x_t, 0.25, cond, params)
+    before = forward_one(model, x_t, 0.25, cond, params)
 
     p = tmp_path / "model.fmck"
     save_checkpoint(p, SMALL, params)
     cfg2, params2 = load_checkpoint(p)
     assert cfg2 == SMALL
-    after = VectorFieldModel(cfg2).forward(x_t, 0.25, cond, params2)
+    after = forward_one(VectorFieldModel(cfg2), x_t, 0.25, cond, params2)
     assert np.array_equal(before, after)
 
 
 def test_checkpoint_file_byte_stable(tmp_path):
     rng = np.random.default_rng(14)
-    model = VectorFieldModel(SMALL)
-    params = model.init_params(rng, zero_output=False)
+    params = init_params(SMALL, rng, zero_output=False)
     # perturb past float32 so quantization really happens once
     params["in_w"] += 1e-9
     p1, p2 = tmp_path / "a.fmck", tmp_path / "b.fmck"
@@ -372,7 +381,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_truncation(tmp_path):
     rng = np.random.default_rng(15)
-    params = VectorFieldModel(SMALL).init_params(rng)
+    params = init_params(SMALL, rng)
     p = tmp_path / "x.fmck"
     save_checkpoint(p, SMALL, params)
     blob = p.read_bytes()
@@ -383,10 +392,34 @@ def test_checkpoint_truncation(tmp_path):
         load_checkpoint(p)
 
 
+def with_config_block(blob, block):
+    """Checkpoint bytes with the JSON config block replaced by ``block``."""
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    return blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + cfg_len :]
+
+
+def test_checkpoint_bad_config_block(tmp_path):
+    p = tmp_path / "x.fmck"
+    save_checkpoint(p, SMALL, init_params(SMALL, np.random.default_rng(16)))
+    blob = p.read_bytes()
+    good = json.loads(blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]])
+    from flowcond import FormatError
+
+    for block in (
+        {**good, "bogus": 1},  # unknown key
+        {**good, "n_layers": "two"},  # wrong-typed value
+        [1, 2],  # not an object
+    ):
+        p.write_bytes(with_config_block(blob, json.dumps(block).encode()))
+        with pytest.raises(FormatError, match="config block") as info:
+            load_checkpoint(p)
+        assert str(p) in str(info.value)
+
+
 def test_param_order_is_stable():
     names = param_names(SMALL)
     assert names[0] == "phn_emb"
     assert names[-1] == "out_b"
     assert len(names) == len(set(names))
-    params = VectorFieldModel(SMALL).init_params(np.random.default_rng(0))
+    params = init_params(SMALL, np.random.default_rng(0))
     assert list(params.keys()) == names
