@@ -5,8 +5,7 @@ in t, and the target field is constant along it.  That means a forward
 Euler integrator lands on the endpoint exactly, with any step budget.
 """
 
-import numpy as np
-
+# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
 from flowcond import (
     PathConfig,
     conditional_vector_field,
@@ -14,6 +13,8 @@ from flowcond import (
     path_mean_std,
     sample_conditional_path,
 )
+
+import numpy as np
 
 rng = np.random.default_rng(0)
 cfg = PathConfig(sigma_min=1e-5)

@@ -6,20 +6,22 @@ and after a short run the integrated flow reproduces the target's
 moments.  (The acceptance suite runs a longer, tighter version.)
 """
 
-import numpy as np
-
+# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
 from flowcond import (
+    ConditionBundle,
     GuidanceConfig,
     LrSchedule,
     ModelConfig,
     OptimizerState,
-    PromptAssembly,
+    TemporalMask,
     VectorFieldModel,
     init_params,
     integrate_batch,
     make_field_fn,
 )
 from flowcond.seqmodel import BatchInputs, adam_update, masked_batch_loss_grad
+
+import numpy as np
 
 SIGMA_MIN = 1e-5
 STEPS, BATCH = 1200, 128
@@ -54,12 +56,12 @@ for step in range(1, STEPS + 1):
     if step % 300 == 0:
         print(f"step {step:5d}  loss {loss:.4f}")
 
-prompt = PromptAssembly(
-    features=np.zeros((2, 1)),
+prompt = ConditionBundle(
     phonemes=np.zeros(1, dtype=np.int64),
     nv=np.zeros((32, 1)),
     emo=np.zeros((2, 1)),
-    generated_region=(0, 1),
+    context=np.zeros((2, 1)),
+    mask=TemporalMask(np.ones(1)),
 )
 samples = integrate_batch(
     make_field_fn(model, params),

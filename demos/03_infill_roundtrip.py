@@ -6,12 +6,11 @@ compares against the known truth.  (Short budget; expect a rough fit.
 The acceptance suite trains longer and checks a hard threshold.)
 """
 
-import numpy as np
-
+# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
 from flowcond import (
     GuidanceConfig,
     ModelConfig,
-    PromptAssembly,
+    build_example,
     integrate_batch,
     make_field_fn,
     sample_mask,
@@ -19,6 +18,8 @@ from flowcond import (
 )
 from flowcond.features import synth_condition_oracle, synth_phonemes
 from flowcond.training import LoadedExample, TrainSettings, train_loop
+
+import numpy as np
 
 T, F = 48, 8
 rng = np.random.default_rng(7)
@@ -46,13 +47,7 @@ held = make_examples(1, seed=99)[0]
 mask = sample_mask(T, rng, (0.5, 0.5))
 bits = mask.bits.astype(bool)
 start, end = int(np.argmax(bits)), int(np.argmax(bits)) + int(bits.sum())
-prompt = PromptAssembly(
-    features=held.features * (1 - mask.as_row()),
-    phonemes=held.phonemes,
-    nv=held.nv,
-    emo=held.emo,
-    generated_region=(start, end),
-)
+prompt = build_example(held.features, held.phonemes, held.nv, held.emo, mask)
 out = integrate_batch(
     make_field_fn(VectorFieldModel(cfg), params),
     [prompt],

@@ -8,10 +8,11 @@ speaker change.  A record is attributed to the first gate it fails.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
+# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
 from flowcond import CurationPolicy, run_pipeline
 from flowcond.features import DatasetRecord, write_manifest
+
+import numpy as np
 
 rng = np.random.default_rng(0)
 labels = ["angry", "disgusted", "fearful", "sad", "surprised", "neutral", "happy"]

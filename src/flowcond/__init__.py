@@ -23,6 +23,7 @@ from .fm_core import (
 from .infill import (
     TemporalMask,
     ConditionBundle,
+    BatchInputs,
     sample_mask,
     build_example,
     apply_condition_dropout,
@@ -33,7 +34,6 @@ from .infill import (
 )
 from .sampler import (
     GuidanceConfig,
-    PromptAssembly,
     interpolate_stream,
     assemble_prompt,
     guided_field,
@@ -43,7 +43,6 @@ from .seqmodel import (
     ModelConfig,
     PRESETS,
     VectorFieldModel,
-    BatchInputs,
     init_params,
     embed_phonemes,
     LrSchedule,

@@ -2,14 +2,16 @@
 
 Bitwise reproducibility of matrix products requires a fixed BLAS thread
 count.  If FLOWCOND_THREADS is set and numpy has not been imported yet,
-propagate it to the usual knobs; once numpy is loaded the setting can no
-longer take effect and is left alone.
+propagate it to the usual knobs.  Once numpy is loaded the setting can
+no longer take effect; if a knob then differs from it, a warning says
+so instead of failing silently.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import warnings
 
 _KNOBS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -20,6 +22,13 @@ def pin_threads() -> None:
         return
     n = int(raw)
     if "numpy" in sys.modules:
+        unpinned = [knob for knob in _KNOBS if os.environ.get(knob) != str(n)]
+        if unpinned:
+            warnings.warn(
+                f"FLOWCOND_THREADS={n} has no effect: numpy was imported before flowcond, "
+                f"with {', '.join(unpinned)} not set to {n}; import flowcond first",
+                RuntimeWarning,
+            )
         return
     for knob in _KNOBS:
         os.environ.setdefault(knob, str(n))

@@ -7,11 +7,10 @@ the manifest itself; no detector models run here.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .features import DatasetRecord, manifest_line, read_manifest
 
@@ -78,7 +77,7 @@ def emotion_gate(label: str, confidence: float, policy: CurationPolicy) -> bool:
 
 def quality_gate(ovlr: float, policy: CurationPolicy) -> bool:
     """Keep only records strictly above the quality threshold."""
-    if not np.isfinite(ovlr):
+    if not math.isfinite(ovlr):
         raise ValueError(f"ovlr must be finite, got {ovlr}")
     return ovlr > policy.ovlr_min
 

@@ -4,12 +4,14 @@ A training example hides a contiguous span of frames behind a binary
 temporal mask; the model sees the remaining context plus frame-aligned
 condition streams and must regenerate the hidden span.  Condition
 dropout zeroes the whole bundle with one coin flip per example so an
-unconditional branch is available for guided sampling.
+unconditional branch is available for guided sampling.  ``BatchInputs``
+is the stacked form of a batch of bundles, the model's input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +85,40 @@ class ConditionBundle:
     @property
     def length(self) -> int:
         return self.phonemes.shape[0]
+
+
+@dataclass
+class BatchInputs:
+    """Stacked per-example arrays; every example must share F and T."""
+
+    x_t: np.ndarray  # (B, F, T)
+    t: np.ndarray  # (B,)
+    tokens: np.ndarray  # (B, T)
+    nv: np.ndarray  # (B, 32, T)
+    emo: np.ndarray  # (B, 2, T)
+    context: np.ndarray  # (B, F, T)
+    mask_bits: np.ndarray  # (B, T)
+
+    @classmethod
+    def from_examples(
+        cls, x_t: Sequence[np.ndarray], t: Sequence[float], conds: Sequence[ConditionBundle]
+    ) -> "BatchInputs":
+        shapes = {np.shape(x) for x in x_t}
+        if len(shapes) != 1:
+            raise ValueError(f"batch examples disagree in shape: {shapes}")
+        t_len = shapes.pop()[1]
+        bad = {c.length for c in conds if c.length != t_len}
+        if bad:
+            raise ValueError(f"condition length(s) {sorted(bad)} != state length {t_len}")
+        return cls(
+            x_t=np.stack([np.asarray(x, dtype=np.float64) for x in x_t]),
+            t=np.asarray(t, dtype=np.float64),
+            tokens=np.stack([c.phonemes for c in conds]),
+            nv=np.stack([np.asarray(c.nv, dtype=np.float64) for c in conds]),
+            emo=np.stack([np.asarray(c.emo, dtype=np.float64) for c in conds]),
+            context=np.stack([np.asarray(c.context, dtype=np.float64) for c in conds]),
+            mask_bits=np.stack([c.mask.bits for c in conds]).astype(np.float64),
+        )
 
 
 def sample_mask(

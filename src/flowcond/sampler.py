@@ -1,23 +1,24 @@
 """Inference-side machinery.
 
-A prompt is assembled by concatenating reference-audio streams with the
-streams for the text to generate (features zero there), then a learned
-vector field is integrated from noise to data over the whole assembly
-under classifier-free guidance.  Only the generated slice is returned.
+A prompt is a condition bundle, the same masked-context task the model
+trains on: the visible context holds the reference-audio features
+followed by zeros, and the mask marks the frames to generate.  A learned
+vector field is integrated from noise to data over the whole sequence
+under classifier-free guidance; only the masked frames are returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .infill import ConditionBundle, TemporalMask, zero_conditions
+from .infill import BatchInputs, ConditionBundle, TemporalMask, zero_conditions
 
-# A field callable maps (state batch (B,F,T), time, condition bundles) to
-# velocities of the same shape as the state.
-FieldFn = Callable[[np.ndarray, float, Sequence[ConditionBundle]], np.ndarray]
+# A field callable maps stacked model inputs (state x_t (B,F,T), times,
+# condition streams) to velocities of the same shape as the state.
+FieldFn = Callable[[BatchInputs], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -35,49 +36,6 @@ class GuidanceConfig:
             raise ValueError(f"nfe must be >= 1, got {self.nfe}")
         if self.solver not in ("euler", "midpoint"):
             raise ValueError(f"unknown solver {self.solver!r}")
-
-
-@dataclass
-class PromptAssembly:
-    """Reference and to-generate streams concatenated along time.
-
-    ``generated_region`` is the half-open frame interval the model must
-    fill; the feature block there is exactly zero.
-    """
-
-    features: np.ndarray
-    phonemes: np.ndarray
-    nv: np.ndarray
-    emo: np.ndarray
-    generated_region: tuple[int, int]
-
-    def __post_init__(self):
-        total = self.phonemes.shape[0]
-        for name, arr in (("features", self.features), ("nv", self.nv), ("emo", self.emo)):
-            if arr.shape[1] != total:
-                raise ValueError(f"{name} length {arr.shape[1]} != phoneme length {total}")
-        lo, hi = self.generated_region
-        if not (0 <= lo < hi <= total):
-            raise ValueError(f"generated_region {self.generated_region} out of range for T={total}")
-        if np.any(self.features[:, lo:hi] != 0.0):
-            raise ValueError("feature block of the generated region must be all zero")
-
-    @property
-    def total_length(self) -> int:
-        return self.phonemes.shape[0]
-
-    def condition_bundle(self) -> ConditionBundle:
-        """Bundle for the full assembly; the generated region is the mask."""
-        bits = np.zeros(self.total_length, dtype=np.uint8)
-        lo, hi = self.generated_region
-        bits[lo:hi] = 1
-        return ConditionBundle(
-            phonemes=self.phonemes,
-            nv=self.nv,
-            emo=self.emo,
-            context=self.features,
-            mask=TemporalMask(bits),
-        )
 
 
 def interpolate_stream(src: np.ndarray, target_len: int) -> np.ndarray:
@@ -117,12 +75,13 @@ def assemble_prompt(
     text_phonemes: np.ndarray,
     nv_prompt: np.ndarray,
     emo_prompt: np.ndarray,
-) -> PromptAssembly:
+) -> ConditionBundle:
     """Concatenate reference streams with the text-region streams.
 
     ``nv_prompt`` and ``emo_prompt`` are resampled to the text length
-    when their lengths differ from it.  The feature block of the text
-    region is zero-filled; the model generates it.
+    when their lengths differ from it.  The context is the reference
+    features followed by zeros, and the mask marks the text region: the
+    model generates it.
     """
     text_phonemes = np.asarray(text_phonemes)
     t_text = text_phonemes.shape[0]
@@ -150,15 +109,17 @@ def assemble_prompt(
         else interpolate_stream(emo_prompt, t_text)
     )
 
-    features = np.concatenate(
+    context = np.concatenate(
         [spk_features.astype(np.float64), np.zeros((f, t_text))], axis=1
     )
-    return PromptAssembly(
-        features=features,
+    bits = np.zeros(t_spk + t_text, dtype=np.uint8)
+    bits[t_spk:] = 1
+    return ConditionBundle(
         phonemes=np.concatenate([spk_phonemes, text_phonemes]),
         nv=np.concatenate([spk_nv.astype(np.float64), nv_text], axis=1),
         emo=np.concatenate([spk_emo.astype(np.float64), emo_text], axis=1),
-        generated_region=(t_spk, t_spk + t_text),
+        context=context,
+        mask=TemporalMask(bits),
     )
 
 
@@ -178,63 +139,63 @@ def guided_field(
     return v_uncond + (1.0 + strength) * (v_cond - v_uncond)
 
 
-def _guided_eval(
-    field: FieldFn,
-    x: np.ndarray,
-    t: float,
-    conds: Sequence[ConditionBundle],
-    conds_zero: Sequence[ConditionBundle] | None,
-    strength: float,
-) -> np.ndarray:
-    v_cond = field(x, t, conds)
-    if strength == 0.0:
-        return v_cond
-    v_uncond = field(x, t, conds_zero)
-    return guided_field(v_cond, v_uncond, strength)
-
-
 def integrate_batch(
     field: FieldFn,
-    prompts: Sequence[PromptAssembly],
+    conds: Sequence[ConditionBundle],
     cfg: GuidanceConfig,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Integrate the guided field from noise to data for a batch of prompts.
 
-    All prompts must share the same feature dimension, total length and
-    generated region.  The state starts as standard-normal noise over
-    the full assembly and is stepped from t=0 to t=1 in ``cfg.nfe``
-    steps; under guidance each step evaluates the field once with the
-    real conditions and once with blanked conditions.  The generated
-    slice of each final state is returned.
+    All bundles must share the context shape and the mask; the mask must
+    select at least one frame and the context must be zero under it.
+    The state starts as standard-normal noise over the whole sequence
+    and is stepped from t=0 to t=1 in ``cfg.nfe`` steps; under guidance
+    each step evaluates the field once with the real conditions and once
+    with blanked conditions.  Both condition batches are stacked once;
+    an evaluation swaps in only the state and the time.  The masked
+    columns of each final state are returned.
     """
-    if not prompts:
+    if not conds:
         raise ValueError("no prompts to integrate")
-    first = prompts[0]
-    f, total = first.features.shape
-    region = first.generated_region
-    for p in prompts[1:]:
-        if p.features.shape != (f, total) or p.generated_region != region:
-            raise ValueError("batched prompts must share shape and generated region")
+    shapes = {c.context.shape for c in conds}
+    if len(shapes) != 1:
+        raise ValueError(f"batched prompts disagree in context shape: {sorted(shapes)}")
+    b = len(conds)
+    x = rng.standard_normal((b, *shapes.pop()))
+    cond_batch = BatchInputs.from_examples(x, np.zeros(b), conds)
+    bits = cond_batch.mask_bits
+    if np.any(bits != bits[0]):
+        raise ValueError("batched prompts must share one mask")
+    sel = bits[0] == 1.0
+    if not sel.any():
+        raise ValueError("prompt mask must select at least one frame")
+    if np.any(cond_batch.context[:, :, sel] != 0.0):
+        raise ValueError("prompt context must be zero under the mask")
+    blank_batch = (
+        BatchInputs.from_examples(x, np.zeros(b), [zero_conditions(c) for c in conds])
+        if cfg.strength > 0
+        else None
+    )
 
-    conds = [p.condition_bundle() for p in prompts]
-    conds_zero = [zero_conditions(c) for c in conds] if cfg.strength > 0 else None
+    def velocity(state: np.ndarray, t: float) -> np.ndarray:
+        ts = np.full(b, t)
+        v_cond = field(replace(cond_batch, x_t=state, t=ts))
+        if blank_batch is None:
+            return v_cond
+        v_uncond = field(replace(blank_batch, x_t=state, t=ts))
+        return guided_field(v_cond, v_uncond, cfg.strength)
 
-    b = len(prompts)
-    x = rng.standard_normal((b, f, total))
     h = 1.0 / cfg.nfe
     for k in range(cfg.nfe):
         t = k * h
-        v = _guided_eval(field, x, t, conds, conds_zero, cfg.strength)
+        v = velocity(x, t)
         if cfg.solver == "euler":
             x = x + h * v
         else:  # midpoint
             x_mid = x + 0.5 * h * v
-            v_mid = _guided_eval(field, x_mid, t + 0.5 * h, conds, conds_zero, cfg.strength)
-            x = x + h * v_mid
+            x = x + h * velocity(x_mid, t + 0.5 * h)
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state after step {k + 1}/{cfg.nfe}")
 
-    lo, hi = region
-    return [x[i, :, lo:hi] for i in range(b)]
-
+    return list(x[:, :, sel])

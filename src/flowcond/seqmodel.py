@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 from .fm_core import FlowSample
-from .infill import ConditionBundle, NV_DIM, EMO_DIM
+from .infill import BatchInputs, ConditionBundle, NV_DIM, EMO_DIM
 from .features import FormatError
 
 CHECKPOINT_MAGIC = b"FMCK"
@@ -91,45 +91,33 @@ PRESETS: dict[str, ModelConfig] = {
 }
 
 
-def param_names(cfg: ModelConfig) -> list[str]:
-    """Canonical parameter order, also the checkpoint serialization order."""
-    names = ["phn_emb", "in_w", "in_b"]
-    for i in range(cfg.n_layers):
-        p = f"block{i}."
-        names += [p + "ln1_g", p + "ln1_b"]
-        names += [p + n for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        names += [p + "ln2_g", p + "ln2_b"]
-        names += [p + n for n in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")]
-    names += ["out_ln_g", "out_ln_b", "out_w", "out_b"]
-    return names
-
-
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor, in the canonical (checkpoint) order."""
     d, f = cfg.d_model, cfg.d_ffn
     shapes: dict[str, tuple[int, ...]] = {
         "phn_emb": (cfg.n_phonemes, cfg.d_phn),
         "in_w": (cfg.input_dim, d),
         "in_b": (d,),
     }
+    block = {
+        "ln1_g": (d,), "ln1_b": (d,),
+        "wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,),
+        "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,),
+        "ln2_g": (d,), "ln2_b": (d,),
+        "ffn_w1": (d, f), "ffn_b1": (f,), "ffn_w2": (f, d), "ffn_b2": (d,),
+    }
     for i in range(cfg.n_layers):
-        p = f"block{i}."
-        shapes[p + "ln1_g"] = (d,)
-        shapes[p + "ln1_b"] = (d,)
-        for n in ("wq", "wk", "wv", "wo"):
-            shapes[p + n] = (d, d)
-        for n in ("bq", "bk", "bv", "bo"):
-            shapes[p + n] = (d,)
-        shapes[p + "ln2_g"] = (d,)
-        shapes[p + "ln2_b"] = (d,)
-        shapes[p + "ffn_w1"] = (d, f)
-        shapes[p + "ffn_b1"] = (f,)
-        shapes[p + "ffn_w2"] = (f, d)
-        shapes[p + "ffn_b2"] = (d,)
+        shapes.update({f"block{i}.{name}": shape for name, shape in block.items()})
     shapes["out_ln_g"] = (d,)
     shapes["out_ln_b"] = (d,)
     shapes["out_w"] = (d, cfg.feature_dim)
     shapes["out_b"] = (cfg.feature_dim,)
     return shapes
+
+
+def param_names(cfg: ModelConfig) -> list[str]:
+    """Canonical parameter order, also the checkpoint serialization order."""
+    return list(_param_shapes(cfg))
 
 
 def init_params(
@@ -155,7 +143,7 @@ def init_params(
             scale = 1.0 / np.sqrt(shape[0])
             draw = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
             params[name] = draw.astype(np.float64)
-    return {name: params[name] for name in param_names(cfg)}
+    return params
 
 
 def embed_phonemes(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -245,40 +233,6 @@ def _split_heads(x, n_heads):
 def _merge_heads(x):
     b, h, t, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
-
-
-@dataclass
-class BatchInputs:
-    """Stacked per-example arrays; every example must share F and T."""
-
-    x_t: np.ndarray  # (B, F, T)
-    t: np.ndarray  # (B,)
-    tokens: np.ndarray  # (B, T)
-    nv: np.ndarray  # (B, 32, T)
-    emo: np.ndarray  # (B, 2, T)
-    context: np.ndarray  # (B, F, T)
-    mask_bits: np.ndarray  # (B, T)
-
-    @classmethod
-    def from_examples(
-        cls, x_t: Sequence[np.ndarray], t: Sequence[float], conds: Sequence[ConditionBundle]
-    ) -> "BatchInputs":
-        shapes = {np.shape(x) for x in x_t}
-        if len(shapes) != 1:
-            raise ValueError(f"batch examples disagree in shape: {shapes}")
-        t_len = shapes.pop()[1]
-        bad = {c.length for c in conds if c.length != t_len}
-        if bad:
-            raise ValueError(f"condition length(s) {sorted(bad)} != state length {t_len}")
-        return cls(
-            x_t=np.stack([np.asarray(x, dtype=np.float64) for x in x_t]),
-            t=np.asarray(t, dtype=np.float64),
-            tokens=np.stack([c.phonemes for c in conds]),
-            nv=np.stack([np.asarray(c.nv, dtype=np.float64) for c in conds]),
-            emo=np.stack([np.asarray(c.emo, dtype=np.float64) for c in conds]),
-            context=np.stack([np.asarray(c.context, dtype=np.float64) for c in conds]),
-            mask_bits=np.stack([c.mask.bits for c in conds]).astype(np.float64),
-        )
 
 
 class VectorFieldModel:
@@ -537,17 +491,10 @@ def train_step(
 
 
 def make_field_fn(model: VectorFieldModel, params):
-    """Adapt the model to the sampler's field interface.
+    """Adapt the model to the sampler's field interface: BatchInputs -> velocities."""
 
-    Returns a callable (x (B,F,T), t, condition bundles) -> velocities.
-    """
-
-    def field(x: np.ndarray, t: float, conds) -> np.ndarray:
-        inputs = BatchInputs.from_examples(
-            list(x), [t] * x.shape[0], list(conds)
-        )
-        out, _ = model.forward_batch(inputs, params)
-        return out
+    def field(inputs: BatchInputs) -> np.ndarray:
+        return model.forward_batch(inputs, params)[0]
 
     return field
 

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from flowcond import (
+    ConditionBundle,
     GuidanceConfig,
     LrSchedule,
     ModelConfig,
     OptimizerState,
     PathConfig,
-    PromptAssembly,
+    TemporalMask,
     VectorFieldModel,
     apply_condition_dropout,
     assemble_prompt,
@@ -65,6 +66,17 @@ DESK = ModelConfig(
 
 def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
+
+
+def blank_prompt(f, t):
+    """Every condition blank and every frame masked: the unconditional task."""
+    return ConditionBundle(
+        phonemes=np.zeros(t, dtype=np.int64),
+        nv=np.zeros((32, t)),
+        emo=np.zeros((2, t)),
+        context=np.zeros((f, t)),
+        mask=TemporalMask(np.ones(t, dtype=np.uint8)),
+    )
 
 
 def oracle_corpus(kind, n, seed, T=T_FRAMES):
@@ -138,18 +150,13 @@ def test_criterion_1_analytic_path_exactness():
     # the same exactness through the sampler's integrate_batch()
     x1 = rng.standard_normal((F_DIM, 12))
 
-    def field(x, t, conds):
+    def field(inputs):
+        x, t = inputs.x_t, inputs.t[0]
         return np.stack(
             [conditional_vector_field(x[i], x1, t, PATH_CFG) for i in range(x.shape[0])]
         )
 
-    prompt = PromptAssembly(
-        features=np.zeros((F_DIM, 12)),
-        phonemes=np.zeros(12, dtype=np.int64),
-        nv=np.zeros((32, 12)),
-        emo=np.zeros((2, 12)),
-        generated_region=(0, 12),
-    )
+    prompt = blank_prompt(F_DIM, 12)
     for nfe in (1, 4, 32):
         seed_rng = np.random.default_rng(50)
         out = integrate_batch(field, [prompt], GuidanceConfig(strength=0.0, nfe=nfe), seed_rng)[0]
@@ -174,8 +181,6 @@ def test_criterion_2_gradient_correctness():
     model = VectorFieldModel(cfg)
     rng = np.random.default_rng(3)
     params = init_params(cfg, rng, zero_output=False)
-
-    from flowcond import ConditionBundle, TemporalMask
 
     B, T = 2, 5
     conds = []
@@ -270,20 +275,13 @@ def test_criterion_3_gaussian_recovery():
     rng = np.random.default_rng(0)
     params = init_params(cfg, rng)
 
-    from flowcond import ConditionBundle, TemporalMask
     from flowcond.fm_core import FlowSample
 
     steps, B = 4000, 128
     state = OptimizerState(
         schedule=LrSchedule(peak=2e-3, warmup_steps=200, total_steps=steps)
     )
-    blank_cond = ConditionBundle(
-        phonemes=np.zeros(1, dtype=np.int64),
-        nv=np.zeros((32, 1)),
-        emo=np.zeros((2, 1)),
-        context=np.zeros((2, 1)),
-        mask=TemporalMask(np.ones(1, dtype=np.uint8)),
-    )
+    blank_cond = blank_prompt(2, 1)
     for _ in range(steps):
         x1 = mu[None, :, None] + std[None, :, None] * rng.standard_normal((B, 2, 1))
         x0 = rng.standard_normal((B, 2, 1))
@@ -302,13 +300,7 @@ def test_criterion_3_gaussian_recovery():
     assert state.step == steps <= 20_000
 
     field = make_field_fn(model, params)
-    prompt = PromptAssembly(
-        features=np.zeros((2, 1)),
-        phonemes=np.zeros(1, dtype=np.int64),
-        nv=np.zeros((32, 1)),
-        emo=np.zeros((2, 1)),
-        generated_region=(0, 1),
-    )
+    prompt = blank_prompt(2, 1)
     sample_rng = np.random.default_rng(123)
     outs = []
     for _ in range(4):
@@ -349,22 +341,14 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
         bits = mask.bits.astype(bool)
         start = int(np.argmax(bits))
         end = start + int(bits.sum())
-        prompts.append(
-            PromptAssembly(
-                features=feats * (1 - mask.as_row()),
-                phonemes=phn,
-                nv=nv,
-                emo=emo,
-                generated_region=(start, end),
-            )
-        )
+        prompts.append(build_example(feats, phn, nv, emo, mask))
         truths.append(feats)
         spans.append((start, end))
 
-    # batch prompts that share a generated region
+    # batch prompts that share a masked span
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(prompts):
-        groups.setdefault(p.generated_region, []).append(i)
+    for i, span in enumerate(spans):
+        groups.setdefault(span, []).append(i)
     outs = [None] * len(prompts)
     gen_rng = np.random.default_rng(5)
     gcfg = GuidanceConfig(strength=1.0, nfe=32)
@@ -449,17 +433,11 @@ def test_criterion_6_cfg_sanity():
 
     calls = {"n": 0}
 
-    def counting_field(x, t, conds):
+    def counting_field(inputs):
         calls["n"] += 1
-        return np.zeros_like(x)
+        return np.zeros_like(inputs.x_t)
 
-    prompt = PromptAssembly(
-        features=np.zeros((3, 6)),
-        phonemes=np.zeros(6, dtype=np.int64),
-        nv=np.zeros((32, 6)),
-        emo=np.zeros((2, 6)),
-        generated_region=(0, 6),
-    )
+    prompt = blank_prompt(3, 6)
     integrate_batch(
         counting_field, [prompt], GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
     )

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from flowcond.cli import main, parse_config_file
-from flowcond.features import load_feature_matrix, read_manifest
+from flowcond.features import (
+    FeatureMatrix,
+    load_feature_matrix,
+    read_manifest,
+    store_feature_matrix,
+)
 from flowcond.training import TrainSettings, draw_source, load_corpus, train_loop
 from flowcond.seqmodel import ModelConfig, load_checkpoint
 
@@ -301,6 +306,32 @@ def test_curate_malformed_manifest_nonzero_exit(tmp_path, capsys):
     bad.write_text("not json\n")
     assert run_cli("curate", "--in", bad, "--out", tmp_path / "o.jsonl") == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("ovlr", "5.0"), ("emotion_confidence", None)])
+def test_curate_wrong_field_type_is_one_line_error(tmp_path, capsys, field, value):
+    record = dict(id="r", features_path="f", phonemes_path="p", nv_path="n", emo_path="e",
+                  duration_s=1.0, emotion_label="sad", emotion_confidence=0.9, ovlr=4.0,
+                  speaker_change=False)
+    record[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    out = tmp_path / "o.jsonl"
+    assert run_cli("curate", "--in", bad, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("format error:") and field in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def test_eval_nan_file_is_one_line_error(tmp_path, corpus_dir, capsys):
+    nan_file = tmp_path / "nan.fmat"
+    store_feature_matrix(FeatureMatrix(np.full((2, 5), np.nan)), nan_file)
+    ok = corpus_dir / "mixed_00000.emo.fmat"
+    assert run_cli("eval", "emo-sim", "--a", nan_file, "--b", ok) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("format error:") and "non-finite" in err[0]
 
 
 def test_eval_identical_files_print_one(tmp_path, corpus_dir, capsys):

@@ -167,6 +167,24 @@ def test_fmat_dimension_overflow(tmp_path):
         load_feature_matrix(p)
 
 
+def test_fmat_nonfinite_payload_rejected(tmp_path):
+    p = tmp_path / "m.fmat"
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((2, 5), dtype=np.float32)
+        values[1, 3] = bad
+        store_feature_matrix(FeatureMatrix(values), p)
+        with pytest.raises(FormatError, match="non-finite"):
+            load_feature_matrix(p)
+
+
+@pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
+def test_fmat_bad_frame_rate_rejected(tmp_path, rate):
+    p = tmp_path / "m.fmat"
+    store_feature_matrix(FeatureMatrix(np.zeros((2, 5)), rate), p)
+    with pytest.raises(FormatError, match="frame rate"):
+        load_feature_matrix(p)
+
+
 def test_phoneme_file_round_trip(tmp_path):
     tokens = np.array([0, 3, 3, 1, 7], dtype=np.int64)
     p = tmp_path / "t.phn"
@@ -281,6 +299,33 @@ def test_manifest_requires_boolean_speaker_change(tmp_path):
     p.write_text(line + "\n")
     with pytest.raises(FormatError, match="speaker_change"):
         list(read_manifest(p))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ovlr", "5.0"),
+        ("emotion_confidence", None),
+        ("duration_s", True),
+        ("ovlr", float("nan")),
+        ("duration_s", float("inf")),
+        pytest.param("ovlr", 10**400, id="ovlr-int-beyond-float"),
+        ("id", 7),
+        ("emotion_label", None),
+    ],
+)
+def test_manifest_field_types_checked(tmp_path, field, value):
+    p = tmp_path / "m.jsonl"
+    write_manifest([make_record(0), make_record(1, **{field: value})], p)
+    with pytest.raises(FormatError, match=f"line 2: {field} must be"):
+        list(read_manifest(p))
+
+
+def test_manifest_accepts_integer_numbers(tmp_path):
+    p = tmp_path / "m.jsonl"
+    write_manifest([make_record(0, ovlr=5, duration_s=1, emotion_confidence=0)], p)
+    (_, rec), = read_manifest(p)
+    assert (rec.ovlr, rec.duration_s, rec.emotion_confidence) == (5, 1, 0)
 
 
 def test_manifest_missing_field(tmp_path):

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from flowcond import (
+    BatchInputs,
+    ConditionBundle,
     GuidanceConfig,
+    ModelConfig,
     PathConfig,
-    PromptAssembly,
+    TemporalMask,
+    VectorFieldModel,
     assemble_prompt,
     conditional_vector_field,
     guided_field,
+    init_params,
     integrate_batch,
     interpolate_stream,
+    make_field_fn,
 )
 
 
@@ -76,15 +82,15 @@ def test_interpolate_domain_errors():
 
 def test_assemble_lengths_and_region():
     p = make_prompt(t_spk=4, t_text=6)
-    assert p.total_length == 10
-    assert p.generated_region == (4, 10)
-    assert p.features.shape == (3, 10)
+    assert isinstance(p, ConditionBundle)
+    assert p.length == 10
+    assert np.array_equal(p.mask.bits, [0] * 4 + [1] * 6)
+    assert p.context.shape == (3, 10)
 
 
 def test_assemble_text_features_zero():
     p = make_prompt()
-    lo, hi = p.generated_region
-    assert np.all(p.features[:, lo:hi] == 0.0)
+    assert np.all(p.context[:, p.mask.bits == 1] == 0.0)
 
 
 def test_assemble_prompt_streams_pass_through_when_aligned():
@@ -131,15 +137,40 @@ def test_assemble_empty_text_rejected():
         )
 
 
-def test_prompt_assembly_rejects_nonzero_text_block():
-    with pytest.raises(ValueError):
-        PromptAssembly(
-            features=np.ones((2, 5)),
-            phonemes=np.zeros(5, dtype=np.int64),
-            nv=np.zeros((32, 5)),
-            emo=np.zeros((2, 5)),
-            generated_region=(2, 5),
-        )
+def blank_bundle(bits, context):
+    t = len(bits)
+    return ConditionBundle(
+        phonemes=np.zeros(t, dtype=np.int64),
+        nv=np.zeros((32, t)),
+        emo=np.zeros((2, t)),
+        context=context,
+        mask=TemporalMask(np.asarray(bits)),
+    )
+
+
+def zero_field(inputs):
+    return np.zeros_like(inputs.x_t)
+
+
+def test_integrate_rejects_nonzero_context_under_mask():
+    bundle = blank_bundle([0, 0, 1, 1, 1], np.ones((2, 5)))
+    with pytest.raises(ValueError, match="zero under the mask"):
+        integrate_batch(zero_field, [bundle], GuidanceConfig(), np.random.default_rng(0))
+
+
+def test_integrate_rejects_empty_mask():
+    bundle = blank_bundle([0, 0, 0], np.ones((2, 3)))
+    with pytest.raises(ValueError, match="at least one frame"):
+        integrate_batch(zero_field, [bundle], GuidanceConfig(), np.random.default_rng(0))
+
+
+def test_integrate_rejects_disagreeing_bundles():
+    a = blank_bundle([0, 1, 1], np.zeros((2, 3)))
+    cfg, rng = GuidanceConfig(), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="one mask"):
+        integrate_batch(zero_field, [a, blank_bundle([1, 1, 0], np.zeros((2, 3)))], cfg, rng)
+    with pytest.raises(ValueError, match="context shape"):
+        integrate_batch(zero_field, [a, blank_bundle([0, 1, 1], np.zeros((3, 3)))], cfg, rng)
 
 
 def test_empty_speaker_prompt_allowed():
@@ -153,7 +184,7 @@ def test_empty_speaker_prompt_allowed():
         nv_prompt=np.zeros((32, 4)),
         emo_prompt=np.zeros((2, 4)),
     )
-    assert p.generated_region == (0, 4)
+    assert np.array_equal(p.mask.bits, [1, 1, 1, 1])
 
 
 # -- guided_field ------------------------------------------------------------
@@ -189,7 +220,8 @@ def test_guided_shape_mismatch():
 def analytic_field_toward(x1, cfg_path):
     """Field callable that ignores conditions and flows toward a fixed x1."""
 
-    def field(x, t, conds):
+    def field(inputs):
+        x, t = inputs.x_t, inputs.t[0]
         return np.stack(
             [conditional_vector_field(x[i], x1, t, cfg_path) for i in range(x.shape[0])]
         )
@@ -231,9 +263,9 @@ def test_integrate_evaluation_count_under_guidance():
     prompt = make_prompt(seed=5)
     calls = {"n": 0}
 
-    def counting_field(x, t, conds):
+    def counting_field(inputs):
         calls["n"] += 1
-        return np.zeros_like(x)
+        return np.zeros_like(inputs.x_t)
 
     integrate_batch(
         counting_field,
@@ -256,8 +288,8 @@ def test_integrate_evaluation_count_under_guidance():
 def test_integrate_nonfinite_state_reports_step():
     prompt = make_prompt(seed=6)
 
-    def exploding_field(x, t, conds):
-        return np.full_like(x, np.inf)
+    def exploding_field(inputs):
+        return np.full_like(inputs.x_t, np.inf)
 
     with pytest.raises(FloatingPointError, match="step 1"):
         integrate_batch(
@@ -268,12 +300,32 @@ def test_integrate_nonfinite_state_reports_step():
         )
 
 
+def test_guided_request_stacks_conditions_once(monkeypatch):
+    # The condition batches are built once per integration (conditional and
+    # blanked), not once per field evaluation.
+    cfg = ModelConfig(n_layers=1, d_model=8, d_ffn=8, d_phn=2, n_phonemes=5, feature_dim=3)
+    field = make_field_fn(VectorFieldModel(cfg), init_params(cfg, np.random.default_rng(0)))
+    original = BatchInputs.from_examples.__func__
+    calls = {"n": 0}
+
+    def counting(cls, *args):
+        calls["n"] += 1
+        return original(cls, *args)
+
+    monkeypatch.setattr(BatchInputs, "from_examples", classmethod(counting))
+    integrate_batch(
+        field, [make_prompt(seed=8)], GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
+    )
+    assert calls["n"] <= 2
+
+
 def test_midpoint_at_least_as_accurate_as_euler():
     # Smooth time-dependent field with a known reference: the marginal
     # flow of a Gaussian path with time-varying mean and scale.
     mu = np.array([[1.0, -2.0, 0.5]]).T  # (3,1) broadcast over frames
 
-    def gaussian_field(x, t, conds):
+    def gaussian_field(inputs):
+        x, t = inputs.x_t, inputs.t[0]
         s = 1.0 - 0.999 * t
         ds = -0.999
         m = t * mu
