@@ -4,7 +4,8 @@ Bitwise reproducibility of matrix products requires a fixed BLAS thread
 count.  If FLOWCOND_THREADS is set and numpy has not been imported yet,
 propagate it to the usual knobs.  Once numpy is loaded the setting can
 no longer take effect; if a knob then differs from it, a warning says
-so instead of failing silently.
+so instead of failing silently.  A value that is not a positive integer
+is reported the same way and pins nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ def pin_threads() -> None:
     raw = os.environ.get("FLOWCOND_THREADS")
     if not raw:
         return
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        warnings.warn(
+            f"FLOWCOND_THREADS={raw!r} is not a positive integer; BLAS threads left unpinned",
+            RuntimeWarning,
+        )
+        return
     if "numpy" in sys.modules:
         unpinned = [knob for knob in _KNOBS if os.environ.get(knob) != str(n)]
         if unpinned:

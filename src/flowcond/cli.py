@@ -372,9 +372,14 @@ def cmd_eval_report(args) -> int:
                 continue
             try:
                 obj = json.loads(line)
-                pairs.append((obj["a"], obj["b"]))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 raise CliError(f"{args.pairs}:{lineno}: bad pair record ({exc})") from exc
+            if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "ab")):
+                raise CliError(
+                    f"{args.pairs}:{lineno}: bad pair record "
+                    "(expected an object with string fields a and b)"
+                )
+            pairs.append((obj["a"], obj["b"]))
     if not pairs:
         raise CliError(f"no pairs in {args.pairs}")
 

@@ -13,6 +13,7 @@ the path time t is added (plus an optional sinusoidal positional code).
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field, asdict
@@ -169,21 +170,31 @@ def time_embedding(t: np.ndarray, d_model: int) -> np.ndarray:
     return emb
 
 
+@functools.lru_cache(maxsize=32)
 def positional_encoding(T: int, d_model: int) -> np.ndarray:
-    """Standard sinusoidal position code, (T, d_model)."""
+    """Standard sinusoidal position code, (T, d_model).
+
+    Cached per shape, since the sampler asks for the same code on every
+    field evaluation; the array is read-only because callers share it.
+    The bound keeps a long-lived process that sees many lengths from
+    growing the cache without limit.
+    """
     pos = np.arange(T, dtype=np.float64)[:, None]
     i = np.arange(d_model, dtype=np.float64)[None, :]
     ang = pos / np.power(10000.0, (2.0 * (i // 2)) / d_model)
     pe = np.empty((T, d_model))
     pe[:, 0::2] = np.sin(ang[:, 0::2])
     pe[:, 1::2] = np.cos(ang[:, 1::2])
+    pe.flags.writeable = False
     return pe
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(B,T,i) @ (i,o) + (o,) as one flat GEMM."""
     bt = x.shape[:-1]
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*bt, w.shape[1]) + b
+    y = x.reshape(-1, x.shape[-1]) @ w
+    y += b
+    return y.reshape(*bt, w.shape[1])
 
 
 def _linear_backward(x: np.ndarray, dy: np.ndarray, w: np.ndarray):
@@ -197,42 +208,57 @@ def _linear_backward(x: np.ndarray, dy: np.ndarray, w: np.ndarray):
     return dx, dw, db
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) and its erf(x/sqrt 2) term, which the gradient reuses."""
+    e = x / _SQRT2
+    erf(e, out=e)
+    y = 0.5 * x
+    y *= 1.0 + e
+    return y, e
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def _gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """dGELU/dx given the cached e = erf(x/sqrt 2)."""
+    g = x * x
+    g *= -0.5
+    np.exp(g, out=g)
+    g *= x
+    g *= _INV_SQRT_2PI
+    g += 0.5
+    g += 0.5 * e
+    return g
 
 
 def _layernorm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
+    xc = x - x.mean(axis=-1, keepdims=True)
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * istd
-    return g * xhat + b, (xhat, istd, g)
+    var += _LN_EPS
+    istd = 1.0 / np.sqrt(var, out=var)
+    xc *= istd  # now xhat
+    y = g * xc
+    y += b
+    return y, (xc, istd, g)
 
 
 def _layernorm_backward(dy, cache):
     xhat, istd, g = cache
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    db = dy2.sum(axis=0)
     dxhat = dy * g
-    dg = (dy * xhat).sum(axis=(0, 1))
-    db = dy.sum(axis=(0, 1))
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = istd * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    t = dy * xhat
+    dg = t.reshape(dy2.shape).sum(axis=0)
+    np.multiply(dxhat, xhat, out=t)
+    m2 = t.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=t)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= t
+    dxhat *= istd
+    return dxhat, dg, db
 
 
 def _split_heads(x, n_heads):
     b, t, d = x.shape
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
 class VectorFieldModel:
@@ -266,38 +292,43 @@ class VectorFieldModel:
             axis=2,
         )
         z = _linear(u, params["in_w"], params["in_b"])
-        z = z + time_embedding(inputs.t, cfg.d_model)[:, None, :]
+        z += time_embedding(inputs.t, cfg.d_model)[:, None, :]
         if cfg.use_positional:
-            z = z + positional_encoding(t_len, cfg.d_model)[None, :, :]
+            z += positional_encoding(t_len, cfg.d_model)[None, :, :]
 
         blocks = []
-        scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+        heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
+        scale = 1.0 / np.sqrt(d_head)
         for i in range(cfg.n_layers):
             p = f"block{i}."
             y1, ln1c = _layernorm(z, params[p + "ln1_g"], params[p + "ln1_b"])
-            q = _split_heads(_linear(y1, params[p + "wq"], params[p + "bq"]), cfg.n_heads)
-            k = _split_heads(_linear(y1, params[p + "wk"], params[p + "bk"]), cfg.n_heads)
-            v = _split_heads(_linear(y1, params[p + "wv"], params[p + "bv"]), cfg.n_heads)
-            s = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-            s = s - s.max(axis=-1, keepdims=True)
-            e = np.exp(s)
-            attn_p = e / e.sum(axis=-1, keepdims=True)
-            o_heads = np.matmul(attn_p, v)
-            o = _merge_heads(o_heads)
-            attn_out = _linear(o, params[p + "wo"], params[p + "bo"])
-            z_attn = z + attn_out
+            # one (d, 3d) GEMM for q|k|v; the checkpoint keeps three tensors
+            w_qkv = np.concatenate([params[p + "wq"], params[p + "wk"], params[p + "wv"]], axis=1)
+            b_qkv = np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]])
+            qkv = _linear(y1, w_qkv, b_qkv).reshape(b, t_len, 3, heads, d_head)
+            q, k, v = (qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
+            attn_p = np.matmul(q, k.transpose(0, 1, 3, 2))
+            attn_p *= scale
+            attn_p -= attn_p.max(axis=-1, keepdims=True)
+            np.exp(attn_p, out=attn_p)
+            attn_p /= attn_p.sum(axis=-1, keepdims=True)
+            o = np.empty((b, t_len, heads, d_head))
+            np.matmul(attn_p, v, out=o.transpose(0, 2, 1, 3))
+            o = o.reshape(b, t_len, cfg.d_model)
+            z_attn = _linear(o, params[p + "wo"], params[p + "bo"])
+            z_attn += z
 
             y2, ln2c = _layernorm(z_attn, params[p + "ln2_g"], params[p + "ln2_b"])
             h1 = _linear(y2, params[p + "ffn_w1"], params[p + "ffn_b1"])
-            a1 = _gelu(h1)
-            ffn_out = _linear(a1, params[p + "ffn_w2"], params[p + "ffn_b2"])
-            z_next = z_attn + ffn_out
+            a1, erf1 = _gelu(h1)
+            z = _linear(a1, params[p + "ffn_w2"], params[p + "ffn_b2"])
+            z += z_attn
 
             blocks.append(
-                {"y1": y1, "ln1c": ln1c, "q": q, "k": k, "v": v, "p": attn_p,
-                 "o": o, "y2": y2, "ln2c": ln2c, "h1": h1, "a1": a1}
+                {"y1": y1, "ln1c": ln1c, "w_qkv": w_qkv, "q": q, "k": k, "v": v,
+                 "p": attn_p, "o": o, "y2": y2, "ln2c": ln2c, "h1": h1, "erf1": erf1,
+                 "a1": a1}
             )
-            z = z_next
 
         g_out, lnfc = _layernorm(z, params["out_ln_g"], params["out_ln_b"])
         v_out = _linear(g_out, params["out_w"], params["out_b"])
@@ -319,66 +350,69 @@ class VectorFieldModel:
         if cache is None:
             raise RuntimeError("backward requires a cache from forward_batch(want_cache=True)")
         cfg = self.config
-        grads = {name: np.zeros_like(params[name]) for name in params}
+        b, _, t_len = grad_out.shape
+        d, heads = cfg.d_model, cfg.n_heads
+        grads = {}
 
-        dv = grad_out.transpose(0, 2, 1)
         dg_out, grads["out_w"], grads["out_b"] = _linear_backward(
-            cache["g_out"], dv, params["out_w"]
+            cache["g_out"], grad_out.transpose(0, 2, 1), params["out_w"]
         )
         dz, grads["out_ln_g"], grads["out_ln_b"] = _layernorm_backward(
             dg_out, cache["lnfc"]
         )
 
         scale = cache["scale"]
+        # dq|dk|dv land in one buffer laid out like the fused q|k|v output
+        d_qkv = np.empty((b, t_len, 3, heads, d // heads))
+        dq, dk, dv = (d_qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
         for i in reversed(range(cfg.n_layers)):
             p = f"block{i}."
             blk = cache["blocks"][i]
 
             # FFN sub-block: z_next = z_attn + ffn(ln2(z_attn))
-            d_ffn_out = dz
             da1, grads[p + "ffn_w2"], grads[p + "ffn_b2"] = _linear_backward(
-                blk["a1"], d_ffn_out, params[p + "ffn_w2"]
+                blk["a1"], dz, params[p + "ffn_w2"]
             )
-            dh1 = da1 * _gelu_grad(blk["h1"])
+            da1 *= _gelu_grad(blk["h1"], blk["erf1"])
             dy2, grads[p + "ffn_w1"], grads[p + "ffn_b1"] = _linear_backward(
-                blk["y2"], dh1, params[p + "ffn_w1"]
+                blk["y2"], da1, params[p + "ffn_w1"]
             )
             dz_attn, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(
                 dy2, blk["ln2c"]
             )
-            dz_attn = dz_attn + dz  # residual branch
+            dz_attn += dz  # residual branch
 
             # attention sub-block: z_attn = z + attn(ln1(z))
-            d_attn_out = dz_attn
             do, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
-                blk["o"], d_attn_out, params[p + "wo"]
+                blk["o"], dz_attn, params[p + "wo"]
             )
-            do_heads = _split_heads(do, cfg.n_heads)
-            dp = np.matmul(do_heads, blk["v"].transpose(0, 1, 3, 2))
-            dv_heads = np.matmul(blk["p"].transpose(0, 1, 3, 2), do_heads)
-            ds = blk["p"] * (dp - (dp * blk["p"]).sum(axis=-1, keepdims=True))
-            dq = np.matmul(ds, blk["k"]) * scale
-            dk = np.matmul(ds.transpose(0, 1, 3, 2), blk["q"]) * scale
-            dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv_heads)
-            y1 = blk["y1"]
-            dy1_q, grads[p + "wq"], grads[p + "bq"] = _linear_backward(y1, dq_m, params[p + "wq"])
-            dy1_k, grads[p + "wk"], grads[p + "bk"] = _linear_backward(y1, dk_m, params[p + "wk"])
-            dy1_v, grads[p + "wv"], grads[p + "bv"] = _linear_backward(y1, dv_m, params[p + "wv"])
-            dy1 = dy1_q + dy1_k + dy1_v
-            dz_pre, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(
+            do_heads = _split_heads(do, heads)
+            attn_p = blk["p"]
+            ds = np.matmul(do_heads, blk["v"].transpose(0, 1, 3, 2))  # dL/dp
+            np.matmul(attn_p.transpose(0, 1, 3, 2), do_heads, out=dv)
+            # softmax backward: ds = p * (dp - rowdot(dp, p)), with scale folded in
+            ds -= np.einsum("...i,...i->...", ds, attn_p)[..., None]
+            ds *= attn_p
+            ds *= scale
+            np.matmul(ds, blk["k"], out=dq)
+            np.matmul(ds.transpose(0, 1, 3, 2), blk["q"], out=dk)
+            dy1, dw, db = _linear_backward(blk["y1"], d_qkv, blk["w_qkv"])
+            for j, name in enumerate("qkv"):
+                grads[p + "w" + name] = dw[:, j * d : (j + 1) * d]
+                grads[p + "b" + name] = db[j * d : (j + 1) * d]
+            dz, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(
                 dy1, blk["ln1c"]
             )
-            dz = dz_pre + dz_attn  # residual branch
+            dz += dz_attn  # residual branch
 
-        # input projection and phoneme embedding
-        du, grads["in_w"], grads["in_b"] = _linear_backward(cache["u"], dz, params["in_w"])
-        f = cfg.feature_dim
-        demb = du[:, :, 2 * f : 2 * f + cfg.d_phn]
-        np.add.at(
-            grads["phn_emb"],
-            cache["tokens"].reshape(-1),
-            demb.reshape(-1, cfg.d_phn),
-        )
+        # input projection; of its input gradient only the phoneme-embedding
+        # rows feed a parameter
+        u, dz2 = cache["u"], dz.reshape(-1, d)
+        grads["in_w"] = u.reshape(-1, u.shape[-1]).T @ dz2
+        grads["in_b"] = dz2.sum(axis=0)
+        emb_rows = slice(2 * cfg.feature_dim, 2 * cfg.feature_dim + cfg.d_phn)
+        grads["phn_emb"] = np.zeros_like(params["phn_emb"])
+        np.add.at(grads["phn_emb"], cache["tokens"].reshape(-1), dz2 @ params["in_w"][emb_rows].T)
         return grads
 
 
@@ -451,11 +485,18 @@ def adam_update(params, grads, state: OptimizerState) -> float:
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        params[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        params[name] -= step
     return lr
 
 

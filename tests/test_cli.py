@@ -352,3 +352,16 @@ def test_eval_report_aggregates_across_seeds(tmp_path, corpus_dir, capsys):
     assert rep["seeds"] == ["s1", "s2", "s3"]
     assert rep["std"] == 0.0  # same files for every seed
     assert -1.0 <= rep["mean"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "line", ["not json", "[1, 2]", '{"a": 5, "b": "x"}', '{"a": "x"}']
+)
+def test_eval_report_bad_pair_record_is_one_line_error(tmp_path, capsys, line):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(line + "\n")
+    out = tmp_path / "report.json"
+    assert run_cli("eval", "report", "--pairs", pairs, "--seeds", "s1", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "pairs.jsonl:1: bad pair record" in err[0]
+    assert not out.exists()

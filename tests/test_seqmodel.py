@@ -21,7 +21,13 @@ from flowcond import (
     save_checkpoint,
     train_step,
 )
-from flowcond.seqmodel import masked_batch_loss_grad, param_names
+from flowcond import seqmodel
+from flowcond.seqmodel import (
+    _param_shapes,
+    masked_batch_loss_grad,
+    param_names,
+    positional_encoding,
+)
 
 SMALL = ModelConfig(
     n_layers=2, n_heads=2, d_model=16, d_ffn=24, d_phn=4, n_phonemes=6, feature_dim=3
@@ -133,6 +139,16 @@ def test_forward_zero_output_projection_gives_zero_field():
     assert np.all(out == 0.0)
 
 
+def test_positional_encoding_cached_read_only():
+    pe = positional_encoding(9, 16)
+    assert positional_encoding(9, 16) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+    assert np.array_equal(pe, positional_encoding.__wrapped__(9, 16))
+    assert pe[3, 0] == np.sin(3.0) and pe[3, 1] == np.cos(3.0)
+
+
 def test_forward_rejects_nonfinite_input():
     rng = np.random.default_rng(4)
     model = VectorFieldModel(SMALL)
@@ -191,7 +207,8 @@ def test_forward_sensitive_to_emo_stream():
 
 
 def fd_check(model, params, inputs, u_target, names, coords_per_tensor, rng, h=1e-4):
-    """Central-difference oracle; returns worst relative error per tensor."""
+    """Central-difference oracle; returns the worst relative error per tensor
+    and the hand gradients it checked."""
 
     def loss_fn():
         v, _ = model.forward_batch(inputs, params)
@@ -217,18 +234,28 @@ def fd_check(model, params, inputs, u_target, names, coords_per_tensor, rng, h=1
             fd = (lp - lm) / (2 * h)
             errs.append(abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6))
         worst[name] = max(errs)
-    return worst
+    return worst, grads
 
 
-def test_gradients_match_finite_differences():
+# Four heads and no positional code: a head-axis vs q/k/v-axis mix-up in
+# the fused attention buffers cannot hide behind a symmetric layout.
+FOUR_HEADS = ModelConfig(
+    n_layers=2, n_heads=4, d_model=16, d_ffn=24, d_phn=4, n_phonemes=6, feature_dim=3,
+    use_positional=False,
+)
+
+
+@pytest.mark.parametrize("cfg, T", [(SMALL, 5), (FOUR_HEADS, 7)], ids=["2heads", "4heads"])
+def test_gradients_match_finite_differences(cfg, T):
     rng = np.random.default_rng(7)
-    model = VectorFieldModel(SMALL)
-    params = init_params(SMALL, rng, zero_output=False)
-    inputs, _ = make_batch(2, 5, SMALL, rng)
-    u_target = rng.standard_normal((2, 3, 5))
-    worst = fd_check(
-        model, params, inputs, u_target, param_names(SMALL), 3, np.random.default_rng(0)
+    model = VectorFieldModel(cfg)
+    params = init_params(cfg, rng, zero_output=False)
+    inputs, _ = make_batch(2, T, cfg, rng)
+    u_target = rng.standard_normal((2, cfg.feature_dim, T))
+    worst, grads = fd_check(
+        model, params, inputs, u_target, param_names(cfg), 3, np.random.default_rng(0)
     )
+    assert {k: g.shape for k, g in grads.items()} == _param_shapes(cfg)
     bad = {k: v for k, v in worst.items() if v > 1e-4}
     assert not bad, f"gradient mismatch: {bad}"
 
@@ -302,6 +329,23 @@ def make_training_batch(rng, B, T, cfg=SMALL):
         sample = make_flow_sample(x1, rng, path_cfg)
         batch.append((sample, make_cond(T, cfg.feature_dim, rng, cfg)))
     return batch
+
+
+def test_train_step_evaluates_erf_once_per_layer(monkeypatch):
+    calls = []
+
+    def counting_erf(*args, **kwargs):
+        calls.append(1)
+        return real_erf(*args, **kwargs)
+
+    real_erf = seqmodel.erf
+    monkeypatch.setattr(seqmodel, "erf", counting_erf)
+    rng = np.random.default_rng(17)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
+    train_step(model, make_training_batch(rng, 2, 5), params, state)
+    assert len(calls) == SMALL.n_layers
 
 
 def test_train_step_rejects_empty_batch():

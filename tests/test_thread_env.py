@@ -1,4 +1,5 @@
-"""FLOWCOND_THREADS pins BLAS only when flowcond loads before numpy.
+"""FLOWCOND_THREADS pins BLAS only when flowcond loads before numpy,
+and only to a positive integer.
 
 Each case runs a fresh interpreter, since the pin acts at import time.
 """
@@ -20,14 +21,14 @@ with warnings.catch_warnings(record=True) as caught:
 print(len(caught))
 for w in caught:
     print(w.message)
-print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(",".join(str(os.environ.get(k)) for k in {knobs!r}))
 """
 
 
-def probe(imports: str, **env_knobs: str) -> list[str]:
+def probe(imports: str, threads: str = "1", **env_knobs: str) -> list[str]:
     env = {k: v for k, v in os.environ.items() if k not in KNOBS}
-    env.update(env_knobs, FLOWCOND_THREADS="1", PYTHONPATH=str(SRC))
-    code = PROBE.format(imports=imports)
+    env.update(env_knobs, FLOWCOND_THREADS=threads, PYTHONPATH=str(SRC))
+    code = PROBE.format(imports=imports, knobs=KNOBS)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -35,7 +36,7 @@ def probe(imports: str, **env_knobs: str) -> list[str]:
 
 
 def test_flowcond_first_pins_silently():
-    assert probe("import flowcond; import numpy") == ["0", "1"]
+    assert probe("import flowcond; import numpy") == ["0", "1,1,1"]
 
 
 def test_numpy_first_warns_once():
@@ -43,9 +44,17 @@ def test_numpy_first_warns_once():
     assert lines[0] == "1"
     assert "FLOWCOND_THREADS=1 has no effect" in lines[1]
     assert "OPENBLAS_NUM_THREADS" in lines[1]
-    assert lines[2] == "None"
+    assert lines[2] == "None,None,None"
 
 
 @pytest.mark.parametrize("imports", ["import numpy; import flowcond", "import flowcond"])
 def test_knobs_already_pinned_stay_silent(imports):
-    assert probe(imports, **{k: "1" for k in KNOBS}) == ["0", "1"]
+    assert probe(imports, **{k: "1" for k in KNOBS}) == ["0", "1,1,1"]
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-3"])
+def test_bad_value_warns_once_and_pins_nothing(threads):
+    lines = probe("import flowcond; import numpy", threads=threads)
+    assert lines[0] == "1"
+    assert f"FLOWCOND_THREADS='{threads}' is not a positive integer" in lines[1]
+    assert lines[2] == "None,None,None"
