@@ -30,6 +30,7 @@ from .infill import NV_DIM, EMO_DIM
 from .metrics import aggregate_seeds, frame_cosine_sim
 from .sampler import GuidanceConfig, assemble_prompt, integrate_batch
 from .seqmodel import (
+    FIELD_DTYPE,
     ModelConfig,
     PRESETS,
     TrainingDivergedError,
@@ -315,6 +316,7 @@ def cmd_sample(args) -> int:
         "spk_emo": str(args.spk_emo) if args.spk_emo else None,
         "nv_prompt": str(args.nv_prompt) if args.nv_prompt else "zero",
         "emo_prompt": str(args.emo_prompt) if args.emo_prompt else "zero",
+        "field_dtype": np.dtype(FIELD_DTYPE).name,
         "package_version": __version__,
     }
     Path(str(out) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")

@@ -3,8 +3,11 @@
 A small pre-norm attention network regresses the transport velocity from
 the noisy state, the visible context, and the frame-aligned condition
 streams.  Forward, backward, and the optimizer are written directly in
-numpy so every gradient can be checked against finite differences; all
-math runs in double precision.
+numpy so every gradient can be checked against finite differences.
+Training runs in float64; the sampling field runs in float32.  The
+forward pass computes in the dtype of the parameters it is given, so
+``make_field_fn`` casts them to float32 once and the sampler needs no
+precision option.
 
 Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
 per frame, projected to the model width, and a sinusoidal embedding of
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -31,8 +35,10 @@ CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 1
 
 _LN_EPS = 1e-6
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NEP 50 a float64 scalar would
+# promote a float32 forward to float64.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -270,7 +276,13 @@ class VectorFieldModel:
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, inputs: BatchInputs, params, *, want_cache: bool = False):
+        """Velocities (B, F, T) in the dtype of ``params``.
+
+        The inputs are checked for non-finite values as given and then
+        cast to the parameter dtype.
+        """
         cfg = self.config
+        dtype = params["in_w"].dtype
         x_t = inputs.x_t
         b, f, t_len = x_t.shape
         if f != cfg.feature_dim:
@@ -290,15 +302,16 @@ class VectorFieldModel:
                 inputs.emo.transpose(0, 2, 1),
             ],
             axis=2,
+            dtype=dtype,
         )
         z = _linear(u, params["in_w"], params["in_b"])
-        z += time_embedding(inputs.t, cfg.d_model)[:, None, :]
+        z += time_embedding(inputs.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
         if cfg.use_positional:
-            z += positional_encoding(t_len, cfg.d_model)[None, :, :]
+            z += positional_encoding(t_len, cfg.d_model).astype(dtype, copy=False)[None, :, :]
 
         blocks = []
         heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
-        scale = 1.0 / np.sqrt(d_head)
+        scale = 1.0 / math.sqrt(d_head)
         for i in range(cfg.n_layers):
             p = f"block{i}."
             y1, ln1c = _layernorm(z, params[p + "ln1_g"], params[p + "ln1_b"])
@@ -312,7 +325,7 @@ class VectorFieldModel:
             attn_p -= attn_p.max(axis=-1, keepdims=True)
             np.exp(attn_p, out=attn_p)
             attn_p /= attn_p.sum(axis=-1, keepdims=True)
-            o = np.empty((b, t_len, heads, d_head))
+            o = np.empty((b, t_len, heads, d_head), dtype=dtype)
             np.matmul(attn_p, v, out=o.transpose(0, 2, 1, 3))
             o = o.reshape(b, t_len, cfg.d_model)
             z_attn = _linear(o, params[p + "wo"], params[p + "bo"])
@@ -531,8 +544,19 @@ def train_step(
     return params, loss, lr
 
 
+# Precision of the sampling field.  Checkpoints store float32, so a float64
+# forward would buy the sampler nothing but time.
+FIELD_DTYPE = np.float32
+
+
 def make_field_fn(model: VectorFieldModel, params):
-    """Adapt the model to the sampler's field interface: BatchInputs -> velocities."""
+    """Adapt the model to the sampler's field interface: BatchInputs -> velocities.
+
+    The parameters are cast to ``FIELD_DTYPE`` once, here, so every field
+    evaluation runs a float32 forward and returns float32 velocities;
+    the caller's parameters are left as they are.
+    """
+    params = {name: arr.astype(FIELD_DTYPE) for name, arr in params.items()}
 
     def field(inputs: BatchInputs) -> np.ndarray:
         return model.forward_batch(inputs, params)[0]
@@ -607,12 +631,18 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if off != len(blob):
         raise FormatError(f"trailing bytes after tensors in {path}")
 
-    expected = set(param_names(cfg))
-    if set(params) != expected:
-        missing = expected - set(params)
-        extra = set(params) - expected
+    shapes = _param_shapes(cfg)
+    if params.keys() != shapes.keys():
+        missing = shapes.keys() - params.keys()
+        extra = params.keys() - shapes.keys()
         raise FormatError(
             f"checkpoint {path} tensor names mismatch config: "
             f"missing={sorted(missing)} extra={sorted(extra)}"
         )
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise FormatError(
+                f"checkpoint {path} tensor {name} has shape {params[name].shape}, "
+                f"config expects {shape}"
+            )
     return cfg, params

@@ -11,7 +11,7 @@ from flowcond.features import (
     store_feature_matrix,
 )
 from flowcond.training import TrainSettings, draw_source, load_corpus, train_loop
-from flowcond.seqmodel import ModelConfig, load_checkpoint
+from flowcond.seqmodel import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -209,6 +209,7 @@ def test_sample_defaults_recorded_in_sidecar(tmp_path, corpus_dir, trained_run):
     assert sidecar["guidance"] == 1.0
     assert sidecar["seed"] == 0
     assert len(sidecar["checkpoint_sha256"]) == 64
+    assert sidecar["field_dtype"] == "float32"
     assert load_feature_matrix(out).values.shape == (8, 24)
 
 
@@ -284,6 +285,24 @@ def test_sample_out_of_vocab_phoneme_rejected(tmp_path, corpus_dir, trained_run,
         assert "99" in err and str(bad) in err
         assert not out.exists()
         assert not (tmp_path / "x.fmat.json").exists()
+
+
+def test_sample_wrong_tensor_shape_is_one_line_format_error(tmp_path, corpus_dir, capsys):
+    cfg = ModelConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    params["out_b"] = np.zeros(1)  # would broadcast over the feature axis
+    ck = tmp_path / "bad.fmck"
+    save_checkpoint(ck, cfg, params)
+    out = tmp_path / "x.fmat"
+    assert run_cli(
+        "sample", "--checkpoint", ck, "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        "--zero-nv", "--zero-emo", "--out", out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and err.count("\n") == 1
+    assert "out_b" in err and str(ck) in err
+    assert not out.exists()
+    assert not (tmp_path / "x.fmat.json").exists()
 
 
 # -- curate / eval ------------------------------------------------------------

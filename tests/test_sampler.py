@@ -346,6 +346,27 @@ def test_midpoint_at_least_as_accurate_as_euler():
     assert err_mid <= err_euler
 
 
+@pytest.mark.parametrize("solver", ["euler", "midpoint"])
+@pytest.mark.parametrize("strength", [1.0, 0.0], ids=["guided", "unguided"])
+def test_float32_field_tracks_float64_integration(strength, solver):
+    # The measured error bound of the float32 sampling field: the same
+    # prompts and noise integrated through make_field_fn and through a
+    # float64 forward of the same parameters.
+    cfg = ModelConfig(feature_dim=3, n_phonemes=5)
+    model = VectorFieldModel(cfg)
+    params = init_params(cfg, np.random.default_rng(4), zero_output=False)
+    prompts = [make_prompt(t_spk=8, t_text=24, seed=s) for s in (10, 11)]
+    guidance = GuidanceConfig(strength=strength, nfe=32, solver=solver)
+
+    def run(field):
+        return np.stack(integrate_batch(field, prompts, guidance, np.random.default_rng(9)))
+
+    got = run(make_field_fn(model, params))
+    want = run(lambda inputs: model.forward_batch(inputs, params)[0])
+    assert got.dtype == want.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-5
+
+
 def test_guidance_config_validation():
     with pytest.raises(ValueError):
         GuidanceConfig(strength=-1.0)

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from flowcond import (
     BatchInputs,
@@ -17,6 +18,7 @@ from flowcond import (
     embed_phonemes,
     init_params,
     load_checkpoint,
+    make_field_fn,
     make_flow_sample,
     save_checkpoint,
     train_step,
@@ -291,6 +293,100 @@ def test_backward_requires_cache():
         model.backward_batch(np.zeros((1, 3, 4)), None, params)
 
 
+# -- precision -----------------------------------------------------------------
+
+
+def reference_forward(cfg, inputs, params):
+    """The float64 forward pass written out op by op, with numpy float64
+    constants, as a reference the model must match bit for bit."""
+    b, _, T = inputs.x_t.shape
+    d, heads = cfg.d_model, cfg.n_heads
+    dh = d // heads
+
+    def linear(x, w, bias):
+        y = x.reshape(-1, x.shape[-1]) @ w
+        return (y + bias).reshape(*x.shape[:-1], w.shape[1])
+
+    def layernorm(x, g, bias):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        xhat = xc * (1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-6))
+        return g * xhat + bias
+
+    u = np.concatenate(
+        [inputs.x_t.transpose(0, 2, 1), inputs.context.transpose(0, 2, 1),
+         params["phn_emb"][inputs.tokens], inputs.nv.transpose(0, 2, 1),
+         inputs.emo.transpose(0, 2, 1)],
+        axis=2,
+    )
+    z = linear(u, params["in_w"], params["in_b"])
+    z = z + seqmodel.time_embedding(inputs.t, d)[:, None, :]
+    if cfg.use_positional:
+        z = z + positional_encoding(T, d)[None]
+    for i in range(cfg.n_layers):
+        p = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith(f"block{i}.")}
+        y1 = layernorm(z, p["ln1_g"], p["ln1_b"])
+        w_qkv = np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
+        qkv = linear(y1, w_qkv, np.concatenate([p["bq"], p["bk"], p["bv"]]))
+        q, k, v = (qkv.reshape(b, T, 3, heads, dh)[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
+        s = (q @ k.transpose(0, 1, 3, 2)) * (np.float64(1.0) / np.sqrt(np.float64(dh)))
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        o = (e / e.sum(axis=-1, keepdims=True)) @ v
+        z = z + linear(o.transpose(0, 2, 1, 3).reshape(b, T, d), p["wo"], p["bo"])
+        h = linear(layernorm(z, p["ln2_g"], p["ln2_b"]), p["ffn_w1"], p["ffn_b1"])
+        a = 0.5 * h * (1.0 + erf(h / np.sqrt(np.float64(2.0))))
+        z = z + linear(a, p["ffn_w2"], p["ffn_b2"])
+    g = layernorm(z, params["out_ln_g"], params["out_ln_b"])
+    return linear(g, params["out_w"], params["out_b"]).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("cfg, B, T", [(SMALL, 3, 7), (FOUR_HEADS, 2, 5), (ModelConfig(), 2, 48)],
+                         ids=["small", "4heads", "desk"])
+def test_float64_forward_matches_reference_bitwise(cfg, B, T):
+    rng = np.random.default_rng(21)
+    params = init_params(cfg, rng, zero_output=False)
+    inputs, _ = make_batch(B, T, cfg, rng)
+    out, _ = VectorFieldModel(cfg).forward_batch(inputs, params)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, reference_forward(cfg, inputs, params))
+
+
+def cached_arrays(obj, path=""):
+    """Every float array in a forward cache, by its path."""
+    if isinstance(obj, np.ndarray):
+        return {path: obj} if obj.dtype.kind == "f" else {}
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        children = enumerate(obj)
+    else:
+        return {}
+    return {p: a for k, v in children for p, a in cached_arrays(v, f"{path}/{k}").items()}
+
+
+def test_float32_params_keep_forward_and_cache_float32():
+    # A stray float64 constant would promote part of the float32 pass.
+    rng = np.random.default_rng(22)
+    params = init_params(SMALL, rng, zero_output=False)
+    params32 = {k: v.astype(np.float32) for k, v in params.items()}
+    inputs, _ = make_batch(2, 6, SMALL, rng)
+    model = VectorFieldModel(SMALL)
+    out, cache = model.forward_batch(inputs, params32, want_cache=True)
+    assert out.dtype == np.float32
+    arrays = cached_arrays(cache)
+    assert len(arrays) >= 3 + 13 * SMALL.n_layers
+    assert {k: a.dtype for k, a in arrays.items() if a.dtype != np.float32} == {}
+    np.testing.assert_allclose(out, model.forward_batch(inputs, params)[0], rtol=0, atol=1e-5)
+
+
+def test_field_fn_runs_in_float32_and_leaves_params():
+    rng = np.random.default_rng(23)
+    params = init_params(SMALL, rng, zero_output=False)
+    inputs, _ = make_batch(2, 6, SMALL, rng)
+    v = make_field_fn(VectorFieldModel(SMALL), params)(inputs)
+    assert v.dtype == np.float32 and v.shape == inputs.x_t.shape
+    assert all(arr.dtype == np.float64 for arr in params.values())
+
+
 # -- schedule and training step --------------------------------------------------
 
 
@@ -458,6 +554,29 @@ def test_checkpoint_bad_config_block(tmp_path):
         with pytest.raises(FormatError, match="config block") as info:
             load_checkpoint(p)
         assert str(p) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [{"out_b": (1,), "block1.ln2_g": (1,)}, {"block0.wq": (64, 32)}],
+    ids=["broadcastable", "gemm-mismatch"],
+)
+def test_checkpoint_wrong_tensor_shape(tmp_path, wrong):
+    # Right names, wrong shapes: the first set would broadcast silently in
+    # the forward pass, the second would fail deep inside numpy.
+    cfg = ModelConfig()
+    params = init_params(cfg, np.random.default_rng(17))
+    params.update({name: np.zeros(shape) for name, shape in wrong.items()})
+    p = tmp_path / "x.fmck"
+    save_checkpoint(p, cfg, params)
+    from flowcond import FormatError
+
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(p)
+    msg = str(info.value)
+    name = next(n for n in param_names(cfg) if n in wrong)
+    assert str(p) in msg and name in msg
+    assert str(wrong[name]) in msg and str(_param_shapes(cfg)[name]) in msg
 
 
 def test_param_order_is_stable():
