@@ -38,7 +38,7 @@ from .seqmodel import (
     load_checkpoint,
     make_field_fn,
 )
-from .training import TrainSettings, load_corpus, train_loop
+from .training import TrainSettings, check_ratios, load_corpus, train_loop
 
 
 class CliError(Exception):
@@ -151,8 +151,10 @@ def cmd_train(args) -> int:
         ratios = [float(r) for r in str(ratios_raw).split(",")]
     if len(ratios) != len(manifests):
         raise CliError(f"{len(ratios)} ratios for {len(manifests)} manifests")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CliError(f"mixing ratios must sum to 1, got {ratios}")
+    try:
+        check_ratios(ratios)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     preset = pick(args.preset, "preset", "desk")
     if preset not in PRESETS:

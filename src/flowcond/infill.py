@@ -32,7 +32,7 @@ class TemporalMask:
         self.bits = np.asarray(self.bits, dtype=np.uint8)
         if self.bits.ndim != 1:
             raise ValueError(f"mask must be 1-d, got shape {self.bits.shape}")
-        if not np.isin(self.bits, (0, 1)).all():
+        if self.bits.size and self.bits.max() > 1:
             raise ValueError("mask bits must be 0 or 1")
 
     def __len__(self) -> int:

@@ -12,6 +12,24 @@ precision option.
 Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
 per frame, projected to the model width, and a sinusoidal embedding of
 the path time t is added (plus an optional sinusoidal positional code).
+
+Memory layout: a training step allocates no large array.
+- Arena: ``init_params`` and ``load_checkpoint`` return a name -> array
+  dict whose arrays are views of one contiguous float64 vector, in
+  ``param_names`` (checkpoint) order.  ``backward_batch`` writes the
+  gradients into a second arena of the same layout, and the Adam moments
+  are flat vectors of that layout, so ``adam_update`` runs over the
+  whole model in a few slices instead of once per tensor.
+- Workspace: a ``VectorFieldModel`` keeps one workspace for the
+  (B, T, dtype) of its latest forward pass; a pass at another shape
+  replaces it.  It holds the forward cache and, once a backward pass has
+  run, the backward temporaries and the gradient arena; the kernels write
+  into it with ``out=``.
+- Aliasing: the velocities ``forward_batch`` returns are a fresh array on
+  every call, so callers may hold them across calls.  A forward cache is
+  valid until the next ``forward_batch`` call on the model, and
+  ``backward_batch`` rejects a stale one; the gradients it returns are
+  valid until its next call at that shape.
 """
 
 from __future__ import annotations
@@ -127,10 +145,32 @@ def param_names(cfg: ModelConfig) -> list[str]:
     return list(_param_shapes(cfg))
 
 
+def _arena(shapes: dict[str, tuple[int, ...]], dtype=np.float64) -> dict[str, np.ndarray]:
+    """Zeroed name -> array views that tile one contiguous vector in order."""
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype)
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = flat[off : off + n].reshape(shape)
+        off += n
+    return views
+
+
+def _arena_vector(tensors: dict[str, np.ndarray], what: str) -> np.ndarray:
+    """The one vector an ``_arena`` dict tiles; rejects any other dict."""
+    base = next(iter(tensors.values())).base
+    if base is None or base.ndim != 1 or any(a.base is not base for a in tensors.values()):
+        raise ValueError(
+            f"{what} must be the arena dict from init_params, load_checkpoint "
+            "or backward_batch, with no tensor replaced"
+        )
+    return base
+
+
 def init_params(
     cfg: ModelConfig, rng: np.random.Generator, *, zero_output: bool = True
 ) -> dict[str, np.ndarray]:
-    """Initialize all tensors.
+    """Initialize all tensors, as views of one float64 arena.
 
     Weights are scaled-normal, norms/biases are identity/zero, and the
     output projection starts at zero by default so the untrained field
@@ -138,18 +178,13 @@ def init_params(
     which keeps fresh parameters exactly representable in the 32-bit
     checkpoint format.
     """
-    params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(cfg).items():
+    params = _arena(_param_shapes(cfg))  # zeros: biases, offsets, zero output head
+    for name, arr in params.items():
         if name.endswith("_g"):
-            params[name] = np.ones(shape)  # layernorm gains
-        elif len(shape) == 1:
-            params[name] = np.zeros(shape)  # every bias / layernorm offset
-        elif name == "out_w" and zero_output:
-            params[name] = np.zeros(shape)
-        else:
-            scale = 1.0 / np.sqrt(shape[0])
-            draw = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
-            params[name] = draw.astype(np.float64)
+            arr.fill(1.0)  # layernorm gains
+        elif arr.ndim > 1 and not (name == "out_w" and zero_output):
+            scale = 1.0 / np.sqrt(arr.shape[0])
+            arr[...] = rng.standard_normal(arr.shape).astype(np.float32) * np.float32(scale)
     return params
 
 
@@ -195,71 +230,76 @@ def positional_encoding(T: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(B,T,i) @ (i,o) + (o,) as one flat GEMM."""
-    bt = x.shape[:-1]
-    y = x.reshape(-1, x.shape[-1]) @ w
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = (B,T,i) @ (i,o) + (o,), as one flat GEMM; ``out`` is contiguous."""
+    y = out.reshape(-1, w.shape[1])
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=y)
     y += b
-    return y.reshape(*bt, w.shape[1])
 
 
-def _linear_backward(x: np.ndarray, dy: np.ndarray, w: np.ndarray):
-    """Returns (dx, dw, db) for y = x @ w + b."""
+def _linear_backward(x, dy, w, dx, dw, db) -> None:
+    """For y = x @ w + b, writes dL/dx into ``dx``, dL/dw into ``dw`` and
+    dL/db into ``db``."""
     i, o = w.shape
     x2 = x.reshape(-1, i)
     dy2 = dy.reshape(-1, o)
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = (dy2 @ w.T).reshape(x.shape)
-    return dx, dw, db
+    np.matmul(x2.T, dy2, out=dw)
+    np.sum(dy2, axis=0, out=db)
+    np.matmul(dy2, w.T, out=dx.reshape(-1, i))
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU(x) and its erf(x/sqrt 2) term, which the gradient reuses."""
-    e = x / _SQRT2
+def _gelu(x, y, e, tmp) -> None:
+    """GELU(x) into ``y``, keeping e = erf(x/sqrt 2) for the gradient;
+    ``tmp`` is scratch."""
+    np.divide(x, _SQRT2, out=e)
     erf(e, out=e)
-    y = 0.5 * x
-    y *= 1.0 + e
-    return y, e
+    np.multiply(0.5, x, out=y)
+    np.add(1.0, e, out=tmp)
+    y *= tmp
 
 
-def _gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """dGELU/dx given the cached e = erf(x/sqrt 2)."""
-    g = x * x
+def _gelu_grad(x, e, g, tmp) -> None:
+    """dGELU/dx into ``g`` given the cached e = erf(x/sqrt 2); ``tmp`` is scratch."""
+    np.multiply(x, x, out=g)
     g *= -0.5
     np.exp(g, out=g)
     g *= x
     g *= _INV_SQRT_2PI
     g += 0.5
-    g += 0.5 * e
-    return g
+    np.multiply(0.5, e, out=tmp)
+    g += tmp
 
 
-def _layernorm(x, g, b):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    var += _LN_EPS
-    istd = 1.0 / np.sqrt(var, out=var)
-    xc *= istd  # now xhat
-    y = g * xc
+def _layernorm(x, g, b, y, xhat, istd) -> None:
+    """y = g * xhat + b, keeping xhat and the inverse std for the backward."""
+    np.mean(x, axis=-1, keepdims=True, out=istd)
+    np.subtract(x, istd, out=xhat)
+    np.multiply(xhat, xhat, out=y)
+    np.mean(y, axis=-1, keepdims=True, out=istd)
+    istd += _LN_EPS
+    np.sqrt(istd, out=istd)
+    np.divide(1.0, istd, out=istd)
+    xhat *= istd
+    np.multiply(g, xhat, out=y)
     y += b
-    return y, (xc, istd, g)
 
 
-def _layernorm_backward(dy, cache):
-    xhat, istd, g = cache
+def _layernorm_backward(dy, cache, g, dx, dg, db, tmp, stat) -> None:
+    """Writes dL/dx into ``dx`` and the gain and offset gradients into
+    ``dg`` and ``db``; ``tmp`` (like dy) and ``stat`` (one per row) are scratch."""
+    xhat, istd = cache
     dy2 = dy.reshape(-1, dy.shape[-1])
-    db = dy2.sum(axis=0)
-    dxhat = dy * g
-    t = dy * xhat
-    dg = t.reshape(dy2.shape).sum(axis=0)
-    np.multiply(dxhat, xhat, out=t)
-    m2 = t.mean(axis=-1, keepdims=True)
-    np.multiply(xhat, m2, out=t)
-    dxhat -= dxhat.mean(axis=-1, keepdims=True)
-    dxhat -= t
-    dxhat *= istd
-    return dxhat, dg, db
+    np.sum(dy2, axis=0, out=db)
+    np.multiply(dy, g, out=dx)
+    np.multiply(dy, xhat, out=tmp)
+    np.sum(tmp.reshape(dy2.shape), axis=0, out=dg)
+    np.multiply(dx, xhat, out=tmp)
+    np.mean(tmp, axis=-1, keepdims=True, out=stat)
+    np.multiply(xhat, stat, out=tmp)
+    np.mean(dx, axis=-1, keepdims=True, out=stat)
+    dx -= stat
+    dx -= tmp
+    dx *= istd
 
 
 def _split_heads(x, n_heads):
@@ -267,11 +307,75 @@ def _split_heads(x, n_heads):
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
+class _Workspace:
+    """Every array a forward and backward pass at one (B, T, dtype) writes.
+
+    The forward cache has one set of buffers per block.  The backward
+    temporaries are one set shared by all blocks, and the two residual
+    stream buffers of the forward, which the backward never reads, carry
+    the residual gradients there; so a backward leaves the cache intact.
+    The backward half, with the gradient arena ``grads``, is made by the
+    first backward pass, so the sampler never holds it.  ``generation``
+    counts the forward passes run here, so a backward can tell a stale
+    cache.
+    """
+
+    def __init__(self, cfg: ModelConfig, b: int, t: int, dtype):
+        d, f, h = cfg.d_model, cfg.d_ffn, cfg.n_heads
+        dh = d // h
+        self.cfg, self.key = cfg, (b, t, np.dtype(dtype))
+        self.generation = 0
+        buf = self._buf
+        self.u = buf(b, t, cfg.input_dim)
+        self.z, self.z_attn = buf(b, t, d), buf(b, t, d)
+        self.blocks = []
+        for _ in range(cfg.n_layers):
+            qkv, o = buf(b, t, 3, h, dh), buf(b, t, d)
+            q, k, v = (qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
+            self.blocks.append(
+                {"y1": buf(b, t, d), "ln1c": (buf(b, t, d), buf(b, t, 1)),
+                 "w_qkv": buf(d, 3 * d), "b_qkv": buf(3 * d), "qkv": qkv,
+                 "q": q, "k": k, "v": v, "p": buf(b, h, t, t), "o": o,
+                 "o_heads": o.reshape(b, t, h, dh).transpose(0, 2, 1, 3),
+                 "y2": buf(b, t, d), "ln2c": (buf(b, t, d), buf(b, t, 1)),
+                 "h1": buf(b, t, f), "erf1": buf(b, t, f), "a1": buf(b, t, f)}
+            )
+        self.g_out, self.lnfc = buf(b, t, d), (buf(b, t, d), buf(b, t, 1))
+        self.row = buf(b, h, t, 1)  # softmax row max, sum and dot
+        self.f1 = buf(b, t, f)
+        self.grads: dict[str, np.ndarray] | None = None
+
+    def _buf(self, *shape) -> np.ndarray:
+        return np.empty(shape, self.key[2])
+
+    def ensure_backward(self) -> None:
+        """Make the backward temporaries and the gradient arena on first use."""
+        if self.grads is not None:
+            return
+        cfg, (b, t, dtype) = self.cfg, self.key
+        d, f, h = cfg.d_model, cfg.d_ffn, cfg.n_heads
+        buf = self._buf
+        self.f2 = buf(b, t, f)
+        self.dy, self.tmp, self.stat = buf(b, t, d), buf(b, t, d), buf(b, t, 1)
+        self.ds = buf(b, h, t, t)
+        # dq|dk|dv land in one buffer laid out like the fused q|k|v output
+        self.d_qkv = buf(b, t, 3, h, d // h)
+        self.dq, self.dk, self.dv = (self.d_qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
+        self.dw_qkv, self.db_qkv = buf(d, 3 * d), buf(3 * d)
+        self.d_emb = buf(b * t, cfg.d_phn)
+        self.grads = _arena(_param_shapes(cfg), dtype)
+
+
 class VectorFieldModel:
-    """The learned velocity field v(x_t, t, conditions)."""
+    """The learned velocity field v(x_t, t, conditions).
+
+    The model keeps one workspace, for the (B, T, dtype) of its latest
+    forward pass; a pass at another shape replaces it.
+    """
 
     def __init__(self, config: ModelConfig):
         self.config = config
+        self._ws: _Workspace | None = None
 
     # -- forward -----------------------------------------------------------
 
@@ -279,7 +383,9 @@ class VectorFieldModel:
         """Velocities (B, F, T) in the dtype of ``params``.
 
         The inputs are checked for non-finite values as given and then
-        cast to the parameter dtype.
+        cast to the parameter dtype.  The velocities are a fresh array on
+        every call.  The cache lives in the model's workspace and is valid
+        until the next forward_batch call.
         """
         cfg = self.config
         dtype = params["in_w"].dtype
@@ -291,9 +397,14 @@ class VectorFieldModel:
             if not np.isfinite(arr).all():
                 raise FloatingPointError("non-finite value in model input")
 
+        ws = self._ws
+        if ws is None or ws.key != (b, t_len, dtype):
+            ws = self._ws = _Workspace(cfg, b, t_len, dtype)
+        ws.generation += 1
+
         emb = embed_phonemes(inputs.tokens.reshape(-1), params["phn_emb"])
         emb = emb.T.reshape(b, t_len, cfg.d_phn)
-        u = np.concatenate(
+        np.concatenate(
             [
                 x_t.transpose(0, 2, 1),
                 inputs.context.transpose(0, 2, 1),
@@ -302,54 +413,52 @@ class VectorFieldModel:
                 inputs.emo.transpose(0, 2, 1),
             ],
             axis=2,
-            dtype=dtype,
+            out=ws.u,
         )
-        z = _linear(u, params["in_w"], params["in_b"])
+        z, z_attn = ws.z, ws.z_attn
+        _linear(ws.u, params["in_w"], params["in_b"], z)
         z += time_embedding(inputs.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
         if cfg.use_positional:
             z += positional_encoding(t_len, cfg.d_model).astype(dtype, copy=False)[None, :, :]
 
-        blocks = []
-        heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
-        scale = 1.0 / math.sqrt(d_head)
-        for i in range(cfg.n_layers):
+        scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+        for i, blk in enumerate(ws.blocks):
             p = f"block{i}."
-            y1, ln1c = _layernorm(z, params[p + "ln1_g"], params[p + "ln1_b"])
+            _layernorm(z, params[p + "ln1_g"], params[p + "ln1_b"], blk["y1"], *blk["ln1c"])
             # one (d, 3d) GEMM for q|k|v; the checkpoint keeps three tensors
-            w_qkv = np.concatenate([params[p + "wq"], params[p + "wk"], params[p + "wv"]], axis=1)
-            b_qkv = np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]])
-            qkv = _linear(y1, w_qkv, b_qkv).reshape(b, t_len, 3, heads, d_head)
-            q, k, v = (qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
-            attn_p = np.matmul(q, k.transpose(0, 1, 3, 2))
+            np.concatenate([params[p + "wq"], params[p + "wk"], params[p + "wv"]], axis=1,
+                           out=blk["w_qkv"])
+            np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]],
+                           out=blk["b_qkv"])
+            _linear(blk["y1"], blk["w_qkv"], blk["b_qkv"], blk["qkv"])
+            attn_p = blk["p"]
+            np.matmul(blk["q"], blk["k"].transpose(0, 1, 3, 2), out=attn_p)
             attn_p *= scale
-            attn_p -= attn_p.max(axis=-1, keepdims=True)
+            np.max(attn_p, axis=-1, keepdims=True, out=ws.row)
+            attn_p -= ws.row
             np.exp(attn_p, out=attn_p)
-            attn_p /= attn_p.sum(axis=-1, keepdims=True)
-            o = np.empty((b, t_len, heads, d_head), dtype=dtype)
-            np.matmul(attn_p, v, out=o.transpose(0, 2, 1, 3))
-            o = o.reshape(b, t_len, cfg.d_model)
-            z_attn = _linear(o, params[p + "wo"], params[p + "bo"])
+            np.sum(attn_p, axis=-1, keepdims=True, out=ws.row)
+            attn_p /= ws.row
+            np.matmul(attn_p, blk["v"], out=blk["o_heads"])
+            _linear(blk["o"], params[p + "wo"], params[p + "bo"], z_attn)
             z_attn += z
 
-            y2, ln2c = _layernorm(z_attn, params[p + "ln2_g"], params[p + "ln2_b"])
-            h1 = _linear(y2, params[p + "ffn_w1"], params[p + "ffn_b1"])
-            a1, erf1 = _gelu(h1)
-            z = _linear(a1, params[p + "ffn_w2"], params[p + "ffn_b2"])
+            _layernorm(z_attn, params[p + "ln2_g"], params[p + "ln2_b"], blk["y2"], *blk["ln2c"])
+            _linear(blk["y2"], params[p + "ffn_w1"], params[p + "ffn_b1"], blk["h1"])
+            _gelu(blk["h1"], blk["a1"], blk["erf1"], ws.f1)
+            _linear(blk["a1"], params[p + "ffn_w2"], params[p + "ffn_b2"], z)
             z += z_attn
 
-            blocks.append(
-                {"y1": y1, "ln1c": ln1c, "w_qkv": w_qkv, "q": q, "k": k, "v": v,
-                 "p": attn_p, "o": o, "y2": y2, "ln2c": ln2c, "h1": h1, "erf1": erf1,
-                 "a1": a1}
-            )
-
-        g_out, lnfc = _layernorm(z, params["out_ln_g"], params["out_ln_b"])
-        v_out = _linear(g_out, params["out_w"], params["out_b"])
+        _layernorm(z, params["out_ln_g"], params["out_ln_b"], ws.g_out, *ws.lnfc)
+        # fresh: callers hold velocities across calls (guidance, midpoint)
+        v_out = np.empty((b, t_len, cfg.feature_dim), dtype)
+        _linear(ws.g_out, params["out_w"], params["out_b"], v_out)
         out = v_out.transpose(0, 2, 1)
         if not want_cache:
             return out, None
-        cache = {"u": u, "tokens": inputs.tokens, "blocks": blocks,
-                 "g_out": g_out, "lnfc": lnfc, "scale": scale}
+        cache = {"workspace": ws, "generation": ws.generation, "u": ws.u,
+                 "tokens": inputs.tokens, "blocks": ws.blocks, "g_out": ws.g_out,
+                 "lnfc": ws.lnfc, "scale": scale}
         return out, cache
 
     # -- backward ----------------------------------------------------------
@@ -358,75 +467,78 @@ class VectorFieldModel:
         """Gradients of a scalar loss w.r.t. every parameter tensor.
 
         ``grad_out`` is dLoss/dOutput with output shape (B, F, T);
-        ``cache`` comes from forward_batch(want_cache=True).
+        ``cache`` comes from the latest forward_batch(want_cache=True).
+        The gradients are views of the workspace's gradient arena and
+        are valid until the next backward_batch call at this shape.
         """
         if cache is None:
             raise RuntimeError("backward requires a cache from forward_batch(want_cache=True)")
+        ws = cache["workspace"]
+        if ws is not self._ws or cache["generation"] != ws.generation:
+            raise RuntimeError(
+                "stale forward cache: a later forward_batch call has overwritten it"
+            )
+        ws.ensure_backward()
         cfg = self.config
-        b, _, t_len = grad_out.shape
         d, heads = cfg.d_model, cfg.n_heads
-        grads = {}
+        grads = ws.grads
+        dy, dz, dz_attn = ws.dy, ws.z, ws.z_attn
+        scratch = (ws.tmp, ws.stat)
 
-        dg_out, grads["out_w"], grads["out_b"] = _linear_backward(
-            cache["g_out"], grad_out.transpose(0, 2, 1), params["out_w"]
-        )
-        dz, grads["out_ln_g"], grads["out_ln_b"] = _layernorm_backward(
-            dg_out, cache["lnfc"]
-        )
+        _linear_backward(cache["g_out"], grad_out.transpose(0, 2, 1), params["out_w"],
+                         dy, grads["out_w"], grads["out_b"])
+        _layernorm_backward(dy, cache["lnfc"], params["out_ln_g"], dz,
+                            grads["out_ln_g"], grads["out_ln_b"], *scratch)
 
         scale = cache["scale"]
-        # dq|dk|dv land in one buffer laid out like the fused q|k|v output
-        d_qkv = np.empty((b, t_len, 3, heads, d // heads))
-        dq, dk, dv = (d_qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
         for i in reversed(range(cfg.n_layers)):
             p = f"block{i}."
             blk = cache["blocks"][i]
 
             # FFN sub-block: z_next = z_attn + ffn(ln2(z_attn))
-            da1, grads[p + "ffn_w2"], grads[p + "ffn_b2"] = _linear_backward(
-                blk["a1"], dz, params[p + "ffn_w2"]
-            )
-            da1 *= _gelu_grad(blk["h1"], blk["erf1"])
-            dy2, grads[p + "ffn_w1"], grads[p + "ffn_b1"] = _linear_backward(
-                blk["y2"], da1, params[p + "ffn_w1"]
-            )
-            dz_attn, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(
-                dy2, blk["ln2c"]
-            )
+            da1, gelu_g = ws.f1, ws.f2
+            _gelu_grad(blk["h1"], blk["erf1"], gelu_g, da1)
+            _linear_backward(blk["a1"], dz, params[p + "ffn_w2"],
+                             da1, grads[p + "ffn_w2"], grads[p + "ffn_b2"])
+            da1 *= gelu_g
+            _linear_backward(blk["y2"], da1, params[p + "ffn_w1"],
+                             dy, grads[p + "ffn_w1"], grads[p + "ffn_b1"])
+            _layernorm_backward(dy, blk["ln2c"], params[p + "ln2_g"], dz_attn,
+                                grads[p + "ln2_g"], grads[p + "ln2_b"], *scratch)
             dz_attn += dz  # residual branch
 
             # attention sub-block: z_attn = z + attn(ln1(z))
-            do, grads[p + "wo"], grads[p + "bo"] = _linear_backward(
-                blk["o"], dz_attn, params[p + "wo"]
-            )
-            do_heads = _split_heads(do, heads)
-            attn_p = blk["p"]
-            ds = np.matmul(do_heads, blk["v"].transpose(0, 1, 3, 2))  # dL/dp
-            np.matmul(attn_p.transpose(0, 1, 3, 2), do_heads, out=dv)
+            _linear_backward(blk["o"], dz_attn, params[p + "wo"],
+                             dy, grads[p + "wo"], grads[p + "bo"])
+            do_heads = _split_heads(dy, heads)
+            attn_p, ds = blk["p"], ws.ds
+            np.matmul(do_heads, blk["v"].transpose(0, 1, 3, 2), out=ds)  # dL/dp
+            np.matmul(attn_p.transpose(0, 1, 3, 2), do_heads, out=ws.dv)
             # softmax backward: ds = p * (dp - rowdot(dp, p)), with scale folded in
-            ds -= np.einsum("...i,...i->...", ds, attn_p)[..., None]
+            np.einsum("...i,...i->...", ds, attn_p, out=ws.row[..., 0])
+            ds -= ws.row
             ds *= attn_p
             ds *= scale
-            np.matmul(ds, blk["k"], out=dq)
-            np.matmul(ds.transpose(0, 1, 3, 2), blk["q"], out=dk)
-            dy1, dw, db = _linear_backward(blk["y1"], d_qkv, blk["w_qkv"])
+            np.matmul(ds, blk["k"], out=ws.dq)
+            np.matmul(ds.transpose(0, 1, 3, 2), blk["q"], out=ws.dk)
+            _linear_backward(blk["y1"], ws.d_qkv, blk["w_qkv"], dy, ws.dw_qkv, ws.db_qkv)
             for j, name in enumerate("qkv"):
-                grads[p + "w" + name] = dw[:, j * d : (j + 1) * d]
-                grads[p + "b" + name] = db[j * d : (j + 1) * d]
-            dz, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(
-                dy1, blk["ln1c"]
-            )
+                grads[p + "w" + name][...] = ws.dw_qkv[:, j * d : (j + 1) * d]
+                grads[p + "b" + name][...] = ws.db_qkv[j * d : (j + 1) * d]
+            _layernorm_backward(dy, blk["ln1c"], params[p + "ln1_g"], dz,
+                                grads[p + "ln1_g"], grads[p + "ln1_b"], *scratch)
             dz += dz_attn  # residual branch
 
         # input projection; of its input gradient only the phoneme-embedding
         # rows feed a parameter
         u, dz2 = cache["u"], dz.reshape(-1, d)
-        grads["in_w"] = u.reshape(-1, u.shape[-1]).T @ dz2
-        grads["in_b"] = dz2.sum(axis=0)
+        np.matmul(u.reshape(-1, u.shape[-1]).T, dz2, out=grads["in_w"])
+        np.sum(dz2, axis=0, out=grads["in_b"])
         emb_rows = slice(2 * cfg.feature_dim, 2 * cfg.feature_dim + cfg.d_phn)
-        grads["phn_emb"] = np.zeros_like(params["phn_emb"])
-        np.add.at(grads["phn_emb"], cache["tokens"].reshape(-1), dz2 @ params["in_w"][emb_rows].T)
-        return grads
+        np.matmul(dz2, params["in_w"][emb_rows].T, out=ws.d_emb)
+        grads["phn_emb"].fill(0.0)
+        np.add.at(grads["phn_emb"], cache["tokens"].reshape(-1), ws.d_emb)
+        return dict(grads)
 
 
 # -- loss, optimizer, training step --------------------------------------
@@ -474,42 +586,67 @@ class LrSchedule:
         return self.peak * max(frac, 0.0)
 
 
+# Adam runs over the flat vectors in slices of this many elements: the
+# update's two temporaries then stay in L2 and its scratch stays small.
+_ADAM_SLICE = 1 << 14
+
+
 @dataclass
 class OptimizerState:
-    """Adam moments plus the step counter driving the schedule."""
+    """Adam moments plus the step counter driving the schedule.
+
+    ``m`` and ``v`` are flat vectors in parameter-arena order, made on
+    the first update; ``scratch`` holds the update's two temporaries.
+    """
 
     schedule: LrSchedule
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def adam_update(params, grads, state: OptimizerState) -> float:
-    """Apply one Adam step in place; returns the learning rate used."""
+    """Apply one Adam step in place; returns the learning rate used.
+
+    ``params`` and ``grads`` are arena dicts (from ``init_params`` or
+    ``load_checkpoint``, and from ``backward_batch``), so the update runs
+    over flat vectors, a few slices per step instead of one pass per
+    tensor.
+    """
+    p = _arena_vector(params, "params")
+    g = _arena_vector(grads, "grads")
+    if p.shape != g.shape or list(params) != list(grads):
+        raise ValueError("params and grads must hold the same tensors in the same order")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        state.scratch = np.empty((2, min(p.size, _ADAM_SLICE)), p.dtype)
     state.step += 1
     lr = state.schedule.at(state.step)
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for name, g in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        m, v = state.m[name], state.v[name]
+    for lo in range(0, p.size, _ADAM_SLICE):
+        sl = slice(lo, lo + _ADAM_SLICE)
+        ps, gs, m, v = p[sl], g[sl], state.m[sl], state.v[sl]
+        step, denom = state.scratch[:, : ps.size]
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(1.0 - b1, gs, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        step = m / bc1
+        np.multiply(gs, gs, out=step)
+        step *= 1.0 - b2
+        v += step
+        np.divide(m, bc1, out=step)
         step *= lr
-        denom = v / bc2
+        np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
         denom += state.eps
         step /= denom
-        params[name] -= step
+        ps -= step
     return lr
 
 
@@ -591,7 +728,8 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig, params) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read a checkpoint back; tensors are returned as float64 arrays."""
+    """Read a checkpoint back; tensors are returned as views of one
+    float64 arena, in ``param_names`` order."""
     blob = Path(path).read_bytes()
     off = 0
 
@@ -616,7 +754,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         raise FormatError(f"bad config block in checkpoint {path}: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
 
-    params: dict[str, np.ndarray] = {}
+    tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<I", take(4, "tensor name length"))
         name = take(name_len, "tensor name").decode()
@@ -624,25 +762,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
         n_elem = int(np.prod(shape)) if ndim else 1
         raw = take(4 * n_elem, f"tensor {name} payload")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
             raise FormatError(f"non-finite values in tensor {name} of {path}")
-        params[name] = arr
+        tensors[name] = arr
     if off != len(blob):
         raise FormatError(f"trailing bytes after tensors in {path}")
 
     shapes = _param_shapes(cfg)
-    if params.keys() != shapes.keys():
-        missing = shapes.keys() - params.keys()
-        extra = params.keys() - shapes.keys()
+    if tensors.keys() != shapes.keys():
+        missing = shapes.keys() - tensors.keys()
+        extra = tensors.keys() - shapes.keys()
         raise FormatError(
             f"checkpoint {path} tensor names mismatch config: "
             f"missing={sorted(missing)} extra={sorted(extra)}"
         )
     for name, shape in shapes.items():
-        if params[name].shape != shape:
+        if tensors[name].shape != shape:
             raise FormatError(
-                f"checkpoint {path} tensor {name} has shape {params[name].shape}, "
+                f"checkpoint {path} tensor {name} has shape {tensors[name].shape}, "
                 f"config expects {shape}"
             )
+    params = _arena(shapes)
+    for name, arr in params.items():
+        arr[...] = tensors[name]
     return cfg, params

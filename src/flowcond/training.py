@@ -72,6 +72,15 @@ def load_corpus(manifest_path: str | Path) -> list[LoadedExample]:
     return out
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """Reject mixing ratios that are not finite, non-negative and summing to 1."""
+    arr = np.asarray(ratios, dtype=np.float64)
+    if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
+        raise ValueError(f"mixing ratios must be finite and non-negative, got {arr.tolist()}")
+    if abs(arr.sum() - 1.0) > 1e-9:
+        raise ValueError(f"mixing ratios must sum to 1, got {arr.tolist()}")
+
+
 def draw_source(rng: np.random.Generator, ratios: Sequence[float]) -> int:
     """Categorical source pick; one draw per training example."""
     ratios = np.asarray(ratios, dtype=np.float64)
@@ -99,6 +108,7 @@ def train_loop(
     """
     if len(corpora) != len(ratios):
         raise ValueError(f"{len(corpora)} corpora but {len(ratios)} ratios")
+    check_ratios(ratios)
     if any(len(c) == 0 for c in corpora):
         raise ValueError("every corpus must contain at least one example")
     lengths = {ex.features.shape[1] for c in corpora for ex in c}

@@ -154,6 +154,36 @@ def test_train_bad_ratios_rejected(tmp_path, corpus_dir, capsys):
     assert "ratios" in err
 
 
+@pytest.mark.parametrize(
+    "ratios, n_manifests, steps",
+    [("nan,nan", 2, 1), ("1.5,-0.5", 2, 1), ("nan", 1, 0)],
+    ids=["nan", "negative", "nan-zero-steps"],
+)
+def test_train_bad_ratio_values_leave_no_files(tmp_path, corpus_dir, capsys, ratios,
+                                               n_manifests, steps):
+    # NaN passes a sum check (every comparison with NaN is false) and a
+    # negative pair can sum to 1; both must stop before any file is written.
+    manifests = [a for _ in range(n_manifests) for a in ("--manifest", corpus_dir / "manifest.jsonl")]
+    out = tmp_path / "run"
+    assert run_cli("train", *manifests, "--ratios", ratios, "--steps", steps,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite and non-negative" in err
+    for name in ("checkpoint.fmck", "loss_log.txt", "provenance.json"):
+        assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("ratios", [[float("nan"), float("nan")], [1.5, -0.5]])
+def test_train_loop_rejects_bad_ratios_before_checkpoint(tmp_path, corpus_dir, ratios):
+    corpus = load_corpus(corpus_dir / "manifest.jsonl")
+    ck = tmp_path / "ck.fmck"
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        train_loop(ModelConfig(feature_dim=8), [corpus, corpus], ratios,
+                   TrainSettings(steps=1), checkpoint_path=ck)
+    assert not ck.exists()
+
+
 def test_draw_source_ratio_concentration():
     rng = np.random.default_rng(0)
     counts = [0, 0]

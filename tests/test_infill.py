@@ -43,6 +43,18 @@ def test_mask_validation():
         TemporalMask(np.zeros((2, 3)))
 
 
+def test_mask_validation_after_uint8_cast():
+    # Bits are cast to uint8 before the check: -1 wraps to 255 and is
+    # rejected; floats truncate, so 2.0 is rejected and 0.0/1.0 pass.
+    with pytest.raises(ValueError, match="0 or 1"):
+        TemporalMask(np.array([0, -1, 1]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        TemporalMask(np.array([0.0, 2.0, 1.0]))
+    mask = TemporalMask(np.array([1.0, 0.0, 1.0]))
+    assert mask.bits.dtype == np.uint8 and mask.bits.tolist() == [1, 0, 1]
+    assert len(TemporalMask(np.zeros(0, dtype=np.int64))) == 0
+
+
 def test_sample_mask_full_ratio():
     mask = sample_mask(9, np.random.default_rng(0), ratio_range=(1.0, 1.0))
     assert mask.count == 9

@@ -293,6 +293,42 @@ def test_backward_requires_cache():
         model.backward_batch(np.zeros((1, 3, 4)), None, params)
 
 
+def test_backward_rejects_cache_overwritten_by_later_forward():
+    rng = np.random.default_rng(30)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    inputs, _ = make_batch(2, 4, SMALL, rng)
+    other, _ = make_batch(2, 4, SMALL, rng)
+    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    first = {k: g.copy() for k, g in model.backward_batch(np.ones_like(v), cache, params).items()}
+    again = model.backward_batch(np.ones_like(v), cache, params)  # a backward keeps the cache
+    assert all(np.array_equal(first[k], again[k]) for k in first)
+    model.forward_batch(other, params)  # same shape: reuses the cache's buffers
+    with pytest.raises(RuntimeError, match="stale") as info:
+        model.backward_batch(np.ones((2, 3, 4)), cache, params)
+    assert "\n" not in str(info.value)
+    _, cache = model.forward_batch(inputs, params, want_cache=True)
+    model.forward_batch(make_batch(3, 4, SMALL, rng)[0], params)  # new shape
+    with pytest.raises(RuntimeError, match="stale"):
+        model.backward_batch(np.ones((2, 3, 4)), cache, params)
+
+
+def test_forward_returns_fresh_velocities():
+    # Guidance holds the conditional field while it evaluates the
+    # unconditional one at the same shape, and midpoint holds its first
+    # evaluation, so a returned array must survive the next call.
+    rng = np.random.default_rng(31)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    inputs, _ = make_batch(2, 5, SMALL, rng)
+    other, _ = make_batch(2, 5, SMALL, rng)
+    a, _ = model.forward_batch(inputs, params)
+    kept = a.copy()
+    b, _ = model.forward_batch(other, params, want_cache=True)
+    assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(a, kept)
+
+
 # -- precision -----------------------------------------------------------------
 
 
@@ -476,6 +512,136 @@ def test_overfit_single_batch_loss_decreases():
     ma = np.convolve(losses, np.ones(20) / 20, mode="valid")
     assert all(b < a for a, b in zip(ma, ma[1:]))
     assert ma[-1] < 0.5 * ma[0]
+
+
+def reference_adam(params, grads, state):
+    """Adam as written per tensor, the elementwise order the flat update keeps."""
+    state.step += 1
+    lr = state.schedule.at(state.step)
+    b1, b2 = state.beta1, state.beta2
+    bc1, bc2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    for name, g in grads.items():
+        m = state.m.setdefault(name, np.zeros_like(g))
+        v = state.v.setdefault(name, np.zeros_like(g))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        params[name] -= (m / bc1 * lr) / (np.sqrt(v / bc2) + state.eps)
+
+
+@pytest.mark.parametrize("adam_slice", [1 << 14, 500], ids=["one-slice", "slices-cross-tensors"])
+def test_adam_update_matches_per_tensor_reference_bitwise(monkeypatch, adam_slice):
+    monkeypatch.setattr(seqmodel, "_ADAM_SLICE", adam_slice)
+    rng = np.random.default_rng(32)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    ref = {k: v.copy() for k, v in params.items()}
+    sched = LrSchedule(peak=3e-3, warmup_steps=2, total_steps=10)
+    state = OptimizerState(schedule=sched)
+    ref_state = OptimizerState(schedule=sched, m={}, v={})
+    for _ in range(4):
+        inputs, _ = make_batch(2, 5, SMALL, rng)
+        v, cache = model.forward_batch(inputs, params, want_cache=True)
+        _, dv = masked_batch_loss_grad(v, rng.standard_normal(v.shape), inputs.mask_bits)
+        grads = model.backward_batch(dv, cache, params)
+        reference_adam(ref, {k: g.copy() for k, g in grads.items()}, ref_state)
+        seqmodel.adam_update(params, grads, state)
+    for name in params:
+        np.testing.assert_array_equal(params[name], ref[name], err_msg=name)
+    assert state.m.shape == state.v.shape == (sum(p.size for p in params.values()),)
+
+
+def test_adam_update_rejects_params_outside_the_arena():
+    rng = np.random.default_rng(33)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    inputs, _ = make_batch(2, 4, SMALL, rng)
+    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    grads = model.backward_batch(np.ones_like(v), cache, params)
+    state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
+    copied = {k: a.copy() for k, a in params.items()}
+    replaced = {**params, "out_b": np.zeros(SMALL.feature_dim)}
+    for bad in (copied, replaced):
+        with pytest.raises(ValueError, match="arena"):
+            seqmodel.adam_update(bad, grads, state)
+    assert state.step == 0
+
+
+def test_train_step_reuses_workspace_and_gradient_buffers():
+    rng = np.random.default_rng(34)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
+    seen = []
+    forward, backward = model.forward_batch, model.backward_batch
+
+    def recording_forward(*args, **kwargs):
+        out, cache = forward(*args, **kwargs)
+        seen.append(cache)
+        return out, cache
+
+    def recording_backward(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        seen.append(grads)
+        return grads
+
+    model.forward_batch, model.backward_batch = recording_forward, recording_backward
+    for _ in range(2):
+        train_step(model, make_training_batch(rng, 3, 5), params, state)
+    cache1, grads1, cache2, grads2 = seen
+    for a, b in zip(cached_arrays(cache1).values(), cached_arrays(cache2).values()):
+        assert np.shares_memory(a, b)
+    for name in param_names(SMALL):
+        assert np.shares_memory(grads1[name], grads2[name]), name
+    moments = state.m
+    train_step(model, make_training_batch(rng, 3, 5), params, state)
+    assert state.m is moments
+
+
+def arena_offsets(tensors):
+    """Byte offset of every tensor from the start of the vector they share."""
+    base = next(iter(tensors.values())).base
+    start = base.__array_interface__["data"][0]
+    assert base.ndim == 1 and base.flags.c_contiguous and base.dtype == np.float64
+    assert base.size == sum(a.size for a in tensors.values())
+    assert all(a.base is base for a in tensors.values())
+    return [a.__array_interface__["data"][0] - start for a in tensors.values()]
+
+
+def expected_offsets(cfg):
+    sizes = [int(np.prod(shape)) for shape in _param_shapes(cfg).values()]
+    return [8 * n for n in np.cumsum([0] + sizes[:-1])]
+
+
+@pytest.mark.parametrize("zero_output", [True, False])
+def test_init_params_tile_one_arena_with_per_tensor_draws(zero_output):
+    params = init_params(FOUR_HEADS, np.random.default_rng(35), zero_output=zero_output)
+    assert list(params) == param_names(FOUR_HEADS)
+    assert arena_offsets(params) == expected_offsets(FOUR_HEADS)
+    rng = np.random.default_rng(35)
+    for name, shape in _param_shapes(FOUR_HEADS).items():
+        if name.endswith("_g"):
+            ref = np.ones(shape)
+        elif len(shape) == 1 or (name == "out_w" and zero_output):
+            ref = np.zeros(shape)
+        else:
+            draw = rng.standard_normal(shape).astype(np.float32)
+            ref = (draw * np.float32(1.0 / np.sqrt(shape[0]))).astype(np.float64)
+        np.testing.assert_array_equal(params[name], ref, err_msg=name)
+
+
+def test_load_checkpoint_tiles_one_arena_and_saves_same_bytes(tmp_path):
+    rng = np.random.default_rng(36)
+    params = init_params(SMALL, rng, zero_output=False)
+    params["in_w"] += rng.standard_normal(params["in_w"].shape)  # not float32-exact
+    p1, p2 = tmp_path / "a.fmck", tmp_path / "b.fmck"
+    save_checkpoint(p1, SMALL, params)
+    cfg, loaded = load_checkpoint(p1)
+    assert list(loaded) == param_names(SMALL)
+    assert arena_offsets(loaded) == expected_offsets(SMALL)
+    save_checkpoint(p2, cfg, loaded)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 # -- checkpoints -----------------------------------------------------------------
