@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 # flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
-from flowcond import CurationPolicy, run_pipeline
+from flowcond import run_pipeline
 from flowcond.features import DatasetRecord, write_manifest
 
 import numpy as np
@@ -38,7 +38,7 @@ src = workdir / "raw.jsonl"
 dst = workdir / "curated.jsonl"
 write_manifest(records, src)
 
-report = run_pipeline(src, dst, CurationPolicy())
+report = run_pipeline(src, dst)
 print(f"input records:   {report.total}")
 print(f"dropped-emotion: {report.emotion_gate}")
 print(f"dropped-quality: {report.quality_gate}")

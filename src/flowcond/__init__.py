@@ -29,8 +29,6 @@ from .infill import (
     apply_condition_dropout,
     zero_conditions,
     BLANK_TOKEN,
-    NV_DIM,
-    EMO_DIM,
 )
 from .sampler import (
     GuidanceConfig,
@@ -41,7 +39,6 @@ from .sampler import (
 )
 from .seqmodel import (
     ModelConfig,
-    PRESETS,
     VectorFieldModel,
     init_params,
     embed_phonemes,
@@ -54,29 +51,20 @@ from .seqmodel import (
     load_checkpoint,
 )
 from .features import (
-    WindowSpec,
-    ChunkSeries,
     FeatureMatrix,
     DatasetRecord,
     FormatError,
-    window_count,
-    center_arousal_valence,
-    align_to_frames,
     load_feature_matrix,
     store_feature_matrix,
     synth_condition_oracle,
-    generate_corpus,
 )
 from .curate import (
-    CurationPolicy,
-    CurationReport,
     emotion_gate,
     quality_gate,
     speaker_gate,
     run_pipeline,
 )
 from .metrics import (
-    SimilarityReport,
     frame_cosine_sim,
     frame_cosine_profile,
     aro_val_sim,

@@ -11,12 +11,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .curate import CurationPolicy, run_pipeline
+from .curate import OVLR_MIN, run_pipeline
 from .features import (
     FeatureMatrix,
     FormatError,
@@ -101,8 +102,6 @@ _CONFIG_KEYS = {
     "peak_lr": float,
     "warmup_steps": int,
     "sigma_min": float,
-    "mask_ratio_lo": float,
-    "mask_ratio_hi": float,
     "p_drop": float,
     "checkpoint_every": int,
     "seed": int,
@@ -156,6 +155,12 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
+    # Only the values the config file or a flag sets: TrainSettings holds
+    # the defaults.
+    names = [f.name for f in fields(TrainSettings)]
+    values = {k: pick(getattr(args, k), k, None) for k in names}
+    settings = TrainSettings(**{k: v for k, v in values.items() if v is not None})
+
     preset = pick(args.preset, "preset", "desk")
     if preset not in PRESETS:
         raise CliError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
@@ -169,19 +174,6 @@ def cmd_train(args) -> int:
             **PRESETS[preset].__dict__,
             "feature_dim": feature_dim,
         }
-    )
-
-    settings = TrainSettings(
-        steps=int(pick(args.steps, "steps", 200)),
-        batch_frames=int(pick(args.batch_frames, "batch_frames", 768)),
-        peak_lr=float(pick(args.peak_lr, "peak_lr", 1e-3)),
-        warmup_steps=int(pick(args.warmup, "warmup_steps", 20)),
-        sigma_min=float(pick(args.sigma_min, "sigma_min", 1e-5)),
-        mask_ratio_lo=float(pick(None, "mask_ratio_lo", 0.7)),
-        mask_ratio_hi=float(pick(None, "mask_ratio_hi", 1.0)),
-        p_drop=float(pick(args.p_drop, "p_drop", 0.2)),
-        checkpoint_every=int(pick(args.checkpoint_every, "checkpoint_every", 0)),
-        seed=int(pick(args.seed, "seed", 0)),
     )
 
     out = Path(args.out)
@@ -297,7 +289,12 @@ def cmd_sample(args) -> int:
     )
     guidance = GuidanceConfig(strength=args.guidance, nfe=args.nfe, solver=args.solver)
     rng = np.random.default_rng(args.seed)
-    generated = integrate_batch(make_field_fn(model, params), [prompt], guidance, rng)[0]
+    try:
+        # integrate_batch reports a non-finite state itself, in one error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            generated = integrate_batch(make_field_fn(model, params), [prompt], guidance, rng)[0]
+    except FloatingPointError as exc:
+        raise CliError(f"sampling failed: {exc}") from exc
 
     out = Path(args.out)
     store_feature_matrix(
@@ -330,8 +327,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_curate(args) -> int:
-    policy = CurationPolicy(ovlr_min=args.ovlr_min)
-    report = run_pipeline(args.inp, args.out, policy)
+    report = run_pipeline(args.inp, args.out, args.ovlr_min)
     if args.report:
         payload = report.to_dict()
         payload["command"] = "curate"
@@ -440,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-frames", type=int)
     p.add_argument("--peak-lr", type=float)
-    p.add_argument("--warmup", type=int)
+    p.add_argument("--warmup", dest="warmup_steps", type=int)
     p.add_argument("--sigma-min", type=float)
     p.add_argument("--p-drop", type=float)
     p.add_argument("--checkpoint-every", type=int)
@@ -469,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", help="filter a manifest through the gates")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ovlr-min", type=float, default=3.0)
+    p.add_argument("--ovlr-min", type=float, default=OVLR_MIN)
     p.add_argument("--report")
     p.set_defaults(func=cmd_curate)
 

@@ -14,27 +14,12 @@ from pathlib import Path
 
 from .features import DatasetRecord, manifest_line, read_manifest
 
+# The label rules and the threshold default follow the paper's
+# pseudo-label curation recipe.
 KEEP_ANY_CONFIDENCE = frozenset({"angry", "disgusted", "fearful", "sad", "surprised"})
 STRICT_CONFIDENCE_ONLY = frozenset({"neutral", "happy"})
-
-
-@dataclass(frozen=True)
-class CurationPolicy:
-    """Thresholds and label sets for the three gates."""
-
-    keep_emotions_any_conf: frozenset[str] = KEEP_ANY_CONFIDENCE
-    strict_emotions: frozenset[str] = STRICT_CONFIDENCE_ONLY
-    strict_confidence: float = 1.0
-    ovlr_min: float = 3.0
-    unknown_label_policy: str = "error"  # or "drop"
-
-    def __post_init__(self):
-        if self.keep_emotions_any_conf & self.strict_emotions:
-            raise ValueError("emotion label sets must be disjoint")
-        if not 0.0 <= self.strict_confidence <= 1.0:
-            raise ValueError(f"strict_confidence must be in [0, 1], got {self.strict_confidence}")
-        if self.unknown_label_policy not in ("error", "drop"):
-            raise ValueError("unknown_label_policy must be 'error' or 'drop'")
+STRICT_CONFIDENCE = 1.0
+OVLR_MIN = 3.0
 
 
 @dataclass
@@ -61,25 +46,23 @@ class CurationReport:
         }
 
 
-def emotion_gate(label: str, confidence: float, policy: CurationPolicy) -> bool:
+def emotion_gate(label: str, confidence: float) -> bool:
     """Keep the high-signal emotion classes at any confidence; the two
-    dominant classes only at full confidence."""
+    dominant classes only at full confidence.  An unknown label raises."""
     if not 0.0 <= confidence <= 1.0:
         raise ValueError(f"confidence must be in [0, 1], got {confidence}")
-    if label in policy.keep_emotions_any_conf:
+    if label in KEEP_ANY_CONFIDENCE:
         return True
-    if label in policy.strict_emotions:
-        return confidence >= policy.strict_confidence
-    if policy.unknown_label_policy == "error":
-        raise ValueError(f"unknown emotion label {label!r}")
-    return False
+    if label in STRICT_CONFIDENCE_ONLY:
+        return confidence >= STRICT_CONFIDENCE
+    raise ValueError(f"unknown emotion label {label!r}")
 
 
-def quality_gate(ovlr: float, policy: CurationPolicy) -> bool:
+def quality_gate(ovlr: float, ovlr_min: float) -> bool:
     """Keep only records strictly above the quality threshold."""
     if not math.isfinite(ovlr):
         raise ValueError(f"ovlr must be finite, got {ovlr}")
-    return ovlr > policy.ovlr_min
+    return ovlr > ovlr_min
 
 
 def speaker_gate(speaker_change: bool) -> bool:
@@ -87,11 +70,11 @@ def speaker_gate(speaker_change: bool) -> bool:
     return not speaker_change
 
 
-def first_failing_gate(rec: DatasetRecord, policy: CurationPolicy) -> str | None:
+def first_failing_gate(rec: DatasetRecord, ovlr_min: float) -> str | None:
     """Name of the first gate the record fails, or None if it is retained."""
-    if not emotion_gate(rec.emotion_label, rec.emotion_confidence, policy):
+    if not emotion_gate(rec.emotion_label, rec.emotion_confidence):
         return "emotion_gate"
-    if not quality_gate(rec.ovlr, policy):
+    if not quality_gate(rec.ovlr, ovlr_min):
         return "quality_gate"
     if not speaker_gate(rec.speaker_change):
         return "speaker_gate"
@@ -101,21 +84,22 @@ def first_failing_gate(rec: DatasetRecord, policy: CurationPolicy) -> str | None
 def run_pipeline(
     manifest_in: str | Path,
     manifest_out: str | Path,
-    policy: CurationPolicy | None = None,
+    ovlr_min: float = OVLR_MIN,
 ) -> CurationReport:
     """Filter a manifest through the gates, streaming record by record.
 
     Output preserves input order.  On any malformed line the pipeline
     aborts and leaves no partial output behind.
     """
-    policy = policy or CurationPolicy()
+    if not math.isfinite(ovlr_min):
+        raise ValueError(f"ovlr_min must be finite, got {ovlr_min}")
     out_path = Path(manifest_out)
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     report = CurationReport()
     try:
         with open(tmp_path, "w") as out:
             for _, rec in read_manifest(manifest_in):
-                reason = first_failing_gate(rec, policy)
+                reason = first_failing_gate(rec, ovlr_min)
                 if reason is None:
                     report.retained += 1
                     report.retained_by_emotion[rec.emotion_label] = (

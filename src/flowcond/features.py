@@ -1,10 +1,9 @@
 """Condition-stream construction and file I/O.
 
-External detectors deliver their outputs as files; this module applies
-the windowing and centering conventions, aligns chunk series to frame
-rate, reads and writes the binary feature-matrix format and the JSONL
-manifest, and generates the synthetic oracle corpora used for testing
-in place of the real detectors.
+External detectors deliver their outputs as files; this module reads
+and writes the binary feature-matrix format and the JSONL manifest, and
+generates the synthetic oracle corpora used for testing in place of the
+real detectors.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from .infill import NV_DIM
-from .sampler import interpolate_stream
 
 FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
@@ -32,39 +30,6 @@ SYNTH_KINDS = ("constant", "ramp", "step", "sinusoid")
 
 class FormatError(ValueError):
     """A stored file violates its format contract; the message names the field."""
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Sliding analysis window, in seconds."""
-
-    window_s: float = 0.5
-    hop_s: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 < self.hop_s <= self.window_s:
-            raise ValueError(
-                f"need 0 < hop <= window, got hop={self.hop_s} window={self.window_s}"
-            )
-
-
-@dataclass
-class ChunkSeries:
-    """Per-window values (D x K) with the window spec that produced them."""
-
-    values: np.ndarray
-    spec: WindowSpec
-    origin_duration_s: float
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError(f"chunk values must be 2-d, got {self.values.shape}")
-        expected = window_count(self.origin_duration_s, self.spec)
-        if self.values.shape[1] != expected:
-            raise ValueError(
-                f"{self.values.shape[1]} chunks but {self.origin_duration_s}s at "
-                f"{self.spec} yields {expected}"
-            )
 
 
 @dataclass
@@ -104,41 +69,6 @@ _RECORD_TYPES = {
 }
 _TYPE_WORDS = {str: "a string", float: "a finite number", bool: "a boolean"}
 _FLOAT_MAX = sys.float_info.max
-
-
-def window_count(duration_s: float, spec: WindowSpec) -> int:
-    """Number of analysis windows covering a clip.
-
-    floor((duration - window) / hop) + 1 for clips at least one window
-    long; shorter clips produce a single full-clip chunk.
-    """
-    if duration_s <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    if duration_s < spec.window_s:
-        return 1
-    # Tiny epsilon so exact multiples do not fall below an integer.
-    return int(np.floor((duration_s - spec.window_s) / spec.hop_s + 1e-9)) + 1
-
-
-def center_arousal_valence(raw: np.ndarray) -> np.ndarray:
-    """Shift detector outputs from [0, 1] to [-0.5, 0.5].
-
-    Exactly two rows (arousal, valence) are accepted; the dominance axis
-    is never part of the stream.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2 or raw.shape[0] != 2:
-        raise ValueError(f"expected a 2 x K arousal/valence series, got {raw.shape}")
-    if raw.size and (raw.min() < 0.0 or raw.max() > 1.0):
-        raise ValueError("raw arousal/valence values must lie in [0, 1]")
-    return raw - 0.5
-
-
-def align_to_frames(chunks: ChunkSeries, T: int) -> np.ndarray:
-    """Resample a chunk series to T frames (shared linear interpolation)."""
-    if chunks.values.shape[1] < 1:
-        raise ValueError("chunk series is empty")
-    return interpolate_stream(chunks.values, T)
 
 
 def store_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None:
@@ -195,11 +125,6 @@ def load_phonemes(path: str | Path) -> np.ndarray:
         return np.array([int(tok) for tok in text.split()], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"non-integer phoneme token in {path}: {exc}") from exc
-
-
-def seconds_to_frames(seconds: float, frames_per_second: float) -> int:
-    """Single conversion point between clock time and frame indices."""
-    return int(round(seconds * frames_per_second))
 
 
 def frames_to_seconds(frames: int, frames_per_second: float) -> float:
@@ -334,14 +259,13 @@ def synth_condition_oracle(
     return emo, nv, features
 
 
-def synth_phonemes(
-    T: int, rng: np.random.Generator, n_phonemes: int = 16, block_range: tuple[int, int] = (5, 15)
-) -> np.ndarray:
-    """Block-constant token ids (ids 1..n-1; 0 stays reserved as blank)."""
+def synth_phonemes(T: int, rng: np.random.Generator, n_phonemes: int = 16) -> np.ndarray:
+    """Block-constant token ids (ids 1..n-1; 0 stays reserved as blank),
+    in blocks of 5 to 15 frames."""
     tokens = np.zeros(T, dtype=np.int64)
     pos = 0
     while pos < T:
-        block = int(rng.integers(block_range[0], block_range[1] + 1))
+        block = int(rng.integers(5, 16))
         tokens[pos : pos + block] = int(rng.integers(1, n_phonemes))
         pos += block
     return tokens

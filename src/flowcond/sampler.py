@@ -9,6 +9,7 @@ under classifier-free guidance; only the masked frames are returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -30,8 +31,8 @@ class GuidanceConfig:
     solver: str = "euler"
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError(f"guidance strength must be >= 0, got {self.strength}")
+        if not 0.0 <= self.strength < math.inf:
+            raise ValueError(f"guidance strength must be finite and >= 0, got {self.strength}")
         if self.nfe < 1:
             raise ValueError(f"nfe must be >= 1, got {self.nfe}")
         if self.solver not in ("euler", "midpoint"):

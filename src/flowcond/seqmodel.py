@@ -586,6 +586,8 @@ class LrSchedule:
         return self.peak * max(frac, 0.0)
 
 
+# Adam's moment decay rates and denominator floor: the published defaults.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Adam runs over the flat vectors in slices of this many elements: the
 # update's two temporaries then stay in L2 and its scratch stays small.
 _ADAM_SLICE = 1 << 14
@@ -600,9 +602,6 @@ class OptimizerState:
     """
 
     schedule: LrSchedule
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -626,7 +625,7 @@ def adam_update(params, grads, state: OptimizerState) -> float:
         state.scratch = np.empty((2, min(p.size, _ADAM_SLICE)), p.dtype)
     state.step += 1
     lr = state.schedule.at(state.step)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for lo in range(0, p.size, _ADAM_SLICE):
@@ -644,7 +643,7 @@ def adam_update(params, grads, state: OptimizerState) -> float:
         step *= lr
         np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += _ADAM_EPS
         step /= denom
         ps -= step
     return lr

@@ -8,6 +8,7 @@ every checkpoint byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -35,8 +36,6 @@ class TrainSettings:
     peak_lr: float = 1e-3
     warmup_steps: int = 20
     sigma_min: float = 1e-5
-    mask_ratio_lo: float = 0.7
-    mask_ratio_hi: float = 1.0
     p_drop: float = 0.2
     checkpoint_every: int = 0  # 0: only the final checkpoint
     seed: int = 0
@@ -46,6 +45,17 @@ class TrainSettings:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_frames < 1:
             raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        PathConfig(sigma_min=self.sigma_min)  # raises on a bad sigma_min
+        if not 0.0 <= self.p_drop <= 1.0:
+            raise ValueError(f"p_drop must be in [0, 1], got {self.p_drop}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -82,10 +92,10 @@ def check_ratios(ratios: Sequence[float]) -> None:
 
 
 def draw_source(rng: np.random.Generator, ratios: Sequence[float]) -> int:
-    """Categorical source pick; one draw per training example."""
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if abs(ratios.sum() - 1.0) > 1e-9:
-        raise ValueError(f"mixing ratios must sum to 1, got {ratios.tolist()}")
+    """Categorical source pick; one draw per training example.
+
+    ``train_loop`` checks the ratios once, with ``check_ratios``.
+    """
     return int(rng.choice(len(ratios), p=ratios))
 
 
@@ -149,7 +159,7 @@ def train_loop(
             source_counts[src] += 1
             corpus = corpora[src]
             ex = corpus[int(rng.integers(len(corpus)))]
-            mask = sample_mask(T, rng, (settings.mask_ratio_lo, settings.mask_ratio_hi))
+            mask = sample_mask(T, rng)
             cond = build_example(ex.features, ex.phonemes, ex.nv, ex.emo, mask)
             cond = apply_condition_dropout(cond, settings.p_drop, rng)
             flow = make_flow_sample(ex.features, rng, path_cfg)

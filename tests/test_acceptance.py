@@ -36,7 +36,7 @@ from flowcond import (
     train_step,
 )
 from flowcond.cli import main as cli_main
-from flowcond.curate import CurationPolicy, emotion_gate, quality_gate, run_pipeline
+from flowcond.curate import emotion_gate, quality_gate, run_pipeline
 from flowcond.features import (
     DatasetRecord,
     FeatureMatrix,
@@ -485,9 +485,8 @@ def test_criterion_7_curation_oracle_equivalence(tmp_path):
     assert rep.total == 1000
     assert rep.retained + rep.emotion_gate + rep.quality_gate + rep.speaker_gate == 1000
 
-    policy = CurationPolicy()
-    assert not quality_gate(3.0, policy)  # boundary: strictly greater than
-    assert emotion_gate("neutral", 1.0, policy)  # boundary: full confidence keeps
+    assert not quality_gate(3.0, 3.0)  # boundary: strictly greater than
+    assert emotion_gate("neutral", 1.0)  # boundary: full confidence keeps
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

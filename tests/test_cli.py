@@ -1,8 +1,10 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from flowcond import cli
 from flowcond.cli import main, parse_config_file
 from flowcond.features import (
     FeatureMatrix,
@@ -123,6 +125,62 @@ def test_train_config_file_with_flag_override(tmp_path, corpus_dir):
     assert len(lines) == 2  # flag overrode config's 5
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["args"]["seed"] == 9
+
+
+# Fields of TrainSettings that the train provenance records.
+PROVENANCE_SETTINGS = ("steps", "batch_frames", "peak_lr", "warmup_steps", "sigma_min",
+                       "p_drop", "seed")
+
+
+@dataclass
+class ShiftedSettings(TrainSettings):
+    """TrainSettings with every recorded default moved off its real value."""
+
+    batch_frames: int = 96
+    peak_lr: float = 5e-4
+    warmup_steps: int = 3
+    sigma_min: float = 1e-4
+    p_drop: float = 0.1
+    seed: int = 13
+
+
+@pytest.mark.parametrize("settings_cls", [TrainSettings, ShiftedSettings],
+                         ids=["defaults", "shifted-defaults"])
+def test_train_defaults_come_from_train_settings(tmp_path, corpus_dir, monkeypatch,
+                                                 settings_cls):
+    monkeypatch.setattr(cli, "TrainSettings", settings_cls)
+    manifest = corpus_dir / "manifest.jsonl"
+
+    def recorded(out):
+        args = json.loads((out / "provenance.json").read_text())["args"]
+        return {k: args[k] for k in PROVENANCE_SETTINGS}
+
+    def expected(**values):
+        settings = settings_cls(steps=0, **values)
+        return {k: getattr(settings, k) for k in PROVENANCE_SETTINGS}
+
+    assert run_cli("train", "--manifest", manifest, "--steps", 0, "--out", tmp_path / "a") == 0
+    assert recorded(tmp_path / "a") == expected()
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("peak_lr = 2e-3\nwarmup_steps = 7\nseed = 9\n")
+    assert run_cli("train", "--config", cfg, "--manifest", manifest, "--steps", 0,
+                   "--seed", 4, "--out", tmp_path / "b") == 0
+    assert recorded(tmp_path / "b") == expected(peak_lr=2e-3, warmup_steps=7, seed=4)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--p-drop", "1.5"), ("--p-drop", "nan"), ("--sigma-min", "nan"), ("--peak-lr", "-1"),
+     ("--peak-lr", "inf"), ("--warmup", "-5"), ("--checkpoint-every", "-1"), ("--seed", "-1")],
+)
+def test_train_bad_setting_values_leave_no_files(tmp_path, corpus_dir, capsys, flag, value):
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", corpus_dir / "manifest.jsonl", "--steps", 2,
+                   f"{flag}={value}", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_shipped_configs_parse():
@@ -335,6 +393,39 @@ def test_sample_wrong_tensor_shape_is_one_line_format_error(tmp_path, corpus_dir
     assert not (tmp_path / "x.fmat.json").exists()
 
 
+@pytest.mark.parametrize("guidance", ["nan", "inf"])
+def test_sample_non_finite_guidance_rejected(tmp_path, corpus_dir, trained_run, capsys,
+                                             guidance):
+    out = tmp_path / "x.fmat"
+    assert run_cli(
+        "sample", "--checkpoint", trained_run / "checkpoint.fmck",
+        "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        "--zero-nv", "--zero-emo", "--guidance", guidance, "--out", out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "guidance strength" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_overflowing_field_is_one_line_error(tmp_path, corpus_dir, capsys):
+    # Finite float32 weights whose products overflow the float32 forward.
+    cfg = ModelConfig()
+    params = init_params(cfg, np.random.default_rng(0))
+    params["out_w"][...] = 3e38
+    ck = tmp_path / "big.fmck"
+    save_checkpoint(ck, cfg, params)
+    out = tmp_path / "x.fmat"
+    assert run_cli(
+        "sample", "--checkpoint", ck, "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        "--zero-nv", "--zero-emo", "--out", out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampling failed:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.fmck"]
+
+
 # -- curate / eval ------------------------------------------------------------
 
 
@@ -370,6 +461,16 @@ def test_curate_wrong_field_type_is_one_line_error(tmp_path, capsys, field, valu
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("format error:") and field in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+@pytest.mark.parametrize("ovlr_min", ["nan", "inf"])
+def test_curate_non_finite_ovlr_min_rejected(tmp_path, corpus_dir, capsys, ovlr_min):
+    out, report = tmp_path / "o.jsonl", tmp_path / "report.json"
+    assert run_cli("curate", "--in", corpus_dir / "manifest.jsonl", "--out", out,
+                   "--ovlr-min", ovlr_min, "--report", report) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "ovlr_min" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_eval_nan_file_is_one_line_error(tmp_path, corpus_dir, capsys):

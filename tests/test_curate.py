@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowcond import (
-    CurationPolicy,
     emotion_gate,
     quality_gate,
     run_pipeline,
@@ -11,7 +10,7 @@ from flowcond import (
 from flowcond.curate import first_failing_gate
 from flowcond.features import DatasetRecord, FormatError, read_manifest, write_manifest
 
-POLICY = CurationPolicy()
+OVLR_MIN = 3.0
 
 
 def make_record(i, label="sad", conf=0.5, ovlr=4.0, change=False):
@@ -47,64 +46,54 @@ def random_records(n, seed):
     return out
 
 
-def brute_force_keep(rec, policy=POLICY):
+def brute_force_keep(rec, ovlr_min=OVLR_MIN):
     """Independent restatement of the retention rules."""
     emo_ok = rec.emotion_label in {"angry", "disgusted", "fearful", "sad", "surprised"} or (
         rec.emotion_label in {"neutral", "happy"}
-        and rec.emotion_confidence >= policy.strict_confidence
+        and rec.emotion_confidence >= 1.0
     )
-    return emo_ok and rec.ovlr > policy.ovlr_min and not rec.speaker_change
+    return emo_ok and rec.ovlr > ovlr_min and not rec.speaker_change
 
 
 # -- individual gates ----------------------------------------------------------
 
 
 def test_emotion_gate_five_class_any_confidence():
-    assert emotion_gate("sad", 0.3, POLICY)
-    assert emotion_gate("fearful", 0.0, POLICY)  # boundary of the rule
-    assert emotion_gate("angry", 1.0, POLICY)
+    assert emotion_gate("sad", 0.3)
+    assert emotion_gate("fearful", 0.0)  # boundary of the rule
+    assert emotion_gate("angry", 1.0)
 
 
 def test_emotion_gate_strict_classes_need_full_confidence():
-    assert not emotion_gate("neutral", 0.9, POLICY)
-    assert emotion_gate("happy", 1.0, POLICY)
-    assert emotion_gate("neutral", 1.0, POLICY)
+    assert not emotion_gate("neutral", 0.9)
+    assert emotion_gate("happy", 1.0)
+    assert emotion_gate("neutral", 1.0)
 
 
 def test_emotion_gate_unknown_label():
     with pytest.raises(ValueError):
-        emotion_gate("bored", 0.5, POLICY)
-    permissive = CurationPolicy(unknown_label_policy="drop")
-    assert not emotion_gate("bored", 0.5, permissive)
+        emotion_gate("bored", 0.5)
 
 
 def test_emotion_gate_bad_confidence():
     with pytest.raises(ValueError):
-        emotion_gate("sad", 1.5, POLICY)
+        emotion_gate("sad", 1.5)
 
 
 def test_quality_gate_strict_threshold():
-    assert not quality_gate(3.0, POLICY)  # strictly greater than
-    assert quality_gate(3.0001, POLICY)
-    assert quality_gate(5.0, POLICY)
+    assert not quality_gate(3.0, OVLR_MIN)  # strictly greater than
+    assert quality_gate(3.0001, OVLR_MIN)
+    assert quality_gate(5.0, OVLR_MIN)
 
 
 def test_quality_gate_nan_rejected():
     with pytest.raises(ValueError):
-        quality_gate(float("nan"), POLICY)
+        quality_gate(float("nan"), OVLR_MIN)
 
 
 def test_speaker_gate():
     assert not speaker_gate(True)
     assert speaker_gate(False)
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        CurationPolicy(keep_emotions_any_conf=frozenset({"sad"}),
-                       strict_emotions=frozenset({"sad"}))
-    with pytest.raises(ValueError):
-        CurationPolicy(strict_confidence=1.5)
 
 
 # -- pipeline ------------------------------------------------------------------
@@ -145,11 +134,11 @@ def test_pipeline_first_failure_attribution(tmp_path):
 
 def test_pipeline_gate_order():
     rec = make_record(0, label="neutral", conf=0.2, ovlr=1.0, change=True)
-    assert first_failing_gate(rec, POLICY) == "emotion_gate"
+    assert first_failing_gate(rec, OVLR_MIN) == "emotion_gate"
     rec = make_record(0, label="sad", ovlr=1.0, change=True)
-    assert first_failing_gate(rec, POLICY) == "quality_gate"
+    assert first_failing_gate(rec, OVLR_MIN) == "quality_gate"
     rec = make_record(0, label="sad", ovlr=4.0, change=True)
-    assert first_failing_gate(rec, POLICY) == "speaker_gate"
+    assert first_failing_gate(rec, OVLR_MIN) == "speaker_gate"
 
 
 def test_pipeline_malformed_aborts_without_output(tmp_path):
@@ -170,28 +159,9 @@ def test_pipeline_monotone_in_threshold(tmp_path):
     kept = {}
     for ovlr_min in (4.0, 3.0, 2.0):
         dst = tmp_path / f"out{ovlr_min}.jsonl"
-        run_pipeline(src, dst, CurationPolicy(ovlr_min=ovlr_min))
+        run_pipeline(src, dst, ovlr_min)
         kept[ovlr_min] = {rec.id for _, rec in read_manifest(dst)}
     assert kept[4.0] <= kept[3.0] <= kept[2.0]
-
-
-def test_pipeline_monotone_in_label_set(tmp_path):
-    records = random_records(300, seed=6)
-    src = tmp_path / "in.jsonl"
-    write_manifest(records, src)
-    base, wide = tmp_path / "base.jsonl", tmp_path / "wide.jsonl"
-    run_pipeline(src, base, CurationPolicy(unknown_label_policy="drop"))
-    bigger = CurationPolicy(
-        keep_emotions_any_conf=frozenset(
-            {"angry", "disgusted", "fearful", "sad", "surprised", "happy"}
-        ),
-        strict_emotions=frozenset({"neutral"}),
-        unknown_label_policy="drop",
-    )
-    run_pipeline(src, wide, bigger)
-    ids_base = {rec.id for _, rec in read_manifest(base)}
-    ids_wide = {rec.id for _, rec in read_manifest(wide)}
-    assert ids_base <= ids_wide
 
 
 def test_pipeline_idempotent(tmp_path):

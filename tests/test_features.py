@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from flowcond import (
-    ChunkSeries,
     DatasetRecord,
     FeatureMatrix,
     FormatError,
-    WindowSpec,
-    align_to_frames,
-    center_arousal_valence,
     load_feature_matrix,
     store_feature_matrix,
     synth_condition_oracle,
-    window_count,
 )
 from flowcond.features import (
     carrier_matrix,
@@ -26,95 +21,10 @@ from flowcond.features import (
 )
 
 
-# -- windowing ---------------------------------------------------------------
-
-
-def test_window_spec_validation():
-    with pytest.raises(ValueError):
-        WindowSpec(window_s=0.5, hop_s=0.0)
-    with pytest.raises(ValueError):
-        WindowSpec(window_s=0.25, hop_s=0.5)
-
-
-def test_window_count_examples():
-    spec = WindowSpec(0.5, 0.25)
-    assert window_count(1.0, spec) == 3
-    assert window_count(0.5, spec) == 1
-    assert window_count(0.3, spec) == 1  # short clip -> single full-clip chunk
-
-
-def test_window_count_domain():
-    with pytest.raises(ValueError):
-        window_count(0.0, WindowSpec())
-    with pytest.raises(ValueError):
-        window_count(-1.0, WindowSpec())
-
-
-def test_window_count_monotone():
-    spec = WindowSpec(0.5, 0.25)
-    durations = np.linspace(0.1, 5.0, 200)
-    counts = [window_count(d, spec) for d in durations]
-    assert all(b >= a for a, b in zip(counts, counts[1:]))
-    # smaller hop never yields fewer windows
-    finer = WindowSpec(0.5, 0.1)
-    assert all(
-        window_count(d, finer) >= window_count(d, spec) for d in durations
-    )
-
-
-# -- centering ---------------------------------------------------------------
-
-
-def test_centering_values():
-    raw = np.array([[0.5, 0.0, 1.0], [0.25, 0.75, 0.5]])
-    out = center_arousal_valence(raw)
-    assert np.array_equal(out, raw - 0.5)
-    assert out[0, 0] == 0.0 and out[0, 1] == -0.5 and out[0, 2] == 0.5
-
-
-def test_centering_rejects_dominance_row():
-    with pytest.raises(ValueError):
-        center_arousal_valence(np.zeros((3, 4)))
-
-
-def test_centering_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        center_arousal_valence(np.array([[1.2, 0.5], [0.5, 0.5]]))
-
-
-def test_centering_shift_roundtrip():
-    rng = np.random.default_rng(0)
-    raw = rng.uniform(0.0, 1.0, (2, 9))
-    assert np.array_equal(center_arousal_valence(raw) + 0.5, raw)
-
-
-# -- alignment ---------------------------------------------------------------
-
-
-def test_align_single_chunk_broadcast():
-    chunks = ChunkSeries(np.array([[0.2], [-0.3]]), WindowSpec(), 0.3)
-    out = align_to_frames(chunks, 5)
-    assert np.array_equal(out, np.array([[0.2] * 5, [-0.3] * 5]))
-
-
-def test_align_identity():
-    values = np.random.default_rng(1).uniform(-0.5, 0.5, (2, 6))
-    out = align_to_frames(ChunkSeries(values, WindowSpec(), 1.75), 6)
-    assert np.array_equal(out, values)
-
-
-def test_align_hand_interpolation():
-    chunks = ChunkSeries(np.array([[-0.5, 0.5]]), WindowSpec(), 0.75)
-    assert np.array_equal(align_to_frames(chunks, 3), np.array([[-0.5, 0.0, 0.5]]))
-
-
 def test_time_frame_conversions():
-    from flowcond.features import frames_to_seconds, seconds_to_frames
+    from flowcond.features import frames_to_seconds
 
-    assert seconds_to_frames(0.5, 100.0) == 50
-    assert seconds_to_frames(0.504, 100.0) == 50
     assert frames_to_seconds(64, 100.0) == 0.64
-    assert seconds_to_frames(frames_to_seconds(123, 100.0), 100.0) == 123
 
 
 # -- feature matrix file format -----------------------------------------------

