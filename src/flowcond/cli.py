@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .metrics import aggregate_seeds, frame_cosine_sim
 from .sampler import GuidanceConfig, assemble_prompt, integrate_batch
 from .seqmodel import (
     FIELD_DTYPE,
-    ModelConfig,
     PRESETS,
     TrainingDivergedError,
     VectorFieldModel,
@@ -59,6 +58,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _check_vocab(tokens: np.ndarray, path: str, n_phonemes: int) -> None:
+    bad = tokens[(tokens < 0) | (tokens >= n_phonemes)]
+    if bad.size:
+        raise CliError(
+            f"phoneme id {bad[0]} in {path} is outside the model vocabulary "
+            f"(ids 0..{n_phonemes - 1})"
+        )
+
+
 # -- synth ---------------------------------------------------------------------
 
 
@@ -73,8 +81,6 @@ def cmd_synth(args) -> int:
         args.frames,
         args.seed,
         feature_dim=args.feature_dim,
-        frames_per_second=args.fps,
-        n_phonemes=args.n_phonemes,
     )
     _write_provenance(
         out / "provenance.json",
@@ -85,8 +91,6 @@ def cmd_synth(args) -> int:
             "frames": args.frames,
             "seed": args.seed,
             "feature_dim": args.feature_dim,
-            "fps": args.fps,
-            "n_phonemes": args.n_phonemes,
         },
     )
     print(f"wrote {args.count} examples to {out}")
@@ -95,18 +99,12 @@ def cmd_synth(args) -> int:
 
 # -- train ---------------------------------------------------------------------
 
+# Config-file key -> parser: every TrainSettings field (its annotation is a
+# string), plus the comma-separated manifests and ratios.
 _CONFIG_KEYS = {
-    "preset": str,
-    "steps": int,
-    "batch_frames": int,
-    "peak_lr": float,
-    "warmup_steps": int,
-    "sigma_min": float,
-    "p_drop": float,
-    "checkpoint_every": int,
-    "seed": int,
-    "ratios": str,
+    **{f.name: {"int": int, "float": float}[f.type] for f in fields(TrainSettings)},
     "manifests": str,
+    "ratios": str,
 }
 
 
@@ -161,20 +159,24 @@ def cmd_train(args) -> int:
     values = {k: pick(getattr(args, k), k, None) for k in names}
     settings = TrainSettings(**{k: v for k, v in values.items() if v is not None})
 
-    preset = pick(args.preset, "preset", "desk")
-    if preset not in PRESETS:
-        raise CliError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
+    # Every record must stack into one batch shape and fit the model's
+    # vocabulary; check both before anything is written.
+    desk = PRESETS["desk"]
     corpora = [load_corpus(m) for m in manifests]
+    shapes: dict[tuple[int, int], str] = {}
     for manifest, corpus in zip(manifests, corpora):
         if not corpus:
             raise CliError(f"manifest {manifest} contains no records")
-    feature_dim = corpora[0][0].features.shape[0]
-    model_cfg = ModelConfig(
-        **{
-            **PRESETS[preset].__dict__,
-            "feature_dim": feature_dim,
-        }
-    )
+        for i, ex in enumerate(corpus, start=1):
+            where = f"{manifest} record {i}"
+            shapes.setdefault(ex.features.shape, where)
+            _check_vocab(ex.phonemes, where, desk.n_phonemes)
+    if len(shapes) > 1:
+        raise CliError(
+            "records disagree in feature shape (F x T): "
+            + ", ".join(f"{f} x {t} in {where}" for (f, t), where in shapes.items())
+        )
+    model_cfg = replace(desk, feature_dim=corpora[0][0].features.shape[0])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,18 +205,7 @@ def cmd_train(args) -> int:
     _write_provenance(
         out / "provenance.json",
         "train",
-        {
-            "manifests": manifests,
-            "ratios": ratios,
-            "preset": preset,
-            "seed": settings.seed,
-            "steps": settings.steps,
-            "batch_frames": settings.batch_frames,
-            "peak_lr": settings.peak_lr,
-            "warmup_steps": settings.warmup_steps,
-            "sigma_min": settings.sigma_min,
-            "p_drop": settings.p_drop,
-        },
+        {"manifests": manifests, "ratios": ratios, **asdict(settings)},
     )
     final_loss = history[-1][1] if history else float("nan")
     print(f"trained {settings.steps} steps; final loss {final_loss:.6f}; checkpoint {checkpoint}")
@@ -222,15 +213,6 @@ def cmd_train(args) -> int:
 
 
 # -- sample --------------------------------------------------------------------
-
-
-def _check_vocab(tokens: np.ndarray, path: str, n_phonemes: int) -> None:
-    bad = tokens[(tokens < 0) | (tokens >= n_phonemes)]
-    if bad.size:
-        raise CliError(
-            f"phoneme id {bad[0]} in {path} is outside the checkpoint vocabulary "
-            f"(ids 0..{n_phonemes - 1})"
-        )
 
 
 def cmd_sample(args) -> int:
@@ -424,15 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--fps", type=float, default=100.0)
-    p.add_argument("--n-phonemes", type=int, default=16)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the vector-field model")
     p.add_argument("--config", help="key = value config file; flags override")
     p.add_argument("--manifest", action="append", help="training manifest (repeatable)")
     p.add_argument("--ratios", help="comma-separated mixing ratios, one per manifest")
-    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-frames", type=int)
     p.add_argument("--peak-lr", type=float)

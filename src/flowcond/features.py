@@ -284,20 +284,27 @@ def generate_corpus(
     seed: int,
     *,
     feature_dim: int = 8,
-    frames_per_second: float = 100.0,
     n_phonemes: int = 16,
 ) -> Path:
     """Write a synthetic corpus (feature/phoneme/nv/emo files + manifest).
 
     ``kind`` may be one of the trajectory kinds or "mixed", which cycles
     through all of them.  Deterministic: the same seed yields byte-
-    identical directories.  Returns the manifest path.
+    identical directories.  Every file is stamped 100 frames/s.  Returns
+    the manifest path.  Bad arguments raise before anything is created.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kinds = SYNTH_KINDS if kind == "mixed" else (kind,)
     if any(k not in SYNTH_KINDS for k in kinds):
         raise ValueError(f"unknown corpus kind {kind!r}")
+    # n_phonemes >= 2: id 0 is the reserved blank, so ids are drawn from 1..n-1.
+    for name, value, least in (
+        ("count", count, 0), ("T", T, 1),
+        ("feature_dim", feature_dim, 1), ("n_phonemes", n_phonemes, 2),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     records = []
     streams = np.random.SeedSequence(seed).spawn(count)
@@ -314,10 +321,10 @@ def generate_corpus(
             "nv": out / f"{rec_id}.nv.fmat",
             "emo": out / f"{rec_id}.emo.fmat",
         }
-        store_feature_matrix(FeatureMatrix(feats, frames_per_second), paths["features"])
+        store_feature_matrix(FeatureMatrix(feats), paths["features"])
         store_phonemes(tokens, paths["phonemes"])
-        store_feature_matrix(FeatureMatrix(nv, frames_per_second), paths["nv"])
-        store_feature_matrix(FeatureMatrix(emo, frames_per_second), paths["emo"])
+        store_feature_matrix(FeatureMatrix(nv), paths["nv"])
+        store_feature_matrix(FeatureMatrix(emo), paths["emo"])
 
         records.append(
             DatasetRecord(
@@ -326,7 +333,7 @@ def generate_corpus(
                 phonemes_path=paths["phonemes"].name,
                 nv_path=paths["nv"].name,
                 emo_path=paths["emo"].name,
-                duration_s=frames_to_seconds(T, frames_per_second),
+                duration_s=frames_to_seconds(T, FeatureMatrix.frame_rate),
                 emotion_label=_EMOTION_LABELS[int(rng.integers(len(_EMOTION_LABELS)))],
                 emotion_confidence=round(float(rng.uniform()), 4),
                 ovlr=round(float(rng.uniform(1.0, 5.0)), 4),

@@ -100,20 +100,8 @@ class ModelConfig:
         return 2 * self.feature_dim + self.d_phn + self.d_nv + self.d_emo
 
 
-# Desk scale trains on a laptop CPU in minutes; fullscale mirrors a
-# production-size stack and is not runnable at desk.
-PRESETS: dict[str, ModelConfig] = {
-    "desk": ModelConfig(),
-    "fullscale": ModelConfig(
-        n_layers=24,
-        n_heads=16,
-        d_model=1024,
-        d_ffn=4096,
-        d_phn=128,
-        n_phonemes=256,
-        feature_dim=80,
-    ),
-}
+# The model `flowcond train` builds: trains on a laptop CPU in minutes.
+PRESETS: dict[str, ModelConfig] = {"desk": ModelConfig()}
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -602,9 +590,9 @@ class OptimizerState:
     """
 
     schedule: LrSchedule
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    step: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
     scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
 

@@ -1,5 +1,7 @@
+import argparse
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from flowcond import cli
 from flowcond.cli import main, parse_config_file
 from flowcond.features import (
     FeatureMatrix,
+    FormatError,
     load_feature_matrix,
     read_manifest,
     store_feature_matrix,
@@ -53,6 +56,16 @@ def test_synth_refuses_nonempty_dir(tmp_path, capsys):
     assert run_cli("synth", "--count", 1, "--out", out) == 1
     assert "--force" in capsys.readouterr().err
     assert run_cli("synth", "--count", 1, "--out", out, "--force") == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--count", -2), ("--frames", 0), ("--feature-dim", 0)])
+def test_synth_bad_arguments_create_nothing(tmp_path, capsys, flag, value):
+    args = {"--count": 2, "--frames": 8, "--feature-dim": 8, flag: value}
+    out = tmp_path / "c"
+    assert run_cli("synth", *[a for kv in args.items() for a in kv], "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_synth_manifest_references_existing_files(tmp_path):
@@ -127,9 +140,8 @@ def test_train_config_file_with_flag_override(tmp_path, corpus_dir):
     assert prov["args"]["seed"] == 9
 
 
-# Fields of TrainSettings that the train provenance records.
-PROVENANCE_SETTINGS = ("steps", "batch_frames", "peak_lr", "warmup_steps", "sigma_min",
-                       "p_drop", "seed")
+# The train provenance records every field of TrainSettings.
+PROVENANCE_SETTINGS = tuple(f.name for f in fields(TrainSettings))
 
 
 @dataclass
@@ -141,6 +153,7 @@ class ShiftedSettings(TrainSettings):
     warmup_steps: int = 3
     sigma_min: float = 1e-4
     p_drop: float = 0.1
+    checkpoint_every: int = 4
     seed: int = 13
 
 
@@ -183,17 +196,95 @@ def test_train_bad_setting_values_leave_no_files(tmp_path, corpus_dir, capsys, f
     assert not out.exists()
 
 
-def test_shipped_configs_parse():
-    from pathlib import Path
+def small_corpus(root, name, frames=8, feature_dim=8):
+    out = root / name
+    assert run_cli("synth", "--count", 3, "--frames", frames, "--feature-dim", feature_dim,
+                   "--seed", 1, "--out", out) == 0
+    return out
 
+
+def break_phoneme_count(corpus):
+    (corpus / "mixed_00001.phn").write_text("1 " * 7 + "\n")
+
+
+def break_nv_rows(corpus):
+    store_feature_matrix(np.zeros((16, 8)), corpus / "mixed_00001.nv.fmat")
+
+
+def break_emo_length(corpus):
+    store_feature_matrix(np.zeros((2, 7)), corpus / "mixed_00001.emo.fmat")
+
+
+def break_emo_range(corpus):
+    emo = load_feature_matrix(corpus / "mixed_00001.emo.fmat").values
+    emo[0, 3] = 0.9
+    store_feature_matrix(emo, corpus / "mixed_00001.emo.fmat")
+
+
+@pytest.mark.parametrize(
+    "damage", [break_phoneme_count, break_nv_rows, break_emo_length, break_emo_range],
+    ids=["phoneme-count", "nv-rows", "emo-length", "emo-range"],
+)
+def test_train_misaligned_record_fails_at_load(tmp_path, capsys, damage):
+    corpus = small_corpus(tmp_path, "a")
+    damage(corpus)
+    with pytest.raises(FormatError, match="manifest line 2: record 'mixed_00001'"):
+        load_corpus(corpus / "manifest.jsonl")
+    # One step of two examples need not draw the bad record; the load stops it.
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", corpus / "manifest.jsonl", "--steps", 1,
+                   "--batch-frames", 16, "--seed", 5, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("format error: manifest line 2:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def out_of_vocab_phoneme(tmp_path):
+    corpus = small_corpus(tmp_path, "a")
+    (corpus / "mixed_00002.phn").write_text("1 " * 7 + "16\n")
+    return [corpus], "phoneme id 16"
+
+
+def other_feature_dim(tmp_path):
+    return [small_corpus(tmp_path, "a"), small_corpus(tmp_path, "b", feature_dim=4)], "4 x 8"
+
+
+def other_frame_length(tmp_path):
+    return [small_corpus(tmp_path, "a"), small_corpus(tmp_path, "b", frames=12)], "8 x 12"
+
+
+@pytest.mark.parametrize("make", [out_of_vocab_phoneme, other_feature_dim, other_frame_length],
+                         ids=["phoneme-id", "feature-dim", "frame-length"])
+def test_train_corpora_that_do_not_fit_the_model_leave_no_files(tmp_path, capsys, make):
+    corpora, detail = make(tmp_path)
+    out = tmp_path / "run"
+    manifests = [a for c in corpora for a in ("--manifest", c / "manifest.jsonl")]
+    assert run_cli("train", *manifests, "--steps", 2, "--batch-frames", 16, "--out", out) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and detail in err
+
+
+def test_train_schema_is_train_settings():
+    names = {f.name for f in fields(TrainSettings)}
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices["train"]._actions} - {"help"}
+    assert dests == names | {"config", "manifest", "ratios", "out"}
+    assert set(cli._CONFIG_KEYS) == names | {"manifests", "ratios"}
+
+
+def test_parse_config_rejects_preset_key(tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("preset = desk\n")
+    with pytest.raises(cli.CliError, match="unknown config key 'preset'"):
+        parse_config_file(cfg)
+
+
+def test_shipped_configs_parse():
     configs = Path(__file__).parent.parent / "configs"
     desk = parse_config_file(configs / "desk.cfg")
-    assert desk["preset"] == "desk"
-    full = parse_config_file(configs / "fullscale.cfg")
-    assert full["preset"] == "fullscale"
-    assert full["peak_lr"] == 7.5e-5
-    assert full["warmup_steps"] == 20000
-    assert [float(r) for r in full["ratios"].split(",")] == [0.5, 0.4, 0.1]
+    assert TrainSettings(**desk).steps == 2000
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):

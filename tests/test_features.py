@@ -273,3 +273,22 @@ def test_generate_corpus_files_exist_and_load(tmp_path):
         emo = load_feature_matrix(manifest.parent / rec.emo_path)
         assert emo.values.shape == (2, 24)
     assert count == 8
+
+
+@pytest.mark.parametrize(
+    "kind, count, T, extra, message",
+    [
+        ("mixed", -2, 8, {}, "count must be >= 0"),
+        ("mixed", 2, 0, {}, "T must be >= 1"),
+        ("mixed", 2, 8, {"feature_dim": 0}, "feature_dim must be >= 1"),
+        ("mixed", 2, 8, {"n_phonemes": 1}, "n_phonemes must be >= 2"),
+        ("bogus", 2, 8, {}, "unknown corpus kind"),
+    ],
+    ids=["count", "T", "feature-dim", "n-phonemes", "kind"],
+)
+def test_generate_corpus_checks_arguments_before_creating_anything(tmp_path, kind, count, T,
+                                                                   extra, message):
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match=message):
+        generate_corpus(out, kind, count, T, seed=0, **extra)
+    assert not out.exists()

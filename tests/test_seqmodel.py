@@ -539,7 +539,8 @@ def test_adam_update_matches_per_tensor_reference_bitwise(monkeypatch, adam_slic
     ref = {k: v.copy() for k, v in params.items()}
     sched = LrSchedule(peak=3e-3, warmup_steps=2, total_steps=10)
     state = OptimizerState(schedule=sched)
-    ref_state = OptimizerState(schedule=sched, m={}, v={})
+    ref_state = OptimizerState(schedule=sched)
+    ref_state.m, ref_state.v = {}, {}
     for _ in range(4):
         inputs, _ = make_batch(2, 5, SMALL, rng)
         v, cache = model.forward_batch(inputs, params, want_cache=True)
