@@ -28,7 +28,7 @@ from .features import (
     SYNTH_KINDS,
 )
 from .infill import NV_DIM, EMO_DIM
-from .metrics import aggregate_seeds, frame_cosine_sim
+from .metrics import aggregate_seeds, aro_val_sim, frame_cosine_sim
 from .sampler import GuidanceConfig, assemble_prompt, integrate_batch
 from .seqmodel import (
     FIELD_DTYPE,
@@ -72,8 +72,8 @@ def _check_vocab(tokens: np.ndarray, path: str, n_phonemes: int) -> None:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    if out.exists() and any(out.iterdir()) and not args.force:
-        raise CliError(f"output directory {out} is not empty; pass --force to overwrite")
+    if out.exists() and any(out.iterdir()):
+        raise CliError(f"output directory {out} is not empty")
     generate_corpus(
         out,
         args.kind,
@@ -148,10 +148,7 @@ def cmd_train(args) -> int:
         ratios = [float(r) for r in str(ratios_raw).split(",")]
     if len(ratios) != len(manifests):
         raise CliError(f"{len(ratios)} ratios for {len(manifests)} manifests")
-    try:
-        check_ratios(ratios)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    check_ratios(ratios)
 
     # Only the values the config file or a flag sets: TrainSettings holds
     # the defaults.
@@ -215,42 +212,58 @@ def cmd_train(args) -> int:
 # -- sample --------------------------------------------------------------------
 
 
+def _stream(flag: str, path: str, rows: int, frames: int | None = None) -> np.ndarray:
+    """One FMAT prompt stream as float64, checked to have ``rows`` rows.
+
+    A speaker stream also passes ``frames``, the length of its phonemes.
+    """
+    values = load_feature_matrix(path).values
+    if values.shape[0] != rows:
+        raise CliError(f"{flag} {path} has {values.shape[0]} rows, expected {rows}")
+    if frames is not None and values.shape[1] != frames:
+        raise CliError(f"{flag} {path} has {values.shape[1]} frames, --spk-phonemes has {frames}")
+    return values.astype(np.float64)
+
+
+def _tokens(path: str, n_phonemes: int) -> np.ndarray:
+    tokens = load_phonemes(path)
+    _check_vocab(tokens, path, n_phonemes)
+    return tokens
+
+
 def cmd_sample(args) -> int:
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise CliError(f"output directory {out.parent} does not exist")
     ck_path = Path(args.checkpoint)
     model_cfg, params = load_checkpoint(ck_path)
     model = VectorFieldModel(model_cfg)
 
-    text_tokens = load_phonemes(args.text_phonemes)
+    text_tokens = _tokens(args.text_phonemes, model_cfg.n_phonemes)
     t_text = text_tokens.shape[0]
     if t_text < 1:
         raise CliError(f"text phoneme file {args.text_phonemes} is empty")
-    _check_vocab(text_tokens, args.text_phonemes, model_cfg.n_phonemes)
 
     spk_args = (args.spk_features, args.spk_phonemes, args.spk_nv, args.spk_emo)
     if any(spk_args) and not all(spk_args):
         raise CliError(
             "speaker prompt needs all of --spk-features --spk-phonemes --spk-nv --spk-emo"
         )
+    f = model_cfg.feature_dim
     if all(spk_args):
-        spk_feats = load_feature_matrix(args.spk_features).values.astype(np.float64)
-        if spk_feats.shape[0] != model_cfg.feature_dim:
-            raise CliError(
-                f"feature dim mismatch: prompt file has {spk_feats.shape[0]} rows, "
-                f"checkpoint expects {model_cfg.feature_dim}"
-            )
-        spk_tokens = load_phonemes(args.spk_phonemes)
-        _check_vocab(spk_tokens, args.spk_phonemes, model_cfg.n_phonemes)
-        spk_nv = load_feature_matrix(args.spk_nv).values.astype(np.float64)
-        spk_emo = load_feature_matrix(args.spk_emo).values.astype(np.float64)
+        spk_tokens = _tokens(args.spk_phonemes, model_cfg.n_phonemes)
+        t_spk = spk_tokens.shape[0]
+        spk_feats = _stream("--spk-features", args.spk_features, f, t_spk)
+        spk_nv = _stream("--spk-nv", args.spk_nv, NV_DIM, t_spk)
+        spk_emo = _stream("--spk-emo", args.spk_emo, EMO_DIM, t_spk)
     else:
-        f = model_cfg.feature_dim
         spk_feats = np.zeros((f, 0))
         spk_tokens = np.zeros(0, dtype=np.int64)
         spk_nv = np.zeros((NV_DIM, 0))
         spk_emo = np.zeros((EMO_DIM, 0))
 
     if args.nv_prompt:
-        nv_prompt = load_feature_matrix(args.nv_prompt).values.astype(np.float64)
+        nv_prompt = _stream("--nv-prompt", args.nv_prompt, NV_DIM)
     elif args.zero_nv:
         nv_prompt = np.zeros((NV_DIM, t_text))
     else:
@@ -258,7 +271,7 @@ def cmd_sample(args) -> int:
             "no nonverbal stream: pass --nv-prompt <fmat>, or --zero-nv for a zero placeholder"
         )
     if args.emo_prompt:
-        emo_prompt = load_feature_matrix(args.emo_prompt).values.astype(np.float64)
+        emo_prompt = _stream("--emo-prompt", args.emo_prompt, EMO_DIM)
     elif args.zero_emo:
         emo_prompt = np.zeros((EMO_DIM, t_text))
     else:
@@ -278,7 +291,6 @@ def cmd_sample(args) -> int:
     except FloatingPointError as exc:
         raise CliError(f"sampling failed: {exc}") from exc
 
-    out = Path(args.out)
     store_feature_matrix(
         FeatureMatrix(generated.astype(np.float32), model_cfg.frames_per_second), out
     )
@@ -328,16 +340,8 @@ def _load_trajectory(path: str) -> np.ndarray:
     return load_feature_matrix(path).values.astype(np.float64)
 
 
-def cmd_eval_emo_sim(args) -> int:
-    score = frame_cosine_sim(_load_trajectory(args.a), _load_trajectory(args.b))
-    print(f"{score:.6f}")
-    return 0
-
-
-def cmd_eval_aro_val_sim(args) -> int:
-    from .metrics import aro_val_sim
-
-    score = aro_val_sim(_load_trajectory(args.a), _load_trajectory(args.b))
+def cmd_eval_pair(args) -> int:
+    score = args.metric(_load_trajectory(args.a), _load_trajectory(args.b))
     print(f"{score:.6f}")
     return 0
 
@@ -375,10 +379,7 @@ def cmd_eval_report(args) -> int:
         scores_by_seed[seed] = scores
     report = aggregate_seeds(scores_by_seed)
     payload = {
-        "per_pair": report.per_pair,
-        "per_seed_mean": report.per_seed_mean,
-        "mean": report.mean,
-        "std": report.std,
+        **asdict(report),
         "seeds": seeds,
         "pairs_file": str(args.pairs),
         "package_version": __version__,
@@ -404,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.add_argument("--feature-dim", type=int, default=8)
     p.set_defaults(func=cmd_synth)
 
@@ -453,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     e = esub.add_parser("emo-sim", help="cosine-trajectory similarity of two feature files")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
-    e.set_defaults(func=cmd_eval_emo_sim)
+    e.set_defaults(func=cmd_eval_pair, metric=frame_cosine_sim)
     e = esub.add_parser("aro-val-sim", help="arousal/valence trajectory similarity")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
-    e.set_defaults(func=cmd_eval_aro_val_sim)
+    e.set_defaults(func=cmd_eval_pair, metric=aro_val_sim)
     e = esub.add_parser("report", help="score pairs across seeds and aggregate")
     e.add_argument("--pairs", required=True, help="JSONL of {a, b} path templates; '{seed}' is substituted")
     e.add_argument("--seeds", required=True, help="comma-separated seed names")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .infill import BatchInputs, ConditionBundle, TemporalMask, zero_conditions
+from .infill import BatchInputs, ConditionBundle, TemporalMask, build_example, zero_conditions
 
 # A field callable maps stacked model inputs (state x_t (B,F,T), times,
 # condition streams) to velocities of the same shape as the state.
@@ -56,10 +56,8 @@ def interpolate_stream(src: np.ndarray, target_len: int) -> np.ndarray:
         raise ValueError(f"target length must be >= 1, got {target_len}")
     if length == target_len:
         return src.astype(np.float64)
-    if length == 1:
-        return np.repeat(src.astype(np.float64), target_len, axis=1)
-    if target_len == 1:
-        return src[:, :1].astype(np.float64)
+    # np.interp returns a knot's value exactly when a query lands on it, so
+    # one column broadcasts and one query reads column 0.
     xs = np.arange(length, dtype=np.float64)
     xq = np.linspace(0.0, float(length - 1), target_len)
     out = np.empty((d, target_len), dtype=np.float64)
@@ -77,50 +75,29 @@ def assemble_prompt(
     nv_prompt: np.ndarray,
     emo_prompt: np.ndarray,
 ) -> ConditionBundle:
-    """Concatenate reference streams with the text-region streams.
+    """The infilling example of the reference streams followed by the text region.
 
-    ``nv_prompt`` and ``emo_prompt`` are resampled to the text length
-    when their lengths differ from it.  The context is the reference
-    features followed by zeros, and the mask marks the text region: the
-    model generates it.
+    The features are the reference features followed by zeros, the mask
+    marks the text region (the model generates it), and ``nv_prompt``
+    and ``emo_prompt`` are resampled to the text length.  ``build_example``
+    and ``ConditionBundle`` reject streams that do not line up.
     """
     text_phonemes = np.asarray(text_phonemes)
     t_text = text_phonemes.shape[0]
     if t_text < 1:
         raise ValueError("text prompt must contain at least one frame")
-    spk_phonemes = np.asarray(spk_phonemes)
-    t_spk = spk_phonemes.shape[0]
-    f = spk_features.shape[0]
-    if spk_features.shape[1] != t_spk:
-        raise ValueError(
-            f"speaker features length {spk_features.shape[1]} != phoneme length {t_spk}"
-        )
-    for name, arr in (("spk_nv", spk_nv), ("spk_emo", spk_emo)):
-        if arr.shape[1] != t_spk:
-            raise ValueError(f"{name} length {arr.shape[1]} != speaker length {t_spk}")
-
-    nv_text = (
-        nv_prompt.astype(np.float64)
-        if nv_prompt.shape[1] == t_text
-        else interpolate_stream(nv_prompt, t_text)
-    )
-    emo_text = (
-        emo_prompt.astype(np.float64)
-        if emo_prompt.shape[1] == t_text
-        else interpolate_stream(emo_prompt, t_text)
-    )
-
-    context = np.concatenate(
-        [spk_features.astype(np.float64), np.zeros((f, t_text))], axis=1
+    t_spk = np.shape(spk_phonemes)[0]
+    features = np.concatenate(
+        [spk_features, np.zeros((spk_features.shape[0], t_text))], axis=1
     )
     bits = np.zeros(t_spk + t_text, dtype=np.uint8)
     bits[t_spk:] = 1
-    return ConditionBundle(
-        phonemes=np.concatenate([spk_phonemes, text_phonemes]),
-        nv=np.concatenate([spk_nv.astype(np.float64), nv_text], axis=1),
-        emo=np.concatenate([spk_emo.astype(np.float64), emo_text], axis=1),
-        context=context,
-        mask=TemporalMask(bits),
+    return build_example(
+        features,
+        np.concatenate([spk_phonemes, text_phonemes]),
+        np.concatenate([spk_nv, interpolate_stream(nv_prompt, t_text)], axis=1),
+        np.concatenate([spk_emo, interpolate_stream(emo_prompt, t_text)], axis=1),
+        TemporalMask(bits),
     )
 
 

@@ -54,8 +54,8 @@ def test_synth_refuses_nonempty_dir(tmp_path, capsys):
     out.mkdir()
     (out / "junk.txt").write_text("x")
     assert run_cli("synth", "--count", 1, "--out", out) == 1
-    assert "--force" in capsys.readouterr().err
-    assert run_cli("synth", "--count", 1, "--out", out, "--force") == 0
+    assert "not empty" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["junk.txt"]
 
 
 @pytest.mark.parametrize("flag, value", [("--count", -2), ("--frames", 0), ("--feature-dim", 0)])
@@ -87,7 +87,7 @@ def test_synth_manifest_references_existing_files(tmp_path):
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert run_cli("synth", "--kind", "mixed", "--count", 12, "--frames", 24,
-                   "--seed", 11, "--out", out, "--force") == 0
+                   "--seed", 11, "--out", out) == 0
     return out
 
 
@@ -440,6 +440,63 @@ def test_sample_dim_mismatch_names_both_dims(tmp_path, corpus_dir, trained_run, 
     ) == 1
     err = capsys.readouterr().err
     assert "4" in err and "8" in err
+
+
+@pytest.mark.parametrize("flag, shape, message", [
+    ("--spk-nv", (16, 24), "16 rows, expected 32"),
+    ("--spk-emo", (16, 24), "16 rows, expected 2"),
+    ("--nv-prompt", (16, 24), "16 rows, expected 32"),
+    ("--emo-prompt", (16, 24), "16 rows, expected 2"),
+    ("--spk-features", (8, 20), "20 frames, --spk-phonemes has 24"),
+    ("--spk-nv", (32, 20), "20 frames, --spk-phonemes has 24"),
+    ("--spk-emo", (2, 20), "20 frames, --spk-phonemes has 24"),
+], ids=["spk-nv-rows", "spk-emo-rows", "nv-prompt-rows", "emo-prompt-rows",
+        "spk-features-frames", "spk-nv-frames", "spk-emo-frames"])
+def test_sample_misshapen_stream_names_flag_and_file(tmp_path, corpus_dir, trained_run, capsys,
+                                                     flag, shape, message):
+    bad = tmp_path / "bad.fmat"
+    store_feature_matrix(FeatureMatrix(np.zeros(shape, dtype=np.float32), 50.0), bad)
+    streams = {
+        "--spk-features": corpus_dir / "mixed_00000.fmat",
+        "--spk-phonemes": corpus_dir / "mixed_00000.phn",
+        "--spk-nv": corpus_dir / "mixed_00000.nv.fmat",
+        "--spk-emo": corpus_dir / "mixed_00000.emo.fmat",
+        "--nv-prompt": corpus_dir / "mixed_00001.nv.fmat",
+        "--emo-prompt": corpus_dir / "mixed_00001.emo.fmat",
+        flag: bad,
+    }
+    out = tmp_path / "x.fmat"
+    assert run_cli(
+        "sample", "--checkpoint", trained_run / "checkpoint.fmck",
+        "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        *[a for kv in streams.items() for a in kv], "--out", out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err and str(bad) in err and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.fmat"]
+
+
+def test_sample_missing_output_dir_fails_before_integrating(tmp_path, corpus_dir, trained_run,
+                                                            capsys, monkeypatch):
+    calls = {"n": 0}
+    integrate = cli.integrate_batch
+
+    def counting(*args):
+        calls["n"] += 1
+        return integrate(*args)
+
+    monkeypatch.setattr(cli, "integrate_batch", counting)
+    assert run_cli(
+        "sample", "--checkpoint", trained_run / "checkpoint.fmck",
+        "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        "--zero-nv", "--zero-emo", "--nfe", 2, "--out", tmp_path / "nodir" / "g.fmat",
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "output directory" in err and "does not exist" in err
+    assert calls["n"] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_out_of_vocab_phoneme_rejected(tmp_path, corpus_dir, trained_run, capsys):

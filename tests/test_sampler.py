@@ -51,11 +51,23 @@ def test_interpolate_constant_rows_preserved():
     src = np.full((3, 4), 2.5)
     for t in (1, 2, 5, 9):
         assert np.array_equal(interpolate_stream(src, t), np.full((3, t), 2.5))
+    # A single query reads column 0 bitwise, whatever the rest of the row holds.
+    for src in (
+        np.random.default_rng(2).standard_normal((3, 4)),
+        np.array([[1.0, np.inf, 2.0], [-0.0, 5.0, np.nan]], dtype=np.float32),
+    ):
+        out = interpolate_stream(src, 1)
+        assert out.dtype == np.float64
+        assert out.tobytes() == src[:, :1].astype(np.float64).tobytes()
 
 
 def test_interpolate_single_column_broadcast():
     out = interpolate_stream(np.array([[3.0], [-1.0]]), 5)
     assert np.array_equal(out, np.array([[3.0] * 5, [-1.0] * 5]))
+    src = np.array([[3.0], [-0.0], [np.inf], [np.nan]], dtype=np.float32)
+    for t in (2, 5, 9):
+        out = interpolate_stream(src, t)
+        assert out.tobytes() == np.repeat(src.astype(np.float64), t, 1).tobytes()
 
 
 def test_interpolate_endpoints_exhaustive_small():
@@ -121,6 +133,56 @@ def test_assemble_prompt_interpolates_short_streams():
     )
     assert p.nv.shape == (32, 7)
     assert p.emo.shape == (2, 7)
+
+
+def test_assemble_prompt_is_the_infill_example():
+    # Speaker columns carry the reference streams bitwise (float32 inputs
+    # promote exactly); text columns hold zero context and the prompts
+    # resampled by interpolate_stream.
+    rng = np.random.default_rng(12)
+    spk_features = rng.standard_normal((3, 4)).astype(np.float32)
+    spk_nv = rng.standard_normal((32, 4)).astype(np.float32)
+    spk_emo = rng.uniform(-0.5, 0.5, (2, 4)).astype(np.float32)
+    nv_prompt = rng.standard_normal((32, 3))
+    emo_prompt = rng.uniform(-0.5, 0.5, (2, 9)).astype(np.float32)
+    p = assemble_prompt(
+        spk_features=spk_features,
+        spk_phonemes=rng.integers(1, 5, 4),
+        spk_nv=spk_nv,
+        spk_emo=spk_emo,
+        text_phonemes=rng.integers(1, 5, 6),
+        nv_prompt=nv_prompt,
+        emo_prompt=emo_prompt,
+    )
+    for got, want in (
+        (p.context[:, :4], spk_features.astype(np.float64)),
+        (p.context[:, 4:], np.zeros((3, 6))),
+        (p.nv[:, :4], spk_nv.astype(np.float64)),
+        (p.nv[:, 4:], interpolate_stream(nv_prompt, 6)),
+        (p.emo[:, :4], spk_emo.astype(np.float64)),
+        (p.emo[:, 4:], interpolate_stream(emo_prompt, 6)),
+    ):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stream", ["spk_features", "spk_nv", "spk_emo"])
+def test_assemble_prompt_rejects_misaligned_speaker_stream(stream):
+    rng = np.random.default_rng(13)
+    streams = {
+        "spk_features": rng.standard_normal((3, 4)),
+        "spk_nv": rng.standard_normal((32, 4)),
+        "spk_emo": rng.uniform(-0.5, 0.5, (2, 4)),
+    }
+    streams[stream] = streams[stream][:, :3]
+    with pytest.raises(ValueError):
+        assemble_prompt(
+            spk_phonemes=rng.integers(1, 5, 4),
+            text_phonemes=rng.integers(1, 5, 6),
+            nv_prompt=rng.standard_normal((32, 6)),
+            emo_prompt=rng.uniform(-0.5, 0.5, (2, 6)),
+            **streams,
+        )
 
 
 def test_assemble_empty_text_rejected():
