@@ -13,7 +13,6 @@ from flowcond import (
     LrSchedule,
     ModelConfig,
     OptimizerState,
-    TemporalMask,
     VectorFieldModel,
     init_params,
     integrate_batch,
@@ -61,7 +60,7 @@ prompt = ConditionBundle(
     nv=np.zeros((32, 1)),
     emo=np.zeros((2, 1)),
     context=np.zeros((2, 1)),
-    mask=TemporalMask(np.ones(1)),
+    mask=np.ones(1),
 )
 samples = integrate_batch(
     make_field_fn(model, params),

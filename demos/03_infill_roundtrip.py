@@ -45,8 +45,8 @@ print(f"  loss {history[0][1]:.3f} -> {history[-1][1]:.3f} over {len(history)} s
 
 held = make_examples(1, seed=99)[0]
 mask = sample_mask(T, rng, (0.5, 0.5))
-bits = mask.bits.astype(bool)
-start, end = int(np.argmax(bits)), int(np.argmax(bits)) + int(bits.sum())
+start = int(np.argmax(mask))
+end = start + int(mask.sum())
 prompt = build_example(held.features, held.phonemes, held.nv, held.emo, mask)
 out = integrate_batch(
     make_field_fn(VectorFieldModel(cfg), params),

@@ -21,7 +21,6 @@ from .fm_core import (
     make_flow_sample,
 )
 from .infill import (
-    TemporalMask,
     ConditionBundle,
     BatchInputs,
     sample_mask,

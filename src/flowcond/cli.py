@@ -58,6 +58,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _check_output_file(path: Path) -> None:
+    """Reject an output path that cannot be written as a file, before any work."""
+    if not path.parent.is_dir():
+        raise CliError(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise CliError(f"output path {path} is a directory")
+
+
 def _check_vocab(tokens: np.ndarray, path: str, n_phonemes: int) -> None:
     bad = tokens[(tokens < 0) | (tokens >= n_phonemes)]
     if bad.size:
@@ -233,8 +241,7 @@ def _tokens(path: str, n_phonemes: int) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     out = Path(args.out)
-    if not out.parent.is_dir():
-        raise CliError(f"output directory {out.parent} does not exist")
+    _check_output_file(out)
     ck_path = Path(args.checkpoint)
     model_cfg, params = load_checkpoint(ck_path)
     model = VectorFieldModel(model_cfg)
@@ -321,12 +328,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_curate(args) -> int:
+    if args.report:
+        _check_output_file(Path(args.report))
     report = run_pipeline(args.inp, args.out, args.ovlr_min)
     if args.report:
-        payload = report.to_dict()
-        payload["command"] = "curate"
-        payload["args"] = {"in": str(args.inp), "out": str(args.out), "ovlr_min": args.ovlr_min}
-        payload["package_version"] = __version__
+        payload = {
+            **asdict(report),
+            "command": "curate",
+            "args": {"in": str(args.inp), "out": str(args.out), "ovlr_min": args.ovlr_min},
+            "package_version": __version__,
+        }
         Path(args.report).write_text(json.dumps(payload, sort_keys=True) + "\n")
     print(
         f"retained {report.retained}/{report.total} "

@@ -36,15 +36,6 @@ class CurationReport:
     def total(self) -> int:
         return self.emotion_gate + self.quality_gate + self.speaker_gate + self.retained
 
-    def to_dict(self) -> dict:
-        return {
-            "emotion_gate": self.emotion_gate,
-            "quality_gate": self.quality_gate,
-            "speaker_gate": self.speaker_gate,
-            "retained": self.retained,
-            "retained_by_emotion": dict(sorted(self.retained_by_emotion.items())),
-        }
-
 
 def emotion_gate(label: str, confidence: float) -> bool:
     """Keep the high-signal emotion classes at any confidence; the two

@@ -23,45 +23,21 @@ BLANK_TOKEN = 0
 
 
 @dataclass
-class TemporalMask:
-    """Binary per-frame mask, broadcast over the feature axis."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1:
-            raise ValueError(f"mask must be 1-d, got shape {self.bits.shape}")
-        if self.bits.size and self.bits.max() > 1:
-            raise ValueError("mask bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def as_row(self) -> np.ndarray:
-        """Mask as a float64 1 x T row for elementwise broadcasting."""
-        return self.bits.astype(np.float64)[np.newaxis, :]
-
-
-@dataclass
 class ConditionBundle:
     """Frame-aligned condition streams plus the visible context.
 
     ``phonemes`` holds integer token ids of length T; ``nv`` is the
     32 x T nonverbal-vocalization embedding stream; ``emo`` the 2 x T
     arousal/valence stream centered in [-0.5, 0.5]; ``context`` is the
-    feature matrix with the masked span zeroed.
+    feature matrix with the masked span zeroed; ``mask`` is the (T,)
+    uint8 0/1 array whose 1s mark the frames to generate.
     """
 
     phonemes: np.ndarray
     nv: np.ndarray
     emo: np.ndarray
     context: np.ndarray
-    mask: TemporalMask
+    mask: np.ndarray
 
     def __post_init__(self):
         self.phonemes = np.asarray(self.phonemes)
@@ -77,8 +53,11 @@ class ConditionBundle:
             raise ValueError(
                 f"context must be F x {t}, got shape {self.context.shape}"
             )
-        if len(self.mask) != t:
-            raise ValueError(f"mask length {len(self.mask)} != stream length {t}")
+        self.mask = np.asarray(self.mask, dtype=np.uint8)
+        if self.mask.shape != (t,):
+            raise ValueError(f"mask must have shape ({t},), got {self.mask.shape}")
+        if t and self.mask.max() > 1:
+            raise ValueError("mask bits must be 0 or 1")
         if self.emo.size and (self.emo.min() < -0.5 or self.emo.max() > 0.5):
             raise ValueError("emo values must lie in [-0.5, 0.5]")
 
@@ -117,18 +96,18 @@ class BatchInputs:
             nv=np.stack([np.asarray(c.nv, dtype=np.float64) for c in conds]),
             emo=np.stack([np.asarray(c.emo, dtype=np.float64) for c in conds]),
             context=np.stack([np.asarray(c.context, dtype=np.float64) for c in conds]),
-            mask_bits=np.stack([c.mask.bits for c in conds]).astype(np.float64),
+            mask_bits=np.stack([c.mask for c in conds]).astype(np.float64),
         )
 
 
 def sample_mask(
     T: int, rng: np.random.Generator, ratio_range: tuple[float, float] = (0.7, 1.0)
-) -> TemporalMask:
+) -> np.ndarray:
     """Sample one contiguous masked span covering round(r*T) frames.
 
     r is uniform on ``ratio_range`` and the span start is uniform among
     valid offsets.  The span is clamped to at least one frame so the
-    mask is always usable for training.
+    mask is always usable for training.  Returns a (T,) uint8 0/1 array.
     """
     lo, hi = ratio_range
     if not 0.0 < lo <= hi <= 1.0:
@@ -141,7 +120,7 @@ def sample_mask(
     start = int(rng.integers(0, T - span + 1))
     bits = np.zeros(T, dtype=np.uint8)
     bits[start : start + span] = 1
-    return TemporalMask(bits)
+    return bits
 
 
 def build_example(
@@ -149,21 +128,22 @@ def build_example(
     phonemes: np.ndarray,
     nv: np.ndarray,
     emo: np.ndarray,
-    mask: TemporalMask,
+    mask: np.ndarray,
 ) -> ConditionBundle:
     """Condition bundle whose visible context hides the masked span.
 
     context = (1 - m) * features: frames under the mask are zero and
     every other frame is copied from ``features`` unchanged.
     """
-    if mask.count == 0:
+    mask = np.asarray(mask)
+    if not mask.any():
         raise ValueError("training mask must select at least one frame")
-    T = len(mask)
-    if features.ndim != 2 or features.shape[1] != T:
+    if features.ndim != 2 or features.shape[1:] != mask.shape:
         raise ValueError(
-            f"features must be F x {T}, got shape {features.shape}"
+            f"features must be F x T for a mask of shape {mask.shape}, "
+            f"got shape {features.shape}"
         )
-    context = (1.0 - mask.as_row()) * features
+    context = (1.0 - mask.astype(np.float64)) * features
     return ConditionBundle(phonemes=phonemes, nv=nv, emo=emo, context=context, mask=mask)
 
 

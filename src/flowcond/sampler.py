@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .infill import BatchInputs, ConditionBundle, TemporalMask, build_example, zero_conditions
+from .infill import BatchInputs, ConditionBundle, build_example, zero_conditions
 
 # A field callable maps stacked model inputs (state x_t (B,F,T), times,
 # condition streams) to velocities of the same shape as the state.
@@ -97,7 +97,7 @@ def assemble_prompt(
         np.concatenate([spk_phonemes, text_phonemes]),
         np.concatenate([spk_nv, interpolate_stream(nv_prompt, t_text)], axis=1),
         np.concatenate([spk_emo, interpolate_stream(emo_prompt, t_text)], axis=1),
-        TemporalMask(bits),
+        bits,
     )
 
 

@@ -19,7 +19,6 @@ from flowcond import (
     ModelConfig,
     OptimizerState,
     PathConfig,
-    TemporalMask,
     VectorFieldModel,
     apply_condition_dropout,
     assemble_prompt,
@@ -75,7 +74,7 @@ def blank_prompt(f, t):
         nv=np.zeros((32, t)),
         emo=np.zeros((2, t)),
         context=np.zeros((f, t)),
-        mask=TemporalMask(np.ones(t, dtype=np.uint8)),
+        mask=np.ones(t, dtype=np.uint8),
     )
 
 
@@ -193,7 +192,7 @@ def test_criterion_2_gradient_correctness():
                 nv=rng.standard_normal((32, T)) * 0.3,
                 emo=rng.uniform(-0.5, 0.5, (2, T)),
                 context=rng.standard_normal((3, T)),
-                mask=TemporalMask(bits),
+                mask=bits,
             )
         )
     inputs = BatchInputs.from_examples(
@@ -338,9 +337,8 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
     prompts, truths, spans = [], [], []
     for feats, phn, nv, emo in held:
         mask = sample_mask(T_FRAMES, rng, (0.5, 0.5))
-        bits = mask.bits.astype(bool)
-        start = int(np.argmax(bits))
-        end = start + int(bits.sum())
+        start = int(np.argmax(mask))
+        end = start + int(mask.sum())
         prompts.append(build_example(feats, phn, nv, emo, mask))
         truths.append(feats)
         spans.append((start, end))

@@ -477,8 +477,14 @@ def test_sample_misshapen_stream_names_flag_and_file(tmp_path, corpus_dir, train
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.fmat"]
 
 
+@pytest.mark.parametrize("out_name, messages", [
+    ("nodir/g.fmat", ("output directory", "does not exist")),
+    ("existing", ("is a directory",)),
+], ids=["missing-parent", "directory"])
 def test_sample_missing_output_dir_fails_before_integrating(tmp_path, corpus_dir, trained_run,
-                                                            capsys, monkeypatch):
+                                                            capsys, monkeypatch, out_name,
+                                                            messages):
+    (tmp_path / "existing").mkdir()
     calls = {"n": 0}
     integrate = cli.integrate_batch
 
@@ -490,13 +496,13 @@ def test_sample_missing_output_dir_fails_before_integrating(tmp_path, corpus_dir
     assert run_cli(
         "sample", "--checkpoint", trained_run / "checkpoint.fmck",
         "--text-phonemes", corpus_dir / "mixed_00001.phn",
-        "--zero-nv", "--zero-emo", "--nfe", 2, "--out", tmp_path / "nodir" / "g.fmat",
+        "--zero-nv", "--zero-emo", "--nfe", 2, "--out", tmp_path / out_name,
     ) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "output directory" in err and "does not exist" in err
+    assert all(m in err for m in messages)
     assert calls["n"] == 0
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("existing")]
 
 
 def test_sample_out_of_vocab_phoneme_rejected(tmp_path, corpus_dir, trained_run, capsys):
@@ -619,6 +625,20 @@ def test_curate_non_finite_ovlr_min_rejected(tmp_path, corpus_dir, capsys, ovlr_
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "ovlr_min" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("report_name, message", [
+    ("nodir/r.json", "does not exist"),
+    ("existing", "is a directory"),
+], ids=["missing-parent", "directory"])
+def test_curate_bad_report_path_writes_nothing(tmp_path, corpus_dir, capsys, report_name,
+                                               message):
+    (tmp_path / "existing").mkdir()
+    assert run_cli("curate", "--in", corpus_dir / "manifest.jsonl",
+                   "--out", tmp_path / "o.jsonl", "--report", tmp_path / report_name) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("existing")]
 
 
 def test_eval_nan_file_is_one_line_error(tmp_path, corpus_dir, capsys):

@@ -4,7 +4,6 @@ import pytest
 from flowcond import (
     BLANK_TOKEN,
     ConditionBundle,
-    TemporalMask,
     apply_condition_dropout,
     build_example,
     sample_mask,
@@ -21,7 +20,7 @@ def make_bundle(T=6, F=4, rng=None):
         nv=rng.standard_normal((32, T)),
         emo=rng.uniform(-0.5, 0.5, (2, T)),
         context=rng.standard_normal((F, T)),
-        mask=TemporalMask(bits),
+        mask=bits,
     )
 
 
@@ -36,28 +35,48 @@ def all_contiguous_masks(T):
     return out
 
 
+def bundle_with_mask(mask, T=3):
+    return ConditionBundle(
+        phonemes=np.ones(T, dtype=np.int64),
+        nv=np.zeros((32, T)),
+        emo=np.zeros((2, T)),
+        context=np.zeros((4, T)),
+        mask=mask,
+    )
+
+
 def test_mask_validation():
     with pytest.raises(ValueError):
-        TemporalMask(np.array([0, 2, 1]))
+        bundle_with_mask(np.array([0, 2, 1]))
     with pytest.raises(ValueError):
-        TemporalMask(np.zeros((2, 3)))
+        bundle_with_mask(np.zeros((2, 3)))
 
 
 def test_mask_validation_after_uint8_cast():
-    # Bits are cast to uint8 before the check: -1 wraps to 255 and is
+    # The mask is cast to uint8 before the check: -1 wraps to 255 and is
     # rejected; floats truncate, so 2.0 is rejected and 0.0/1.0 pass.
     with pytest.raises(ValueError, match="0 or 1"):
-        TemporalMask(np.array([0, -1, 1]))
+        bundle_with_mask(np.array([0, -1, 1]))
     with pytest.raises(ValueError, match="0 or 1"):
-        TemporalMask(np.array([0.0, 2.0, 1.0]))
-    mask = TemporalMask(np.array([1.0, 0.0, 1.0]))
-    assert mask.bits.dtype == np.uint8 and mask.bits.tolist() == [1, 0, 1]
-    assert len(TemporalMask(np.zeros(0, dtype=np.int64))) == 0
+        bundle_with_mask(np.array([0.0, 2.0, 1.0]))
+    mask = bundle_with_mask(np.array([1.0, 0.0, 1.0])).mask
+    assert mask.dtype == np.uint8 and mask.tolist() == [1, 0, 1]
+    empty = np.zeros(0, dtype=np.int64)
+    assert bundle_with_mask(empty, T=0).mask.shape == (0,)
+    # A bundle may be empty, but a training example must hide a frame.
+    with pytest.raises(ValueError, match="at least one frame"):
+        build_example(np.zeros((4, 0)), empty, np.zeros((32, 0)), np.zeros((2, 0)), empty)
+
+
+def test_sample_mask_is_a_uint8_array():
+    mask = sample_mask(7, np.random.default_rng(0))
+    assert isinstance(mask, np.ndarray)
+    assert mask.shape == (7,) and mask.dtype == np.uint8
 
 
 def test_sample_mask_full_ratio():
     mask = sample_mask(9, np.random.default_rng(0), ratio_range=(1.0, 1.0))
-    assert mask.count == 9
+    assert mask.sum() == 9
 
 
 def test_sample_mask_half_ratio_span_and_contiguity():
@@ -65,14 +84,14 @@ def test_sample_mask_half_ratio_span_and_contiguity():
     legal = all_contiguous_masks(10)
     for seed in range(50):
         mask = sample_mask(10, np.random.default_rng(seed), ratio_range=(0.5, 0.5))
-        assert mask.count == 5
-        assert mask.bits.tobytes() in legal
+        assert mask.sum() == 5
+        assert mask.tobytes() in legal
 
 
 def test_sample_mask_deterministic():
     a = sample_mask(20, np.random.default_rng(5))
     b = sample_mask(20, np.random.default_rng(5))
-    assert np.array_equal(a.bits, b.bits)
+    assert np.array_equal(a, b)
 
 
 def test_sample_mask_domain():
@@ -89,8 +108,8 @@ def test_sample_mask_contiguous_exhaustive_small_T():
         rng = np.random.default_rng(T)
         for _ in range(200):
             mask = sample_mask(T, rng, ratio_range=(0.1, 1.0))
-            assert mask.bits.tobytes() in legal
-            assert mask.count >= 1
+            assert mask.tobytes() in legal
+            assert mask.sum() >= 1
 
 
 def test_build_example_full_mask():
@@ -102,7 +121,7 @@ def test_build_example_full_mask():
         rng.integers(0, 4, T),
         rng.standard_normal((32, T)),
         rng.uniform(-0.5, 0.5, (2, T)),
-        TemporalMask(np.ones(T, dtype=np.uint8)),
+        np.ones(T, dtype=np.uint8),
     )
     assert cond.context.shape == feats.shape
     assert np.all(cond.context == 0.0)
@@ -116,7 +135,7 @@ def test_build_example_rejects_empty_mask():
             rng.integers(0, 4, 4),
             rng.standard_normal((32, 4)),
             rng.uniform(-0.5, 0.5, (2, 4)),
-            TemporalMask(np.zeros(4, dtype=np.uint8)),
+            np.zeros(4, dtype=np.uint8),
         )
 
 
@@ -134,7 +153,7 @@ def test_reconstruction_identity():
             mask,
         )
         # each element is either zeroed under the mask or copied exactly
-        hidden = mask.bits == 1
+        hidden = mask == 1
         assert np.all(cond.context[:, hidden] == 0.0)
         assert np.array_equal(cond.context[:, ~hidden], feats[:, ~hidden])
 
@@ -147,7 +166,7 @@ def test_bundle_length_mismatch():
             nv=rng.standard_normal((32, 6)),
             emo=rng.uniform(-0.5, 0.5, (2, 5)),
             context=rng.standard_normal((3, 5)),
-            mask=TemporalMask(np.ones(5, dtype=np.uint8)),
+            mask=np.ones(5, dtype=np.uint8),
         )
 
 
@@ -159,7 +178,7 @@ def test_bundle_emo_range():
             nv=rng.standard_normal((32, 5)),
             emo=np.full((2, 5), 0.7),
             context=rng.standard_normal((3, 5)),
-            mask=TemporalMask(np.ones(5, dtype=np.uint8)),
+            mask=np.ones(5, dtype=np.uint8),
         )
 
 
@@ -176,7 +195,7 @@ def test_dropout_always_at_one():
     assert np.all(out.nv == 0.0)
     assert np.all(out.emo == 0.0)
     assert np.all(out.phonemes == BLANK_TOKEN)
-    assert np.array_equal(out.mask.bits, cond.mask.bits)
+    assert np.array_equal(out.mask, cond.mask)
 
 
 def test_dropout_rate_concentration():
@@ -207,5 +226,5 @@ def test_dropout_all_or_nothing():
 def test_zero_conditions_preserves_mask():
     cond = make_bundle()
     z = zero_conditions(cond)
-    assert np.array_equal(z.mask.bits, cond.mask.bits)
+    assert np.array_equal(z.mask, cond.mask)
     assert np.all(z.context == 0.0) and np.all(z.emo == 0.0)

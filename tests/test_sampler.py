@@ -7,7 +7,6 @@ from flowcond import (
     GuidanceConfig,
     ModelConfig,
     PathConfig,
-    TemporalMask,
     VectorFieldModel,
     assemble_prompt,
     conditional_vector_field,
@@ -96,13 +95,13 @@ def test_assemble_lengths_and_region():
     p = make_prompt(t_spk=4, t_text=6)
     assert isinstance(p, ConditionBundle)
     assert p.length == 10
-    assert np.array_equal(p.mask.bits, [0] * 4 + [1] * 6)
+    assert np.array_equal(p.mask, [0] * 4 + [1] * 6)
     assert p.context.shape == (3, 10)
 
 
 def test_assemble_text_features_zero():
     p = make_prompt()
-    assert np.all(p.context[:, p.mask.bits == 1] == 0.0)
+    assert np.all(p.context[:, p.mask == 1] == 0.0)
 
 
 def test_assemble_prompt_streams_pass_through_when_aligned():
@@ -206,7 +205,7 @@ def blank_bundle(bits, context):
         nv=np.zeros((32, t)),
         emo=np.zeros((2, t)),
         context=context,
-        mask=TemporalMask(np.asarray(bits)),
+        mask=bits,
     )
 
 
@@ -246,7 +245,7 @@ def test_empty_speaker_prompt_allowed():
         nv_prompt=np.zeros((32, 4)),
         emo_prompt=np.zeros((2, 4)),
     )
-    assert np.array_equal(p.mask.bits, [1, 1, 1, 1])
+    assert np.array_equal(p.mask, [1, 1, 1, 1])
 
 
 # -- guided_field ------------------------------------------------------------

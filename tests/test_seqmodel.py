@@ -12,7 +12,6 @@ from flowcond import (
     ModelConfig,
     OptimizerState,
     PathConfig,
-    TemporalMask,
     TrainingDivergedError,
     VectorFieldModel,
     embed_phonemes,
@@ -44,7 +43,7 @@ def make_cond(T, F, rng, cfg=SMALL):
         nv=rng.standard_normal((32, T)) * 0.3,
         emo=rng.uniform(-0.5, 0.5, (2, T)),
         context=rng.standard_normal((F, T)),
-        mask=TemporalMask(bits),
+        mask=bits,
     )
 
 
@@ -181,7 +180,7 @@ def test_forward_permutation_equivariant_without_positions():
         nv=cond.nv[:, perm],
         emo=cond.emo[:, perm],
         context=cond.context[:, perm],
-        mask=TemporalMask(cond.mask.bits[perm]),
+        mask=cond.mask[perm],
     )
     out_p = forward_one(model, x_t[:, perm], 0.3, cond_p, params)
     assert np.allclose(out_p, out[:, perm], atol=1e-12)
