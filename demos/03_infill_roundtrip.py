@@ -17,7 +17,7 @@ from flowcond import (
     VectorFieldModel,
 )
 from flowcond.features import synth_condition_oracle, synth_phonemes
-from flowcond.training import LoadedExample, TrainSettings, train_loop
+from flowcond.training import Corpus, TrainSettings, train_loop
 
 import numpy as np
 
@@ -27,12 +27,12 @@ rng = np.random.default_rng(7)
 
 def make_examples(n, seed):
     streams = np.random.SeedSequence(seed).spawn(n)
-    out = []
+    records = []
     for s in streams:
         r = np.random.default_rng(s)
         emo, nv, feats = synth_condition_oracle("sinusoid", T, r, feature_dim=F)
-        out.append(LoadedExample(feats, synth_phonemes(T, r), nv, emo))
-    return out
+        records.append((feats, synth_phonemes(T, r), nv, emo))
+    return Corpus(*(np.stack(stream) for stream in zip(*records)))
 
 
 corpus = make_examples(150, seed=0)
@@ -44,7 +44,7 @@ params, history, _ = train_loop(cfg, [corpus], [1.0], settings)
 print(f"  loss {history[0][1]:.3f} -> {history[-1][1]:.3f} over {len(history)} steps")
 
 held = make_examples(1, seed=99)[0]
-mask = sample_mask(T, rng, (0.5, 0.5))
+mask = sample_mask(1, T, rng, (0.5, 0.5))[0]
 start = int(np.argmax(mask))
 end = start + int(mask.sum())
 prompt = build_example(held.features, held.phonemes, held.nv, held.emo, mask)

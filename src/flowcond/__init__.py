@@ -12,20 +12,16 @@ from . import _thread_env  # noqa: F401  (must precede numpy-importing modules)
 
 from .fm_core import (
     PathConfig,
-    FlowSample,
-    sample_time,
     path_mean_std,
     sample_conditional_path,
     conditional_vector_field,
     on_path_field,
-    make_flow_sample,
 )
 from .infill import (
     ConditionBundle,
     BatchInputs,
     sample_mask,
     build_example,
-    apply_condition_dropout,
     zero_conditions,
     BLANK_TOKEN,
 )

@@ -38,7 +38,7 @@ from .seqmodel import (
     load_checkpoint,
     make_field_fn,
 )
-from .training import TrainSettings, check_ratios, load_corpus, train_loop
+from .training import TrainSettings, check_corpora, load_corpus, train_loop
 
 
 class CliError(Exception):
@@ -154,9 +154,6 @@ def cmd_train(args) -> int:
         ratios = [1.0 / len(manifests)] * len(manifests)
     else:
         ratios = [float(r) for r in str(ratios_raw).split(",")]
-    if len(ratios) != len(manifests):
-        raise CliError(f"{len(ratios)} ratios for {len(manifests)} manifests")
-    check_ratios(ratios)
 
     # Only the values the config file or a flag sets: TrainSettings holds
     # the defaults.
@@ -164,24 +161,15 @@ def cmd_train(args) -> int:
     values = {k: pick(getattr(args, k), k, None) for k in names}
     settings = TrainSettings(**{k: v for k, v in values.items() if v is not None})
 
-    # Every record must stack into one batch shape and fit the model's
+    # Every corpus must stack into one batch shape and fit the model's
     # vocabulary; check both before anything is written.
     desk = PRESETS["desk"]
     corpora = [load_corpus(m) for m in manifests]
-    shapes: dict[tuple[int, int], str] = {}
+    feature_dim, _ = check_corpora(corpora, ratios)
     for manifest, corpus in zip(manifests, corpora):
-        if not corpus:
-            raise CliError(f"manifest {manifest} contains no records")
         for i, ex in enumerate(corpus, start=1):
-            where = f"{manifest} record {i}"
-            shapes.setdefault(ex.features.shape, where)
-            _check_vocab(ex.phonemes, where, desk.n_phonemes)
-    if len(shapes) > 1:
-        raise CliError(
-            "records disagree in feature shape (F x T): "
-            + ", ".join(f"{f} x {t} in {where}" for (f, t), where in shapes.items())
-        )
-    model_cfg = replace(desk, feature_dim=corpora[0][0].features.shape[0])
+            _check_vocab(ex.phonemes, f"{manifest} record {i}", desk.n_phonemes)
+    model_cfg = replace(desk, feature_dim=feature_dim)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,6 +346,7 @@ def cmd_eval_pair(args) -> int:
 
 
 def cmd_eval_report(args) -> int:
+    _check_output_file(Path(args.out))
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise CliError("--seeds must name at least one seed")

@@ -1,8 +1,9 @@
 """Closed-form conditional flow-matching math.
 
-Everything here is exact, double-precision math on F x T frame matrices:
-the affine probability path from a standard-normal prior draw to a data
-sample and the target vector field along that path.  The masked
+Everything here is exact, double-precision math on F x T frame matrices,
+or on (B, F, T) batches of them with one time per row: the affine
+probability path from a standard-normal prior draw to a data sample and
+the target vector field along that path.  The masked
 regression loss that trains a parametric field against this target is
 ``seqmodel.masked_batch_loss_grad``.
 """
@@ -33,51 +34,26 @@ class PathConfig:
             raise ValueError(f"sigma_min must be in [0, 1), got {self.sigma_min}")
 
 
-@dataclass
-class FlowSample:
-    """One training tuple drawn from the conditional path.
-
-    All matrices share shape F x T.  ``u_target`` is the regression
-    target for the learned field at (x_t, t).
-    """
-
-    x_t: np.ndarray
-    t: float
-    u_target: np.ndarray
-    x0: np.ndarray
-    x1: np.ndarray
-
-    def __post_init__(self):
-        shapes = {self.x_t.shape, self.u_target.shape, self.x0.shape, self.x1.shape}
-        if len(shapes) != 1:
-            raise ValueError(f"flow sample matrices disagree in shape: {shapes}")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must be in [0, 1], got {self.t}")
-
-
-def sample_time(rng: np.random.Generator) -> float:
-    """Draw the path time t uniformly from [0, 1]."""
-    return float(rng.uniform(0.0, 1.0))
-
-
-def path_mean_std(t: float, cfg: PathConfig) -> tuple[float, float]:
+def path_mean_std(t, cfg: PathConfig) -> tuple:
     """Mean coefficient and standard deviation of the path at time t.
 
     The path is Gaussian around t*x1 with std 1 - (1 - sigma_min)*t, so
     it starts at the prior (mean 0, std 1) and contracts linearly onto
-    the data up to the residual sigma_min.
+    the data up to the residual sigma_min.  ``t`` is a float or an array
+    of times, and the result has its type and shape.
     """
-    if not 0.0 <= t <= 1.0:
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"t must be in [0, 1], got {t}")
     return t, 1.0 - (1.0 - cfg.sigma_min) * t
 
 
 def sample_conditional_path(
-    x1: np.ndarray, t: float, x0: np.ndarray, cfg: PathConfig
+    x1: np.ndarray, t, x0: np.ndarray, cfg: PathConfig
 ) -> np.ndarray:
     """Point on the path at time t for prior draw x0 and data x1.
 
-    x_t = t*x1 + (1 - (1 - sigma_min)*t) * x0, elementwise.
+    x_t = t*x1 + (1 - (1 - sigma_min)*t) * x0, elementwise.  For a
+    (B, F, T) batch, ``t`` has shape (B, 1, 1): one time per row.
     """
     if x0.shape != x1.shape:
         raise ValueError(f"x0 shape {x0.shape} != x1 shape {x1.shape}")
@@ -115,14 +91,3 @@ def on_path_field(x0: np.ndarray, x1: np.ndarray, cfg: PathConfig) -> np.ndarray
     if x0.shape != x1.shape:
         raise ValueError(f"x0 shape {x0.shape} != x1 shape {x1.shape}")
     return x1 - (1.0 - cfg.sigma_min) * x0
-
-
-def make_flow_sample(
-    x1: np.ndarray, rng: np.random.Generator, cfg: PathConfig
-) -> FlowSample:
-    """Draw (t, x0) and assemble the training tuple for data sample x1."""
-    t = sample_time(rng)
-    x0 = rng.standard_normal(x1.shape)
-    x_t = sample_conditional_path(x1, t, x0, cfg)
-    return FlowSample(x_t=x_t, t=t, u_target=on_path_field(x0, x1, cfg), x0=x0, x1=x1)
-

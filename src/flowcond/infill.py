@@ -2,10 +2,9 @@
 
 A training example hides a contiguous span of frames behind a binary
 temporal mask; the model sees the remaining context plus frame-aligned
-condition streams and must regenerate the hidden span.  Condition
-dropout zeroes the whole bundle with one coin flip per example so an
-unconditional branch is available for guided sampling.  ``BatchInputs``
-is the stacked form of a batch of bundles, the model's input.
+condition streams and must regenerate the hidden span.  ``BatchInputs``
+is the stacked form of a batch of bundles, the model's input, and
+``zero_conditions`` blanks a bundle: the unconditional branch.
 """
 
 from __future__ import annotations
@@ -101,26 +100,25 @@ class BatchInputs:
 
 
 def sample_mask(
-    T: int, rng: np.random.Generator, ratio_range: tuple[float, float] = (0.7, 1.0)
+    B: int, T: int, rng: np.random.Generator, ratio_range: tuple[float, float] = (0.7, 1.0)
 ) -> np.ndarray:
-    """Sample one contiguous masked span covering round(r*T) frames.
+    """Sample B masks, each one contiguous span covering round(r*T) frames.
 
-    r is uniform on ``ratio_range`` and the span start is uniform among
-    valid offsets.  The span is clamped to at least one frame so the
-    mask is always usable for training.  Returns a (T,) uint8 0/1 array.
+    Each row's r is uniform on ``ratio_range`` and its span start is
+    uniform among valid offsets; all B ratios are drawn before the B
+    starts.  A span is clamped to at least one frame so every mask is
+    usable for training.  Returns a (B, T) uint8 0/1 array.
     """
     lo, hi = ratio_range
     if not 0.0 < lo <= hi <= 1.0:
         raise ValueError(f"ratio_range must satisfy 0 < lo <= hi <= 1, got {ratio_range}")
     if T < 1:
         raise ValueError(f"sequence length must be >= 1, got {T}")
-    r = rng.uniform(lo, hi)
-    span = int(np.floor(r * T + 0.5))  # round half up, avoids banker's rounding
-    span = min(max(span, 1), T)
-    start = int(rng.integers(0, T - span + 1))
-    bits = np.zeros(T, dtype=np.uint8)
-    bits[start : start + span] = 1
-    return bits
+    r = rng.uniform(lo, hi, B)
+    span = np.floor(r * T + 0.5).astype(np.int64)  # round half up, avoids banker's rounding
+    np.clip(span, 1, T, out=span)
+    offset = np.arange(T) - rng.integers(T - span + 1)[:, None]  # frame index - span start
+    return ((offset >= 0) & (offset < span[:, None])).astype(np.uint8)
 
 
 def build_example(
@@ -156,17 +154,3 @@ def zero_conditions(cond: ConditionBundle) -> ConditionBundle:
         emo=np.zeros_like(cond.emo),
         context=np.zeros_like(cond.context),
     )
-
-
-def apply_condition_dropout(
-    cond: ConditionBundle, p_drop: float, rng: np.random.Generator
-) -> ConditionBundle:
-    """With probability p_drop, blank the whole bundle; otherwise pass through.
-
-    One coin per example: streams are never dropped individually.
-    """
-    if not 0.0 <= p_drop <= 1.0:
-        raise ValueError(f"p_drop must be in [0, 1], got {p_drop}")
-    if p_drop > 0.0 and rng.uniform() < p_drop:
-        return zero_conditions(cond)
-    return cond

@@ -40,13 +40,11 @@ import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .fm_core import FlowSample
-from .infill import BatchInputs, ConditionBundle, NV_DIM, EMO_DIM
+from .infill import BatchInputs, NV_DIM, EMO_DIM
 from .features import FormatError
 
 CHECKPOINT_MAGIC = b"FMCK"
@@ -639,24 +637,20 @@ def adam_update(params, grads, state: OptimizerState) -> float:
 
 def train_step(
     model: VectorFieldModel,
-    batch: Sequence[tuple[FlowSample, ConditionBundle]],
+    inputs: BatchInputs,
+    u_target: np.ndarray,
     params,
     opt_state: OptimizerState,
 ) -> tuple[dict, float, float]:
-    """One optimizer update on a batch of (flow sample, conditions) pairs.
+    """One optimizer update on a batch and its (B, F, T) target field.
 
     Returns (params, pre-update batch loss, learning rate applied).  The
-    loss is restricted to the masked frames of each example.
+    loss is restricted to the masked frames of each row.
     """
-    if not batch:
+    if inputs.x_t.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    samples = [s for s, _ in batch]
-    conds = [c for _, c in batch]
-    inputs = BatchInputs.from_examples(
-        [s.x_t for s in samples], [s.t for s in samples], conds
-    )
-    u_target = np.stack([s.u_target for s in samples])
-
+    if u_target.shape != inputs.x_t.shape:
+        raise ValueError(f"u_target shape {u_target.shape} != x_t shape {inputs.x_t.shape}")
     v_pred, cache = model.forward_batch(inputs, params, want_cache=True)
     loss, dv = masked_batch_loss_grad(v_pred, u_target, inputs.mask_bits)
     if not np.isfinite(loss):

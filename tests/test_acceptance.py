@@ -20,7 +20,6 @@ from flowcond import (
     OptimizerState,
     PathConfig,
     VectorFieldModel,
-    apply_condition_dropout,
     assemble_prompt,
     build_example,
     conditional_vector_field,
@@ -29,7 +28,6 @@ from flowcond import (
     integrate_batch,
     load_checkpoint,
     make_field_fn,
-    make_flow_sample,
     sample_mask,
     save_checkpoint,
     train_step,
@@ -47,6 +45,7 @@ from flowcond.features import (
     write_manifest,
 )
 from flowcond.metrics import aggregate_seeds, aro_val_sim, frame_cosine_sim
+from flowcond.training import Corpus, TrainSettings, train_loop
 from flowcond.seqmodel import (
     BatchInputs,
     masked_batch_loss_grad,
@@ -87,27 +86,14 @@ def oracle_corpus(kind, n, seed, T=T_FRAMES):
         k = kind if kind != "mixed" else kinds[i % 4]
         emo, nv, feats = synth_condition_oracle(k, T, rng, feature_dim=F_DIM)
         out.append((feats, synth_phonemes(T, rng, N_PHN), nv, emo))
-    return out
+    return Corpus(*(np.stack(stream) for stream in zip(*out)))
 
 
-def train_on_corpus(corpus, steps, seed, peak=2e-3, per_batch=12, warmup=100):
-    rng = np.random.default_rng(seed)
-    model = VectorFieldModel(DESK)
-    params = init_params(DESK, rng)
-    state = OptimizerState(
-        schedule=LrSchedule(peak=peak, warmup_steps=warmup, total_steps=steps)
-    )
-    T = corpus[0][0].shape[1]
-    for _ in range(steps):
-        batch = []
-        for _ in range(per_batch):
-            feats, phn, nv, emo = corpus[int(rng.integers(len(corpus)))]
-            mask = sample_mask(T, rng, (0.7, 1.0))
-            cond = build_example(feats, phn, nv, emo, mask)
-            cond = apply_condition_dropout(cond, 0.2, rng)
-            batch.append((make_flow_sample(feats, rng, PATH_CFG), cond))
-        params, _, _ = train_step(model, batch, params, state)
-    return model, params
+def train_on_corpus(corpus, steps, seed):
+    settings = TrainSettings(steps=steps, batch_frames=12 * T_FRAMES, peak_lr=2e-3,
+                             warmup_steps=100, sigma_min=SIGMA_MIN, p_drop=0.2, seed=seed)
+    params, _, _ = train_loop(DESK, [corpus], [1.0], settings)
+    return VectorFieldModel(DESK), params
 
 
 @pytest.fixture(scope="module")
@@ -274,28 +260,24 @@ def test_criterion_3_gaussian_recovery():
     rng = np.random.default_rng(0)
     params = init_params(cfg, rng)
 
-    from flowcond.fm_core import FlowSample
-
     steps, B = 4000, 128
     state = OptimizerState(
         schedule=LrSchedule(peak=2e-3, warmup_steps=200, total_steps=steps)
     )
-    blank_cond = blank_prompt(2, 1)
+    blank = dict(
+        tokens=np.zeros((B, 1), dtype=np.int64),
+        nv=np.zeros((B, 32, 1)),
+        emo=np.zeros((B, 2, 1)),
+        context=np.zeros((B, 2, 1)),
+        mask_bits=np.ones((B, 1)),
+    )
     for _ in range(steps):
         x1 = mu[None, :, None] + std[None, :, None] * rng.standard_normal((B, 2, 1))
         x0 = rng.standard_normal((B, 2, 1))
         ts = rng.uniform(0, 1, B)
-        batch = []
-        for i in range(B):
-            x_t = ts[i] * x1[i] + (1 - (1 - SIGMA_MIN) * ts[i]) * x0[i]
-            u = x1[i] - (1 - SIGMA_MIN) * x0[i]
-            batch.append(
-                (
-                    FlowSample(x_t=x_t, t=float(ts[i]), u_target=u, x0=x0[i], x1=x1[i]),
-                    blank_cond,
-                )
-            )
-        params, _, _ = train_step(model, batch, params, state)
+        x_t = ts[:, None, None] * x1 + (1 - (1 - SIGMA_MIN) * ts)[:, None, None] * x0
+        u = x1 - (1 - SIGMA_MIN) * x0
+        params, _, _ = train_step(model, BatchInputs(x_t=x_t, t=ts, **blank), u, params, state)
     assert state.step == steps <= 20_000
 
     field = make_field_fn(model, params)
@@ -336,7 +318,7 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
     rng = np.random.default_rng(999)
     prompts, truths, spans = [], [], []
     for feats, phn, nv, emo in held:
-        mask = sample_mask(T_FRAMES, rng, (0.5, 0.5))
+        mask = sample_mask(1, T_FRAMES, rng, (0.5, 0.5))[0]
         start = int(np.argmax(mask))
         end = start + int(mask.sum())
         prompts.append(build_example(feats, phn, nv, emo, mask))

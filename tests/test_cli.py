@@ -15,7 +15,7 @@ from flowcond.features import (
     read_manifest,
     store_feature_matrix,
 )
-from flowcond.training import TrainSettings, draw_source, load_corpus, train_loop
+from flowcond.training import TrainSettings, load_corpus, train_loop
 from flowcond.seqmodel import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 
@@ -265,6 +265,34 @@ def test_train_corpora_that_do_not_fit_the_model_leave_no_files(tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1 and detail in err
 
 
+def other_feature_dim_record(tmp_path, corpus):
+    store_feature_matrix(np.zeros((4, 8)), corpus / "mixed_00001.fmat")
+    return "shapes ((4, 8), (8,), (32, 8), (2, 8)), want ((8, 8), (8,), (32, 8), (2, 8))"
+
+
+def other_frame_length_record(tmp_path, corpus):
+    longer = small_corpus(tmp_path, "b", frames=12)
+    for suffix in (".fmat", ".phn", ".nv.fmat", ".emo.fmat"):
+        name = "mixed_00001" + suffix
+        (corpus / name).write_bytes((longer / name).read_bytes())
+    return "shapes ((8, 12), (12,), (32, 12), (2, 12)), want ((8, 8), (8,), (32, 8), (2, 8))"
+
+
+@pytest.mark.parametrize("damage", [other_feature_dim_record, other_frame_length_record],
+                         ids=["feature-dim", "frame-length"])
+def test_train_record_of_another_shape_in_one_manifest_leaves_no_files(tmp_path, capsys,
+                                                                       damage):
+    corpus = small_corpus(tmp_path, "a")
+    detail = damage(tmp_path, corpus)
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", corpus / "manifest.jsonl", "--steps", 2,
+                   "--batch-frames", 16, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("format error: manifest line 2: record 'mixed_00001' has ")
+    assert err.count("\n") == 1 and detail in err
+    assert not out.exists()
+
+
 def test_train_schema_is_train_settings():
     names = {f.name for f in fields(TrainSettings)}
     commands = next(a for a in cli.build_parser()._actions
@@ -331,14 +359,6 @@ def test_train_loop_rejects_bad_ratios_before_checkpoint(tmp_path, corpus_dir, r
         train_loop(ModelConfig(feature_dim=8), [corpus, corpus], ratios,
                    TrainSettings(steps=1), checkpoint_path=ck)
     assert not ck.exists()
-
-
-def test_draw_source_ratio_concentration():
-    rng = np.random.default_rng(0)
-    counts = [0, 0]
-    for _ in range(10_000):
-        counts[draw_source(rng, [0.5, 0.5])] += 1
-    assert abs(counts[0] / 10_000 - 0.5) < 0.03
 
 
 def test_train_loop_source_counts_follow_ratios(corpus_dir):
@@ -670,6 +690,32 @@ def test_eval_report_aggregates_across_seeds(tmp_path, corpus_dir, capsys):
     assert rep["seeds"] == ["s1", "s2", "s3"]
     assert rep["std"] == 0.0  # same files for every seed
     assert -1.0 <= rep["mean"] <= 1.0
+
+
+@pytest.mark.parametrize("out_name, message", [
+    ("nodir/r.json", "does not exist"),
+    ("existing", "is a directory"),
+], ids=["missing-parent", "directory"])
+def test_eval_report_bad_out_path_scores_nothing(tmp_path, corpus_dir, capsys, monkeypatch,
+                                                 out_name, message):
+    (tmp_path / "existing").mkdir()
+    pairs = tmp_path / "pairs.jsonl"
+    a, b = corpus_dir / "mixed_00000.emo.fmat", corpus_dir / "mixed_00001.emo.fmat"
+    pairs.write_text(json.dumps({"a": str(a), "b": str(b)}) + "\n")
+    calls = {"n": 0}
+    score = cli.frame_cosine_sim
+
+    def counting(*args):
+        calls["n"] += 1
+        return score(*args)
+
+    monkeypatch.setattr(cli, "frame_cosine_sim", counting)
+    assert run_cli("eval", "report", "--pairs", pairs, "--seeds", "s1,s2,s3",
+                   "--out", tmp_path / out_name) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert calls["n"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "pairs.jsonl"]
 
 
 @pytest.mark.parametrize(

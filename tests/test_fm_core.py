@@ -4,15 +4,13 @@ import sympy
 
 from flowcond import (
     PathConfig,
-    FlowSample,
     conditional_vector_field,
     on_path_field,
-    make_flow_sample,
     path_mean_std,
     sample_conditional_path,
-    sample_time,
 )
 from flowcond.seqmodel import masked_batch_loss_grad
+from flowcond.training import Corpus, draw_batch
 
 
 def test_path_config_rejects_bad_sigma():
@@ -24,17 +22,27 @@ def test_path_config_rejects_bad_sigma():
     PathConfig(sigma_min=0.999)
 
 
+def draw_times(B, rng):
+    """The flow times t of one training batch drawn from a small random corpus."""
+    data = np.random.default_rng(0)
+    corpus = Corpus(data.standard_normal((4, 3, 5)), data.integers(1, 5, (4, 5)),
+                    data.standard_normal((4, 32, 5)), data.uniform(-0.5, 0.5, (4, 2, 5)))
+    return draw_batch([corpus], [1.0], B, 0.2, PathConfig(), rng)
+
+
 def test_sample_time_deterministic_under_fixed_seed():
-    a = sample_time(np.random.default_rng(123))
-    b = sample_time(np.random.default_rng(123))
-    assert a == b
+    a, ua, _ = draw_times(12, np.random.default_rng(123))
+    b, ub, _ = draw_times(12, np.random.default_rng(123))
+    assert np.array_equal(ua, ub)
+    for name, value in vars(a).items():
+        assert np.array_equal(value, getattr(b, name)), name
 
 
 def test_sample_time_uniform_mean():
     rng = np.random.default_rng(7)
-    draws = np.array([sample_time(rng) for _ in range(100_000)])
-    assert abs(draws.mean() - 0.5) < 0.01  # analytic mean of U(0,1)
-    assert draws.min() >= 0.0 and draws.max() <= 1.0
+    ts = np.concatenate([draw_times(1000, rng)[0].t for _ in range(100)])
+    assert abs(ts.mean() - 0.5) < 0.01  # analytic mean of U(0,1)
+    assert ts.min() >= 0.0 and ts.max() <= 1.0
 
 
 def test_path_mean_std_endpoints():
@@ -196,32 +204,13 @@ def test_cfm_loss_nonnegative_and_permutation_invariant():
     assert example_loss(v, v, ones) == 0.0
 
 
-def test_flow_sample_invariants():
-    with pytest.raises(ValueError):
-        FlowSample(
-            x_t=np.zeros((2, 3)),
-            t=0.5,
-            u_target=np.zeros((2, 4)),
-            x0=np.zeros((2, 3)),
-            x1=np.zeros((2, 3)),
-        )
-    with pytest.raises(ValueError):
-        FlowSample(
-            x_t=np.zeros((2, 3)),
-            t=1.5,
-            u_target=np.zeros((2, 3)),
-            x0=np.zeros((2, 3)),
-            x1=np.zeros((2, 3)),
-        )
-
-
-def test_make_flow_sample_consistency():
+def test_sample_conditional_path_one_time_per_batch_row():
     rng = np.random.default_rng(8)
     cfg = PathConfig(sigma_min=1e-3)
-    x1 = rng.standard_normal((5, 6))
-    sample = make_flow_sample(x1, rng, cfg)
-    assert 0.0 <= sample.t <= 1.0
-    expected_xt = sample_conditional_path(x1, sample.t, sample.x0, cfg)
-    assert np.array_equal(sample.x_t, expected_xt)
-    u = conditional_vector_field(sample.x_t, x1, sample.t, cfg)
-    assert np.max(np.abs(u - sample.u_target)) < 1e-10
+    x1, x0 = rng.standard_normal((2, 4, 5, 6))
+    t = rng.uniform(0.0, 1.0, 4)
+    x_t = sample_conditional_path(x1, t[:, None, None], x0, cfg)
+    for i in range(4):
+        assert np.array_equal(x_t[i], sample_conditional_path(x1[i], float(t[i]), x0[i], cfg))
+    with pytest.raises(ValueError, match=r"t must be in \[0, 1\]"):
+        sample_conditional_path(x1, np.array([0.5, 1.5, 0.0, 1.0])[:, None, None], x0, cfg)

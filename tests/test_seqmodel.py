@@ -18,11 +18,11 @@ from flowcond import (
     init_params,
     load_checkpoint,
     make_field_fn,
-    make_flow_sample,
     save_checkpoint,
     train_step,
 )
 from flowcond import seqmodel
+from flowcond.fm_core import on_path_field, sample_conditional_path
 from flowcond.seqmodel import (
     _param_shapes,
     masked_batch_loss_grad,
@@ -443,9 +443,9 @@ def test_train_step_zero_lr_leaves_params_bitwise():
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     before = {k: v.copy() for k, v in params.items()}
-    batch = make_training_batch(rng, 3, 5)
+    inputs, u_target = make_training_batch(rng, 3, 5)
     state = OptimizerState(schedule=LrSchedule(peak=0.0, warmup_steps=1, total_steps=10))
-    params, loss, lr = train_step(model, batch, params, state)
+    params, loss, lr = train_step(model, inputs, u_target, params, state)
     assert lr == 0.0
     assert loss > 0.0
     for k in params:
@@ -453,13 +453,12 @@ def test_train_step_zero_lr_leaves_params_bitwise():
 
 
 def make_training_batch(rng, B, T, cfg=SMALL):
+    """A batch on the conditional path and its (B, F, T) target field."""
     path_cfg = PathConfig(sigma_min=1e-5)
-    batch = []
-    for _ in range(B):
-        x1 = rng.standard_normal((cfg.feature_dim, T))
-        sample = make_flow_sample(x1, rng, path_cfg)
-        batch.append((sample, make_cond(T, cfg.feature_dim, rng, cfg)))
-    return batch
+    x1, x0 = rng.standard_normal((2, B, cfg.feature_dim, T))
+    inputs, _ = make_batch(B, T, cfg, rng)
+    inputs.x_t = sample_conditional_path(x1, inputs.t[:, None, None], x0, path_cfg)
+    return inputs, on_path_field(x0, x1, path_cfg)
 
 
 def test_train_step_evaluates_erf_once_per_layer(monkeypatch):
@@ -475,16 +474,22 @@ def test_train_step_evaluates_erf_once_per_layer(monkeypatch):
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
-    train_step(model, make_training_batch(rng, 2, 5), params, state)
+    train_step(model, *make_training_batch(rng, 2, 5), params, state)
     assert len(calls) == SMALL.n_layers
 
 
 def test_train_step_rejects_empty_batch():
+    rng = np.random.default_rng(0)
     model = VectorFieldModel(SMALL)
-    params = init_params(SMALL, np.random.default_rng(0))
+    params = init_params(SMALL, rng)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
-    with pytest.raises(ValueError):
-        train_step(model, [], params, state)
+    inputs, u_target = make_training_batch(rng, 3, 5)
+    empty = BatchInputs(**{k: v[:0] for k, v in vars(inputs).items()})
+    with pytest.raises(ValueError, match="nonempty"):
+        train_step(model, empty, u_target[:0], params, state)
+    with pytest.raises(ValueError, match="u_target shape"):
+        train_step(model, inputs, u_target[0], params, state)
+    assert state.step == 0
 
 
 def test_train_step_diverged_loss_raises():
@@ -495,7 +500,7 @@ def test_train_step_diverged_loss_raises():
     batch = make_training_batch(rng, 2, 4)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError):
-        train_step(model, batch, params, state)
+        train_step(model, *batch, params, state)
 
 
 def test_overfit_single_batch_loss_decreases():
@@ -506,7 +511,7 @@ def test_overfit_single_batch_loss_decreases():
     state = OptimizerState(schedule=LrSchedule(peak=3e-3, warmup_steps=10, total_steps=10_000))
     losses = []
     for _ in range(200):
-        params, loss, _ = train_step(model, batch, params, state)
+        params, loss, _ = train_step(model, *batch, params, state)
         losses.append(loss)
     ma = np.convolve(losses, np.ones(20) / 20, mode="valid")
     assert all(b < a for a, b in zip(ma, ma[1:]))
@@ -588,14 +593,14 @@ def test_train_step_reuses_workspace_and_gradient_buffers():
 
     model.forward_batch, model.backward_batch = recording_forward, recording_backward
     for _ in range(2):
-        train_step(model, make_training_batch(rng, 3, 5), params, state)
+        train_step(model, *make_training_batch(rng, 3, 5), params, state)
     cache1, grads1, cache2, grads2 = seen
     for a, b in zip(cached_arrays(cache1).values(), cached_arrays(cache2).values()):
         assert np.shares_memory(a, b)
     for name in param_names(SMALL):
         assert np.shares_memory(grads1[name], grads2[name]), name
     moments = state.m
-    train_step(model, make_training_batch(rng, 3, 5), params, state)
+    train_step(model, *make_training_batch(rng, 3, 5), params, state)
     assert state.m is moments
 
 
