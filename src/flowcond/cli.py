@@ -350,6 +350,9 @@ def cmd_eval_report(args) -> int:
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise CliError("--seeds must name at least one seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise CliError(f"--seeds names {', '.join(repeated)} more than once")
     pairs = []
     with open(args.pairs) as fh:
         for lineno, line in enumerate(fh, start=1):

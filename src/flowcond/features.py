@@ -131,8 +131,13 @@ def frames_to_seconds(frames: int, frames_per_second: float) -> float:
     return frames / frames_per_second
 
 
+# One encoder for every line; json.dumps(..., sort_keys=True) would build a
+# new one per call.
+_encode_manifest = json.JSONEncoder(sort_keys=True).encode
+
+
 def manifest_line(rec: DatasetRecord) -> str:
-    return json.dumps(vars(rec), sort_keys=True)
+    return _encode_manifest(vars(rec))
 
 
 def write_manifest(records: list[DatasetRecord], path: str | Path) -> None:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .infill import BatchInputs, NV_DIM, EMO_DIM
 from .features import FormatError
@@ -232,6 +231,14 @@ def _linear_backward(x, dy, w, dx, dw, db) -> None:
     np.matmul(x2.T, dy2, out=dw)
     np.sum(dy2, axis=0, out=db)
     np.matmul(dy2, w.T, out=dx.reshape(-1, i))
+
+
+def erf(x, out=None):
+    """scipy.special.erf; scipy.special loads on the first call.  Only the
+    model's GELU needs scipy, so commands that run no model never load it."""
+    from scipy.special import erf as scipy_erf
+
+    return scipy_erf(x, out=out)
 
 
 def _gelu(x, y, e, tmp) -> None:

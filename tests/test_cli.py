@@ -692,16 +692,9 @@ def test_eval_report_aggregates_across_seeds(tmp_path, corpus_dir, capsys):
     assert -1.0 <= rep["mean"] <= 1.0
 
 
-@pytest.mark.parametrize("out_name, message", [
-    ("nodir/r.json", "does not exist"),
-    ("existing", "is a directory"),
-], ids=["missing-parent", "directory"])
-def test_eval_report_bad_out_path_scores_nothing(tmp_path, corpus_dir, capsys, monkeypatch,
-                                                 out_name, message):
-    (tmp_path / "existing").mkdir()
-    pairs = tmp_path / "pairs.jsonl"
-    a, b = corpus_dir / "mixed_00000.emo.fmat", corpus_dir / "mixed_00001.emo.fmat"
-    pairs.write_text(json.dumps({"a": str(a), "b": str(b)}) + "\n")
+@pytest.fixture
+def score_calls(monkeypatch):
+    """Counts the eval commands' frame_cosine_sim calls."""
     calls = {"n": 0}
     score = cli.frame_cosine_sim
 
@@ -710,12 +703,40 @@ def test_eval_report_bad_out_path_scores_nothing(tmp_path, corpus_dir, capsys, m
         return score(*args)
 
     monkeypatch.setattr(cli, "frame_cosine_sim", counting)
+    return calls
+
+
+@pytest.mark.parametrize("out_name, message", [
+    ("nodir/r.json", "does not exist"),
+    ("existing", "is a directory"),
+], ids=["missing-parent", "directory"])
+def test_eval_report_bad_out_path_scores_nothing(tmp_path, corpus_dir, capsys, score_calls,
+                                                 out_name, message):
+    (tmp_path / "existing").mkdir()
+    pairs = tmp_path / "pairs.jsonl"
+    a, b = corpus_dir / "mixed_00000.emo.fmat", corpus_dir / "mixed_00001.emo.fmat"
+    pairs.write_text(json.dumps({"a": str(a), "b": str(b)}) + "\n")
     assert run_cli("eval", "report", "--pairs", pairs, "--seeds", "s1,s2,s3",
                    "--out", tmp_path / out_name) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
-    assert calls["n"] == 0
+    assert score_calls["n"] == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "pairs.jsonl"]
+
+
+@pytest.mark.parametrize("seeds, named", [("1,1", "1"), ("1,2,1", "1"), ("b,a,b,a", "a, b")],
+                         ids=["twice", "apart", "two-names"])
+def test_eval_report_repeated_seed_scores_nothing(tmp_path, corpus_dir, capsys, score_calls,
+                                                  seeds, named):
+    pairs = tmp_path / "pairs.jsonl"
+    a, b = corpus_dir / "mixed_00000.emo.fmat", corpus_dir / "mixed_00001.emo.fmat"
+    pairs.write_text(json.dumps({"a": str(a), "b": str(b)}) + "\n")
+    out = tmp_path / "report.json"
+    assert run_cli("eval", "report", "--pairs", pairs, "--seeds", seeds, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --seeds names {named} more than once\n"
+    assert score_calls["n"] == 0
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

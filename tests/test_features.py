@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from flowcond.features import (
     carrier_matrix,
     generate_corpus,
     load_phonemes,
+    manifest_line,
     pattern_vector,
     read_manifest,
     store_phonemes,
@@ -236,6 +239,15 @@ def test_manifest_accepts_integer_numbers(tmp_path):
     write_manifest([make_record(0, ovlr=5, duration_s=1, emotion_confidence=0)], p)
     (_, rec), = read_manifest(p)
     assert (rec.ovlr, rec.duration_s, rec.emotion_confidence) == (5, 1, 0)
+
+
+@pytest.mark.parametrize("rec", [
+    make_record(0, id="r\u00e9\u58f0-\U0001f600", speaker_change=True),
+    make_record(1, ovlr=5.0, duration_s=1, emotion_confidence=0.0, speaker_change=False),
+    make_record(2, emotion_label="\u00fcber", ovlr=-0.0, duration_s=1e-7),
+], ids=["non-ascii-id", "int-valued-floats", "non-ascii-label"])
+def test_manifest_line_matches_json_dumps(rec):
+    assert manifest_line(rec) == json.dumps(vars(rec), sort_keys=True)
 
 
 def test_manifest_missing_field(tmp_path):

@@ -1,0 +1,85 @@
+"""scipy is loaded only when the model runs.
+
+``seqmodel.erf`` imports ``scipy.special`` on its first call, so commands
+that run no model (``synth``, ``curate``, ``eval``) start on numpy alone.
+The test session itself has ``scipy.special`` loaded (``test_seqmodel``
+imports it), so each check runs in a fresh interpreter.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import sys
+from pathlib import Path
+
+import flowcond
+from flowcond import cli
+
+def loaded():
+    return "scipy.special" in sys.modules
+
+tmp = Path(sys.argv[1])
+print("import", loaded())
+assert cli.main(["synth", "--count", "3", "--frames", "8", "--out", str(tmp / "c")]) == 0
+print("synth", loaded())
+assert cli.main(["curate", "--in", str(tmp / "c" / "manifest.jsonl"),
+                 "--out", str(tmp / "kept.jsonl")]) == 0
+print("curate", loaded())
+assert cli.main(["eval", "emo-sim", "--a", str(tmp / "c" / "mixed_00000.emo.fmat"),
+                 "--b", str(tmp / "c" / "mixed_00001.emo.fmat")]) == 0
+print("eval", loaded())
+
+import numpy as np
+from flowcond import ModelConfig, VectorFieldModel, init_params
+from flowcond.infill import BatchInputs, EMO_DIM, NV_DIM
+
+cfg = ModelConfig(n_layers=1, d_model=8, d_ffn=16, feature_dim=4)
+rng = np.random.default_rng(0)
+B, T = 2, 5
+inputs = BatchInputs(
+    x_t=rng.standard_normal((B, cfg.feature_dim, T)),
+    context=np.zeros((B, cfg.feature_dim, T)),
+    tokens=np.ones((B, T), dtype=np.int64),
+    nv=np.zeros((B, NV_DIM, T)),
+    emo=np.zeros((B, EMO_DIM, T)),
+    mask_bits=np.ones((B, T)),
+    t=np.full(B, 0.5),
+)
+VectorFieldModel(cfg).forward_batch(inputs, init_params(cfg, rng))
+print("forward", loaded())
+
+from scipy.special import erf
+from flowcond import seqmodel
+for dtype in (np.float32, np.float64):
+    x = rng.standard_normal(4096).astype(dtype) * 3
+    got, want = seqmodel.erf(x), erf(x)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    out = np.empty_like(x)
+    assert seqmodel.erf(x, out=out) is out and out.tobytes() == want.tobytes()
+print("erf bitwise")
+"""
+
+
+def test_scipy_special_loads_only_with_the_model(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "FLOWCOND_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    status = [line for line in done.stdout.splitlines()
+              if line.split()[0] in ("import", "synth", "curate", "eval", "forward", "erf")]
+    assert status == [
+        "import False",
+        "synth False",
+        "curate False",
+        "eval False",
+        "forward True",
+        "erf bitwise",
+    ]
