@@ -316,6 +316,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_curate(args) -> int:
+    _check_output_file(Path(args.out))
     if args.report:
         _check_output_file(Path(args.report))
     report = run_pipeline(args.inp, args.out, args.ovlr_min)

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .features import DatasetRecord, manifest_line, read_manifest
+from .features import DatasetRecord, FormatError, manifest_line, read_manifest
 
 # The label rules and the threshold default follow the paper's
 # pseudo-label curation recipe.
@@ -79,8 +79,9 @@ def run_pipeline(
 ) -> CurationReport:
     """Filter a manifest through the gates, streaming record by record.
 
-    Output preserves input order.  On any malformed line the pipeline
-    aborts and leaves no partial output behind.
+    Output preserves input order.  A malformed line, or a label or
+    confidence the emotion gate cannot judge, raises a FormatError that
+    names the line, and leaves no partial output behind.
     """
     if not math.isfinite(ovlr_min):
         raise ValueError(f"ovlr_min must be finite, got {ovlr_min}")
@@ -89,8 +90,11 @@ def run_pipeline(
     report = CurationReport()
     try:
         with open(tmp_path, "w") as out:
-            for _, rec in read_manifest(manifest_in):
-                reason = first_failing_gate(rec, ovlr_min)
+            for lineno, rec in read_manifest(manifest_in):
+                try:
+                    reason = first_failing_gate(rec, ovlr_min)
+                except ValueError as exc:
+                    raise FormatError(f"manifest line {lineno}: {exc}") from exc
                 if reason is None:
                     report.retained += 1
                     report.retained_by_emotion[rec.emotion_label] = (

@@ -61,13 +61,16 @@ class DatasetRecord:
     speaker_change: bool
 
 
-# Manifest field -> the JSON type its value must have, read from the
-# (string) annotations of DatasetRecord.  A float field takes an int or a
-# float, never a bool, and must be finite as a float.
+# Manifest field -> the exact types its decoded JSON value may have, read
+# from the (string) annotations of DatasetRecord, in field order.  A float
+# field takes an int or a float, never a bool, and must be finite as a
+# float.  Exact type() membership is enough: json yields no subclasses.
+_NUMBER_TYPES = (int, float)
 _RECORD_TYPES = {
-    f.name: {"str": str, "float": float, "bool": bool}[f.type] for f in fields(DatasetRecord)
+    f.name: {"str": (str,), "float": _NUMBER_TYPES, "bool": (bool,)}[f.type]
+    for f in fields(DatasetRecord)
 }
-_TYPE_WORDS = {str: "a string", float: "a finite number", bool: "a boolean"}
+_TYPE_WORDS = {(str,): "a string", _NUMBER_TYPES: "a finite number", (bool,): "a boolean"}
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -146,6 +149,11 @@ def write_manifest(records: list[DatasetRecord], path: str | Path) -> None:
             fh.write(manifest_line(rec) + "\n")
 
 
+# One decoder for every line; json.loads wraps the same scan in two more
+# Python calls and two regex matches per line.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
     """Yield (line_number, record) pairs, validating each line as it streams."""
     with open(path) as fh:
@@ -154,27 +162,28 @@ def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
+                obj, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                # Not one whole JSON value: json.loads raises the error, so
+                # a BOM or extra data is reported as json.loads reports it.
+                try:
+                    json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
             try:
                 rec = DatasetRecord(**obj)
             except TypeError as exc:
                 raise FormatError(f"manifest line {lineno}: {exc}") from exc
-            for name, kind in _RECORD_TYPES.items():
-                value = getattr(rec, name)
-                if kind is float:
-                    # NaN fails both comparisons; so do ints no float can hold.
-                    ok = (
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                        and -_FLOAT_MAX <= value <= _FLOAT_MAX
-                    )
-                else:
-                    ok = isinstance(value, kind)
-                if not ok:
+            for name, types in _RECORD_TYPES.items():
+                value = obj[name]
+                # NaN fails both comparisons; so do ints no float can hold.
+                if type(value) not in types or (
+                    types is _NUMBER_TYPES and not -_FLOAT_MAX <= value <= _FLOAT_MAX
+                ):
                     raise FormatError(
-                        f"manifest line {lineno}: {name} must be {_TYPE_WORDS[kind]}, "
+                        f"manifest line {lineno}: {name} must be {_TYPE_WORDS[types]}, "
                         f"got {value!r}"
                     )
             yield lineno, rec

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcond import cli
+from flowcond import cli, curate
 from flowcond.cli import main, parse_config_file
 from flowcond.features import (
     FeatureMatrix,
@@ -622,14 +622,15 @@ def test_curate_malformed_manifest_nonzero_exit(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+GOOD_RECORD = dict(id="r", features_path="f", phonemes_path="p", nv_path="n", emo_path="e",
+                   duration_s=1.0, emotion_label="sad", emotion_confidence=0.9, ovlr=4.0,
+                   speaker_change=False)
+
+
 @pytest.mark.parametrize("field, value", [("ovlr", "5.0"), ("emotion_confidence", None)])
 def test_curate_wrong_field_type_is_one_line_error(tmp_path, capsys, field, value):
-    record = dict(id="r", features_path="f", phonemes_path="p", nv_path="n", emo_path="e",
-                  duration_s=1.0, emotion_label="sad", emotion_confidence=0.9, ovlr=4.0,
-                  speaker_change=False)
-    record[field] = value
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(record) + "\n")
+    bad.write_text(json.dumps({**GOOD_RECORD, field: value}) + "\n")
     out = tmp_path / "o.jsonl"
     assert run_cli("curate", "--in", bad, "--out", out) == 1
     err = capsys.readouterr().err.splitlines()
@@ -659,6 +660,50 @@ def test_curate_bad_report_path_writes_nothing(tmp_path, corpus_dir, capsys, rep
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("existing")]
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Counts the curate pipeline's first_failing_gate calls."""
+    calls = {"n": 0}
+    gate = curate.first_failing_gate
+
+    def counting(*args):
+        calls["n"] += 1
+        return gate(*args)
+
+    monkeypatch.setattr(curate, "first_failing_gate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("out_name, message", [
+    ("nodir/o.jsonl", "does not exist"),
+    ("existing", "is a directory"),
+], ids=["missing-parent", "directory"])
+def test_curate_bad_out_path_gates_nothing(tmp_path, corpus_dir, capsys, gate_calls, out_name,
+                                           message):
+    (tmp_path / "existing").mkdir()
+    assert run_cli("curate", "--in", corpus_dir / "manifest.jsonl",
+                   "--out", tmp_path / out_name) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert gate_calls["n"] == 0
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("existing")]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("emotion_label", "bored", "unknown emotion label 'bored'"),
+    ("emotion_confidence", 1.5, "confidence must be in [0, 1], got 1.5"),
+], ids=["unknown-label", "confidence-above-one"])
+def test_curate_gate_error_names_manifest_line(tmp_path, capsys, field, value, message):
+    bad = tmp_path / "bad.jsonl"
+    lines = (GOOD_RECORD, GOOD_RECORD, {**GOOD_RECORD, field: value})
+    bad.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    assert run_cli("curate", "--in", bad, "--out", tmp_path / "o.jsonl") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"format error: manifest line 3: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
 
 def test_eval_nan_file_is_one_line_error(tmp_path, corpus_dir, capsys):

@@ -1,7 +1,10 @@
 import json
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowcond import (
     DatasetRecord,
@@ -255,6 +258,147 @@ def test_manifest_missing_field(tmp_path):
     p.write_text('{"id": "x"}\n')
     with pytest.raises(FormatError, match="line 1"):
         list(read_manifest(p))
+
+
+# The manifest reader before it decoded with one reusable JSONDecoder:
+# json.loads per line and isinstance checks on the built record.  Kept as
+# the reference its replacement must match record for record and message
+# for message.
+_REF_TYPES = {
+    f.name: {"str": str, "float": float, "bool": bool}[f.type] for f in fields(DatasetRecord)
+}
+_REF_WORDS = {str: "a string", float: "a finite number", bool: "a boolean"}
+
+
+def reference_read_manifest(path):
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
+            try:
+                rec = DatasetRecord(**obj)
+            except TypeError as exc:
+                raise FormatError(f"manifest line {lineno}: {exc}") from exc
+            for name, kind in _REF_TYPES.items():
+                value = getattr(rec, name)
+                if kind is float:
+                    ok = (
+                        isinstance(value, (int, float))
+                        and not isinstance(value, bool)
+                        and -sys.float_info.max <= value <= sys.float_info.max
+                    )
+                else:
+                    ok = isinstance(value, kind)
+                if not ok:
+                    raise FormatError(
+                        f"manifest line {lineno}: {name} must be {_REF_WORDS[kind]}, "
+                        f"got {value!r}"
+                    )
+            yield lineno, rec
+
+
+def manifest_outcome(reader, path):
+    """The (line, repr) of each record read, then the FormatError message or None.
+    repr tells 5 from 5.0 and 1 from True."""
+    read = []
+    try:
+        for lineno, rec in reader(path):
+            read.append((lineno, repr(rec)))
+    except FormatError as exc:
+        return read, str(exc)
+    return read, None
+
+
+# Raw JSON number and literal spellings a value can be swapped for.
+_RAW_VALUES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", str(10**400), "-0", "7",
+               "0.5", "true", "null", '"x"', "[]", "{}"]
+_FIELD_NAMES = [f.name for f in fields(DatasetRecord)]
+_json_values = st.sampled_from([None, True, False, 0, 1, -1, 0.5, -0.0, "", "sad", [], {}]) | (
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                      max_size=3),
+        max_leaves=6,
+    )
+)
+
+
+@st.composite
+def mutated_manifest_lines(draw):
+    """A canonical manifest line with up to two key or value changes, then
+    up to one change to its text."""
+    obj = vars(make_record(draw(st.integers(0, 99))))
+    raw = {}
+    changes = st.tuples(st.sampled_from(_FIELD_NAMES),
+                        st.sampled_from(["drop", "add", "swap", "raw"]))
+    for name, change in draw(st.lists(changes, max_size=2)):
+        if change == "drop":
+            obj.pop(name, None)
+        elif change == "add":
+            obj[draw(st.text(max_size=12))] = draw(_json_values)
+        elif change == "swap":
+            obj[name] = draw(_json_values)
+        else:
+            obj[name] = placeholder = f"\u0000raw{len(raw)}\u0000"
+            raw[json.dumps(placeholder)] = draw(st.sampled_from(_RAW_VALUES))
+    line = json.dumps(obj, sort_keys=True)
+    for placeholder, value in raw.items():
+        line = line.replace(placeholder, value)
+    edit = draw(st.sampled_from(["none", "repeat", "bom", "trailing", "truncate"]))
+    if edit == "repeat":
+        key = json.dumps(draw(st.sampled_from(_FIELD_NAMES)))
+        pair = f"{key}: {json.dumps(draw(_json_values))}"
+        if line == "{}":
+            line = "{" + pair + "}"
+        elif draw(st.booleans()):
+            line = line[:-1] + ", " + pair + "}"
+        else:
+            line = "{" + pair + ", " + line[1:]
+    elif edit == "bom":
+        line = "\ufeff" + line
+    elif edit == "trailing":
+        suffix = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                              max_size=6))
+        line += draw(st.sampled_from(["", " "])) + suffix
+    elif edit == "truncate":
+        line = line[: draw(st.integers(0, len(line)))]
+    return line
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=mutated_manifest_lines())
+def test_read_manifest_matches_reference_on_mutated_lines(tmp_path, line):
+    p = tmp_path / "m.jsonl"
+    p.write_text(manifest_line(make_record(7)) + "\n" + line + "\n")
+    assert manifest_outcome(read_manifest, p) == manifest_outcome(reference_read_manifest, p)
+
+
+_CANONICAL = manifest_line(make_record(0))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("\ufeff" + _CANONICAL,
+     "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))"),
+    (_CANONICAL + " x",
+     f"invalid JSON (Extra data: line 1 column {len(_CANONICAL) + 2} "
+     f"(char {len(_CANONICAL) + 1}))"),
+    (_CANONICAL + "x",
+     f"invalid JSON (Extra data: line 1 column {len(_CANONICAL) + 1} (char {len(_CANONICAL)}))"),
+    ("{} {}", "invalid JSON (Extra data: line 1 column 4 (char 3))"),
+    (manifest_line(make_record(0, duration_s="1", id=7)), "id must be a string, got 7"),
+], ids=["bom", "trailing-after-space", "trailing", "two-objects", "two-bad-fields"])
+def test_read_manifest_error_messages_pinned(tmp_path, line, message):
+    p = tmp_path / "m.jsonl"
+    p.write_text(line + "\n")
+    want = ([], f"manifest line 1: {message}")
+    assert manifest_outcome(read_manifest, p) == want
+    assert manifest_outcome(reference_read_manifest, p) == want
 
 
 # -- corpus generator -----------------------------------------------------------
