@@ -8,6 +8,7 @@ seed in single-thread mode reproduces output bytes exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -341,7 +342,8 @@ def _load_trajectory(path: str) -> np.ndarray:
 
 
 def cmd_eval_pair(args) -> int:
-    score = args.metric(_load_trajectory(args.a), _load_trajectory(args.b))
+    metric = globals()[args.metric]
+    score = metric(_load_trajectory(args.a), _load_trajectory(args.b))
     print(f"{score:.6f}")
     return 0
 
@@ -364,6 +366,8 @@ def cmd_eval_report(args) -> int:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CliError(f"{args.pairs}:{lineno}: bad pair record ({exc})") from exc
+            except RecursionError:
+                raise CliError(f"{args.pairs}:{lineno}: bad pair record (nested too deeply)") from None
             if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "ab")):
                 raise CliError(
                     f"{args.pairs}:{lineno}: bad pair record "
@@ -397,6 +401,9 @@ def cmd_eval_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``flowcond`` parser.  Each subcommand's ``func`` default names its
+    ``cmd_*`` function and each ``eval`` pair command's ``metric`` default
+    names its metric; both are looked up in this module when a command runs."""
     parser = argparse.ArgumentParser(
         prog="flowcond",
         description="Conditional flow-matching engine for frame-sequence infilling",
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--feature-dim", type=int, default=8)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func="cmd_synth")
 
     p = sub.add_parser("train", help="train the vector-field model")
     p.add_argument("--config", help="key = value config file; flags override")
@@ -425,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func="cmd_train")
 
     p = sub.add_parser("sample", help="generate frames from a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -443,39 +450,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["euler", "midpoint"], default="euler")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func="cmd_sample")
 
     p = sub.add_parser("curate", help="filter a manifest through the gates")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ovlr-min", type=float, default=OVLR_MIN)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_curate)
+    p.set_defaults(func="cmd_curate")
 
     p = sub.add_parser("eval", help="similarity metrics")
     esub = p.add_subparsers(dest="eval_command", required=True)
     e = esub.add_parser("emo-sim", help="cosine-trajectory similarity of two feature files")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
-    e.set_defaults(func=cmd_eval_pair, metric=frame_cosine_sim)
+    e.set_defaults(func="cmd_eval_pair", metric="frame_cosine_sim")
     e = esub.add_parser("aro-val-sim", help="arousal/valence trajectory similarity")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
-    e.set_defaults(func=cmd_eval_pair, metric=aro_val_sim)
+    e.set_defaults(func="cmd_eval_pair", metric="aro_val_sim")
     e = esub.add_parser("report", help="score pairs across seeds and aggregate")
     e.add_argument("--pairs", required=True, help="JSONL of {a, b} path templates; '{seed}' is substituted")
     e.add_argument("--seeds", required=True, help="comma-separated seed names")
     e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval_report)
+    e.set_defaults(func="cmd_eval_report")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs far more than a parse,
+    and parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up on every call, not bound when the parser was built, so a
+    # cmd_* replaced on the module (by a tracer, say) is the one that runs.
+    command = globals()[args.func]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -163,7 +163,7 @@ def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
                 continue
             try:
                 obj, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 end = -1
             if end != len(line):
                 # Not one whole JSON value: json.loads raises the error, so
@@ -172,6 +172,8 @@ def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
                     json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
+                except RecursionError:
+                    raise FormatError(f"manifest line {lineno}: invalid JSON (nested too deeply)") from None
             try:
                 rec = DatasetRecord(**obj)
             except TypeError as exc:

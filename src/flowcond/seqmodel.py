@@ -184,12 +184,18 @@ def embed_phonemes(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[tokens].T
 
 
+@functools.lru_cache(maxsize=32)
+def _time_freqs(half: int) -> np.ndarray:
+    """The frequencies of ``time_embedding``, cached per width and read-only."""
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
+    freqs.flags.writeable = False
+    return freqs
+
+
 def time_embedding(t: np.ndarray, d_model: int) -> np.ndarray:
     """Sinusoidal embedding of path time, one row per batch element."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    half = d_model // 2
-    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
-    ang = 1000.0 * t[:, None] * freqs[None, :]
+    ang = 1000.0 * t[:, None] * _time_freqs(d_model // 2)[None, :]
     emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
     if emb.shape[1] < d_model:  # odd width: pad the leftover column
         emb = np.concatenate([emb, np.zeros((emb.shape[0], 1))], axis=1)
@@ -197,13 +203,14 @@ def time_embedding(t: np.ndarray, d_model: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def positional_encoding(T: int, d_model: int) -> np.ndarray:
-    """Standard sinusoidal position code, (T, d_model).
+def positional_encoding(T: int, d_model: int, dtype=np.float64) -> np.ndarray:
+    """Standard sinusoidal position code, (T, d_model), computed in float64
+    and returned in ``dtype``.
 
-    Cached per shape, since the sampler asks for the same code on every
-    field evaluation; the array is read-only because callers share it.
-    The bound keeps a long-lived process that sees many lengths from
-    growing the cache without limit.
+    Cached per shape and dtype, since the sampler asks for the same code
+    on every field evaluation; the array is read-only because callers
+    share it.  The bound keeps a long-lived process that sees many
+    lengths from growing the cache without limit.
     """
     pos = np.arange(T, dtype=np.float64)[:, None]
     i = np.arange(d_model, dtype=np.float64)[None, :]
@@ -211,6 +218,7 @@ def positional_encoding(T: int, d_model: int) -> np.ndarray:
     pe = np.empty((T, d_model))
     pe[:, 0::2] = np.sin(ang[:, 0::2])
     pe[:, 1::2] = np.cos(ang[:, 1::2])
+    pe = pe.astype(dtype, copy=False)
     pe.flags.writeable = False
     return pe
 
@@ -229,7 +237,7 @@ def _linear_backward(x, dy, w, dx, dw, db) -> None:
     x2 = x.reshape(-1, i)
     dy2 = dy.reshape(-1, o)
     np.matmul(x2.T, dy2, out=dw)
-    np.sum(dy2, axis=0, out=db)
+    np.add.reduce(dy2, axis=0, out=db)
     np.matmul(dy2, w.T, out=dx.reshape(-1, i))
 
 
@@ -264,11 +272,20 @@ def _gelu_grad(x, e, g, tmp) -> None:
 
 
 def _layernorm(x, g, b, y, xhat, istd) -> None:
-    """y = g * xhat + b, keeping xhat and the inverse std for the backward."""
-    np.mean(x, axis=-1, keepdims=True, out=istd)
+    """y = g * xhat + b, keeping xhat and the inverse std for the backward.
+
+    A row mean is ``np.add.reduce`` and a divide by the width: bitwise
+    what ``np.mean`` gives, without its Python wrapper.  (For float32,
+    np.mean divides in float64 and rounds; a float64 quotient rounded to
+    float32 is the correctly rounded float32 quotient.)
+    """
+    width = x.shape[-1]
+    np.add.reduce(x, axis=-1, keepdims=True, out=istd)
+    istd /= width
     np.subtract(x, istd, out=xhat)
     np.multiply(xhat, xhat, out=y)
-    np.mean(y, axis=-1, keepdims=True, out=istd)
+    np.add.reduce(y, axis=-1, keepdims=True, out=istd)
+    istd /= width
     istd += _LN_EPS
     np.sqrt(istd, out=istd)
     np.divide(1.0, istd, out=istd)
@@ -281,15 +298,18 @@ def _layernorm_backward(dy, cache, g, dx, dg, db, tmp, stat) -> None:
     """Writes dL/dx into ``dx`` and the gain and offset gradients into
     ``dg`` and ``db``; ``tmp`` (like dy) and ``stat`` (one per row) are scratch."""
     xhat, istd = cache
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    np.sum(dy2, axis=0, out=db)
+    width = dy.shape[-1]
+    dy2 = dy.reshape(-1, width)
+    np.add.reduce(dy2, axis=0, out=db)
     np.multiply(dy, g, out=dx)
     np.multiply(dy, xhat, out=tmp)
-    np.sum(tmp.reshape(dy2.shape), axis=0, out=dg)
+    np.add.reduce(tmp.reshape(dy2.shape), axis=0, out=dg)
     np.multiply(dx, xhat, out=tmp)
-    np.mean(tmp, axis=-1, keepdims=True, out=stat)
+    np.add.reduce(tmp, axis=-1, keepdims=True, out=stat)  # row means, as in _layernorm
+    stat /= width
     np.multiply(xhat, stat, out=tmp)
-    np.mean(dx, axis=-1, keepdims=True, out=stat)
+    np.add.reduce(dx, axis=-1, keepdims=True, out=stat)
+    stat /= width
     dx -= stat
     dx -= tmp
     dx *= istd
@@ -412,7 +432,7 @@ class VectorFieldModel:
         _linear(ws.u, params["in_w"], params["in_b"], z)
         z += time_embedding(inputs.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
         if cfg.use_positional:
-            z += positional_encoding(t_len, cfg.d_model).astype(dtype, copy=False)[None, :, :]
+            z += positional_encoding(t_len, cfg.d_model, dtype)[None, :, :]
 
         scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
         for i, blk in enumerate(ws.blocks):
@@ -427,10 +447,10 @@ class VectorFieldModel:
             attn_p = blk["p"]
             np.matmul(blk["q"], blk["k"].transpose(0, 1, 3, 2), out=attn_p)
             attn_p *= scale
-            np.max(attn_p, axis=-1, keepdims=True, out=ws.row)
+            np.maximum.reduce(attn_p, axis=-1, keepdims=True, out=ws.row)
             attn_p -= ws.row
             np.exp(attn_p, out=attn_p)
-            np.sum(attn_p, axis=-1, keepdims=True, out=ws.row)
+            np.add.reduce(attn_p, axis=-1, keepdims=True, out=ws.row)
             attn_p /= ws.row
             np.matmul(attn_p, blk["v"], out=blk["o_heads"])
             _linear(blk["o"], params[p + "wo"], params[p + "bo"], z_attn)
@@ -526,7 +546,7 @@ class VectorFieldModel:
         # rows feed a parameter
         u, dz2 = cache["u"], dz.reshape(-1, d)
         np.matmul(u.reshape(-1, u.shape[-1]).T, dz2, out=grads["in_w"])
-        np.sum(dz2, axis=0, out=grads["in_b"])
+        np.add.reduce(dz2, axis=0, out=grads["in_b"])
         emb_rows = slice(2 * cfg.feature_dim, 2 * cfg.feature_dim + cfg.d_phn)
         np.matmul(dz2, params["in_w"][emb_rows].T, out=ws.d_emb)
         grads["phn_emb"].fill(0.0)
@@ -740,6 +760,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         cfg = ModelConfig(**json.loads(cfg_block))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad config block in checkpoint {path}: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"bad config block in checkpoint {path}: nested too deeply") from None
     (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
 
     tensors: dict[str, np.ndarray] = {}

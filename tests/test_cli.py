@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -795,3 +796,104 @@ def test_eval_report_bad_pair_record_is_one_line_error(tmp_path, capsys, line):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "pairs.jsonl:1: bad pair record" in err[0]
     assert not out.exists()
+
+
+# -- malformed JSON nesting -------------------------------------------------------
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("line", [DEEP, json.dumps(GOOD_RECORD)[:-1] + ', "x": ' + DEEP],
+                         ids=["bare", "in-record"])
+@pytest.mark.parametrize("command", ["curate", "train"])
+def test_deeply_nested_manifest_line_is_one_line_error(tmp_path, capsys, command, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+    flags = {"curate": ("--in", bad, "--out", tmp_path / "o.jsonl"),
+             "train": ("--manifest", bad, "--steps", 1, "--out", tmp_path / "o")}[command]
+    assert run_cli(command, *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "format error: manifest line 2: invalid JSON (nested too deeply)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def test_eval_report_deeply_nested_pair_is_one_line_error(tmp_path, capsys, score_calls):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(DEEP + "\n")
+    out = tmp_path / "report.json"
+    assert run_cli("eval", "report", "--pairs", pairs, "--seeds", "s1", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {pairs}:1: bad pair record (nested too deeply)\n"
+    assert score_calls["n"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl"]
+
+
+def test_sample_deeply_nested_checkpoint_config_is_one_line_error(tmp_path, capsys):
+    ck = tmp_path / "deep.fmck"
+    block = DEEP.encode()
+    ck.write_bytes(b"FMCK" + struct.pack("<II", 1, len(block)) + block)
+    (tmp_path / "t.phn").write_text("1 2 3\n")
+    out = tmp_path / "gen.fmat"
+    assert run_cli("sample", "--checkpoint", ck, "--text-phonemes", tmp_path / "t.phn",
+                   "--zero-nv", "--zero-emo", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"format error: bad config block in checkpoint {ck}: nested too deeply\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.fmck", "t.phn"]
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Replaces cmd_train and cmd_sample with recorders of the parsed args."""
+    calls = []
+
+    def record(args):
+        calls.append(vars(args).copy())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_train", record)
+    monkeypatch.setattr(cli, "cmd_sample", record)
+    return calls
+
+
+SAMPLE_ARGS = ("sample", "--checkpoint", "c.fmck", "--text-phonemes", "t.phn", "--out", "o.fmat")
+
+
+def test_reused_parser_does_not_accumulate_appended_manifests(recorded):
+    assert run_cli("train", "--manifest", "a", "--manifest", "b", "--out", "o") == 0
+    assert run_cli("train", "--manifest", "c", "--out", "o") == 0
+    assert run_cli("train", "--out", "o") == 0
+    assert [call["manifest"] for call in recorded] == [["a", "b"], ["c"], None]
+
+
+def test_reused_parser_restores_sample_defaults(recorded):
+    assert run_cli(*SAMPLE_ARGS, "--nfe", 8, "--guidance", 2.5, "--solver", "midpoint") == 0
+    assert run_cli(*SAMPLE_ARGS) == 0
+    picked = [(c["nfe"], c["guidance"], c["solver"]) for c in recorded]
+    assert picked == [(8, 2.5, "midpoint"), (32, 1.0, "euler")]
+
+
+def test_reused_parser_works_after_bad_flags(recorded, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*SAMPLE_ARGS, "--nfe", "many")
+    assert exc.value.code == 2
+    assert "--nfe" in capsys.readouterr().err
+    assert run_cli(*SAMPLE_ARGS, "--seed", 3) == 0
+    assert [(c["nfe"], c["seed"]) for c in recorded] == [(32, 3)]
+
+
+def test_main_dispatches_to_the_module_attribute_at_call_time(tmp_path, capsys, monkeypatch):
+    # A tracer replaces cli.cmd_curate after the parser exists; its
+    # replacement must be what the next call runs.
+    argv = ("curate", "--in", tmp_path / "missing.jsonl", "--out", tmp_path / "o.jsonl")
+    assert run_cli(*argv) == 1
+    assert "missing.jsonl" in capsys.readouterr().err
+    seen = []
+    monkeypatch.setattr(cli, "cmd_curate", lambda args: seen.append(args.inp) or 0)
+    assert run_cli(*argv) == 0
+    assert seen == [str(tmp_path / "missing.jsonl")]

@@ -385,6 +385,53 @@ def test_float64_forward_matches_reference_bitwise(cfg, B, T):
     np.testing.assert_array_equal(out, reference_forward(cfg, inputs, params))
 
 
+def reference_layernorm(x, g, b):
+    """The layernorm kernel as written with np.mean: (y, xhat, istd)."""
+    istd = np.mean(x, axis=-1, keepdims=True)
+    xhat = x - istd
+    istd = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    istd += 1e-6
+    istd = np.divide(1.0, np.sqrt(istd))
+    xhat *= istd
+    return g * xhat + b, xhat, istd
+
+
+def reference_layernorm_backward(dy, xhat, istd, g):
+    """The layernorm backward as written with np.mean and np.sum: (dx, dg, db)."""
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    db = np.sum(dy2, axis=0)
+    dg = np.sum((dy * xhat).reshape(dy2.shape), axis=0)
+    dx = dy * g
+    tmp = xhat * np.mean(dx * xhat, axis=-1, keepdims=True)
+    dx -= np.mean(dx, axis=-1, keepdims=True)
+    dx -= tmp
+    dx *= istd
+    return dx, dg, db
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [7, 48, 64, 96])
+def test_layernorm_reductions_match_np_mean_bitwise(dtype, width):
+    # The kernels take row means as np.add.reduce and a divide by the width.
+    rng = np.random.default_rng(width)
+    x = (rng.standard_normal((2, 13, width)) * 3.0 + 0.7).astype(dtype)
+    g = rng.uniform(0.5, 1.5, width).astype(dtype)
+    b = rng.standard_normal(width).astype(dtype)
+    y, xhat, istd = np.empty_like(x), np.empty_like(x), np.empty((2, 13, 1), dtype)
+    seqmodel._layernorm(x, g, b, y, xhat, istd)
+    for got, want in zip((y, xhat, istd), reference_layernorm(x, g, b)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    dy = rng.standard_normal(x.shape).astype(dtype)
+    dx, dg, db = np.empty_like(x), np.empty(width, dtype), np.empty(width, dtype)
+    seqmodel._layernorm_backward(dy, (xhat, istd), g, dx, dg, db,
+                                 np.empty_like(x), np.empty_like(istd))
+    for got, want in zip((dx, dg, db), reference_layernorm_backward(dy, xhat, istd, g)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def cached_arrays(obj, path=""):
     """Every float array in a forward cache, by its path."""
     if isinstance(obj, np.ndarray):
