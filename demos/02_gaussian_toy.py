@@ -8,7 +8,7 @@ moments.  (The acceptance suite runs a longer, tighter version.)
 
 # flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
 from flowcond import (
-    ConditionBundle,
+    BatchInputs,
     GuidanceConfig,
     LrSchedule,
     ModelConfig,
@@ -18,7 +18,7 @@ from flowcond import (
     integrate_batch,
     make_field_fn,
 )
-from flowcond.seqmodel import BatchInputs, adam_update, masked_batch_loss_grad
+from flowcond.seqmodel import adam_update, masked_batch_loss_grad
 
 import numpy as np
 
@@ -55,20 +55,19 @@ for step in range(1, STEPS + 1):
     if step % 300 == 0:
         print(f"step {step:5d}  loss {loss:.4f}")
 
-prompt = ConditionBundle(
-    phonemes=np.zeros(1, dtype=np.int64),
-    nv=np.zeros((32, 1)),
-    emo=np.zeros((2, 1)),
-    context=np.zeros((2, 1)),
-    mask=np.ones(1),
+# 4000 blank one-frame prompts; every frame is generated.
+n = 4000
+prompts = BatchInputs.from_examples(
+    np.zeros((n, 2, 1)), np.zeros(n), np.zeros((n, 1), dtype=np.int64),
+    np.zeros((n, 32, 1)), np.zeros((n, 2, 1)), np.zeros((n, 2, 1)), np.ones((n, 1)),
 )
 samples = integrate_batch(
     make_field_fn(model, params),
-    [prompt] * 4000,
+    prompts,
     GuidanceConfig(strength=0.0, nfe=32),
     np.random.default_rng(1),
 )
-arr = np.array([s[:, 0] for s in samples])
+arr = samples[:, :, 0]
 print("\nsampled moments vs target:")
 print(f"  mean {arr.mean(axis=0).round(3)}  target {mu}")
 print(f"  var  {arr.var(axis=0).round(3)}  target {std ** 2}")

@@ -8,9 +8,9 @@ The acceptance suite trains longer and checks a hard threshold.)
 
 # flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
 from flowcond import (
+    BatchInputs,
     GuidanceConfig,
     ModelConfig,
-    build_example,
     integrate_batch,
     make_field_fn,
     sample_mask,
@@ -47,10 +47,13 @@ held = make_examples(1, seed=99)[0]
 mask = sample_mask(1, T, rng, (0.5, 0.5))[0]
 start = int(np.argmax(mask))
 end = start + int(mask.sum())
-prompt = build_example(held.features, held.phonemes, held.nv, held.emo, mask)
+prompt = BatchInputs.from_examples(
+    np.zeros((1, F, T)), np.zeros(1), held.phonemes[None], held.nv[None], held.emo[None],
+    held.features[None], mask[None],
+)
 out = integrate_batch(
     make_field_fn(VectorFieldModel(cfg), params),
-    [prompt],
+    prompt,
     GuidanceConfig(strength=1.0, nfe=32),
     np.random.default_rng(2),
 )[0]

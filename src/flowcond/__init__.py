@@ -18,11 +18,8 @@ from .fm_core import (
     on_path_field,
 )
 from .infill import (
-    ConditionBundle,
     BatchInputs,
     sample_mask,
-    build_example,
-    zero_conditions,
     BLANK_TOKEN,
 )
 from .sampler import (

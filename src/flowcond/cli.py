@@ -283,7 +283,7 @@ def cmd_sample(args) -> int:
     try:
         # integrate_batch reports a non-finite state itself, in one error.
         with np.errstate(over="ignore", invalid="ignore"):
-            generated = integrate_batch(make_field_fn(model, params), [prompt], guidance, rng)[0]
+            generated = integrate_batch(make_field_fn(model, params), prompt, guidance, rng)[0]
     except FloatingPointError as exc:
         raise CliError(f"sampling failed: {exc}") from exc
 

@@ -128,6 +128,8 @@ def load_phonemes(path: str | Path) -> np.ndarray:
         return np.array([int(tok) for tok in text.split()], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"non-integer phoneme token in {path}: {exc}") from exc
+    except OverflowError:
+        raise FormatError(f"phoneme id outside the 64-bit integer range in {path}") from None
 
 
 def frames_to_seconds(frames: int, frames_per_second: float) -> float:

@@ -3,14 +3,15 @@
 A training example hides a contiguous span of frames behind a binary
 temporal mask; the model sees the remaining context plus frame-aligned
 condition streams and must regenerate the hidden span.  ``BatchInputs``
-is the stacked form of a batch of bundles, the model's input, and
-``zero_conditions`` blanks a bundle: the unconditional branch.
+is the model's only input type: B such rows stacked, whether a training
+batch or a sampling prompt.  ``BatchInputs.from_examples`` hides the
+masked frames of the features, and ``BatchInputs.blank`` blanks the
+conditions of chosen rows: the unconditional branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,52 +23,17 @@ BLANK_TOKEN = 0
 
 
 @dataclass
-class ConditionBundle:
-    """Frame-aligned condition streams plus the visible context.
-
-    ``phonemes`` holds integer token ids of length T; ``nv`` is the
-    32 x T nonverbal-vocalization embedding stream; ``emo`` the 2 x T
-    arousal/valence stream centered in [-0.5, 0.5]; ``context`` is the
-    feature matrix with the masked span zeroed; ``mask`` is the (T,)
-    uint8 0/1 array whose 1s mark the frames to generate.
-    """
-
-    phonemes: np.ndarray
-    nv: np.ndarray
-    emo: np.ndarray
-    context: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.phonemes = np.asarray(self.phonemes)
-        if self.phonemes.ndim != 1:
-            raise ValueError("phonemes must be a 1-d token id sequence")
-        t = self.phonemes.shape[0]
-        for name, arr, rows in (("nv", self.nv, NV_DIM), ("emo", self.emo, EMO_DIM)):
-            if arr.shape != (rows, t):
-                raise ValueError(
-                    f"{name} must have shape ({rows}, {t}), got {arr.shape}"
-                )
-        if self.context.ndim != 2 or self.context.shape[1] != t:
-            raise ValueError(
-                f"context must be F x {t}, got shape {self.context.shape}"
-            )
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.mask.shape != (t,):
-            raise ValueError(f"mask must have shape ({t},), got {self.mask.shape}")
-        if t and self.mask.max() > 1:
-            raise ValueError("mask bits must be 0 or 1")
-        if self.emo.size and (self.emo.min() < -0.5 or self.emo.max() > 0.5):
-            raise ValueError("emo values must lie in [-0.5, 0.5]")
-
-    @property
-    def length(self) -> int:
-        return self.phonemes.shape[0]
-
-
-@dataclass
 class BatchInputs:
-    """Stacked per-example arrays; every example must share F and T."""
+    """B masked-infill rows that share F and T, stacked along axis 0.
+
+    ``x_t`` is the flow state at times ``t``; ``tokens`` holds phoneme
+    ids; ``nv`` is the 32-row nonverbal-vocalization stream and ``emo``
+    the 2-row arousal/valence stream, centered in [-0.5, 0.5];
+    ``context`` is the features with the masked frames zeroed; the 0/1
+    ``mask_bits`` mark the frames to generate.  Construction checks every
+    stream's shape against x_t's (B, F, T), the mask bits and the emo
+    range; B = 0 passes.
+    """
 
     x_t: np.ndarray  # (B, F, T)
     t: np.ndarray  # (B,)
@@ -77,26 +43,71 @@ class BatchInputs:
     context: np.ndarray  # (B, F, T)
     mask_bits: np.ndarray  # (B, T)
 
+    def __post_init__(self):
+        if np.ndim(self.x_t) != 3:
+            raise ValueError(f"x_t must be B x F x T, got shape {np.shape(self.x_t)}")
+        b, f, t_len = np.shape(self.x_t)
+        for name, want in (
+            ("t", (b,)),
+            ("tokens", (b, t_len)),
+            ("nv", (b, NV_DIM, t_len)),
+            ("emo", (b, EMO_DIM, t_len)),
+            ("context", (b, f, t_len)),
+            ("mask_bits", (b, t_len)),
+        ):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise ValueError(f"{name} must have shape {want}, got {got}")
+        bits = self.mask_bits
+        if np.any((bits != 0) & (bits != 1)):
+            raise ValueError("mask bits must be 0 or 1")
+        emo = self.emo
+        if emo.size and (emo.min() < -0.5 or emo.max() > 0.5):
+            raise ValueError("emo values must lie in [-0.5, 0.5]")
+
     @classmethod
     def from_examples(
-        cls, x_t: Sequence[np.ndarray], t: Sequence[float], conds: Sequence[ConditionBundle]
+        cls,
+        x_t: np.ndarray,
+        t: np.ndarray,
+        tokens: np.ndarray,
+        nv: np.ndarray,
+        emo: np.ndarray,
+        features: np.ndarray,
+        mask_bits: np.ndarray,
     ) -> "BatchInputs":
-        shapes = {np.shape(x) for x in x_t}
-        if len(shapes) != 1:
-            raise ValueError(f"batch examples disagree in shape: {shapes}")
-        t_len = shapes.pop()[1]
-        bad = {c.length for c in conds if c.length != t_len}
-        if bad:
-            raise ValueError(f"condition length(s) {sorted(bad)} != state length {t_len}")
-        return cls(
-            x_t=np.stack([np.asarray(x, dtype=np.float64) for x in x_t]),
-            t=np.asarray(t, dtype=np.float64),
-            tokens=np.stack([c.phonemes for c in conds]),
-            nv=np.stack([np.asarray(c.nv, dtype=np.float64) for c in conds]),
-            emo=np.stack([np.asarray(c.emo, dtype=np.float64) for c in conds]),
-            context=np.stack([np.asarray(c.context, dtype=np.float64) for c in conds]),
-            mask_bits=np.stack([c.mask for c in conds]).astype(np.float64),
+        """Stacked rows whose context hides the masked frames of ``features``.
+
+        context = (1 - m) * features: frames under the mask are zero and
+        every other frame is copied from ``features`` unchanged.  Every
+        row's mask must select at least one frame.  Streams are cast to
+        float64; ``tokens`` keep their integer type.
+        """
+        f64 = np.float64
+        batch = cls(  # checks every shape; the context is masked below
+            x_t=np.asarray(x_t, dtype=f64),
+            t=np.asarray(t, dtype=f64),
+            tokens=np.asarray(tokens),
+            nv=np.asarray(nv, dtype=f64),
+            emo=np.asarray(emo, dtype=f64),
+            context=np.asarray(features, dtype=f64),
+            mask_bits=np.asarray(mask_bits, dtype=f64),
         )
+        if not batch.mask_bits.any(axis=1).all():
+            raise ValueError("training mask must select at least one frame")
+        batch.context = (1.0 - batch.mask_bits)[:, None, :] * batch.context
+        return batch
+
+    def blank(self, rows) -> None:
+        """Blank the conditions of ``rows`` in place (the unconditional branch).
+
+        Their phonemes become ``BLANK_TOKEN`` and their nv, emo and
+        context zero; x_t, t and the mask stay.  ``rows`` is any numpy
+        index over the batch axis.
+        """
+        self.tokens[rows] = BLANK_TOKEN
+        for stream in (self.nv, self.emo, self.context):
+            stream[rows] = 0.0
 
 
 def sample_mask(
@@ -119,38 +130,3 @@ def sample_mask(
     np.clip(span, 1, T, out=span)
     offset = np.arange(T) - rng.integers(T - span + 1)[:, None]  # frame index - span start
     return ((offset >= 0) & (offset < span[:, None])).astype(np.uint8)
-
-
-def build_example(
-    features: np.ndarray,
-    phonemes: np.ndarray,
-    nv: np.ndarray,
-    emo: np.ndarray,
-    mask: np.ndarray,
-) -> ConditionBundle:
-    """Condition bundle whose visible context hides the masked span.
-
-    context = (1 - m) * features: frames under the mask are zero and
-    every other frame is copied from ``features`` unchanged.
-    """
-    mask = np.asarray(mask)
-    if not mask.any():
-        raise ValueError("training mask must select at least one frame")
-    if features.ndim != 2 or features.shape[1:] != mask.shape:
-        raise ValueError(
-            f"features must be F x T for a mask of shape {mask.shape}, "
-            f"got shape {features.shape}"
-        )
-    context = (1.0 - mask.astype(np.float64)) * features
-    return ConditionBundle(phonemes=phonemes, nv=nv, emo=emo, context=context, mask=mask)
-
-
-def zero_conditions(cond: ConditionBundle) -> ConditionBundle:
-    """Bundle with every condition stream blanked (the unconditional branch)."""
-    return replace(
-        cond,
-        phonemes=np.full_like(cond.phonemes, BLANK_TOKEN),
-        nv=np.zeros_like(cond.nv),
-        emo=np.zeros_like(cond.emo),
-        context=np.zeros_like(cond.context),
-    )

@@ -1,6 +1,6 @@
 """Inference-side machinery.
 
-A prompt is a condition bundle, the same masked-context task the model
+A prompt is a ``BatchInputs``, the same masked-infill task the model
 trains on: the visible context holds the reference-audio features
 followed by zeros, and the mask marks the frames to generate.  A learned
 vector field is integrated from noise to data over the whole sequence
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .infill import BatchInputs, ConditionBundle, build_example, zero_conditions
+from .infill import BatchInputs
 
 # A field callable maps stacked model inputs (state x_t (B,F,T), times,
 # condition streams) to velocities of the same shape as the state.
@@ -74,30 +74,33 @@ def assemble_prompt(
     text_phonemes: np.ndarray,
     nv_prompt: np.ndarray,
     emo_prompt: np.ndarray,
-) -> ConditionBundle:
-    """The infilling example of the reference streams followed by the text region.
+) -> BatchInputs:
+    """The one-row infilling batch of the reference streams followed by the text region.
 
     The features are the reference features followed by zeros, the mask
     marks the text region (the model generates it), and ``nv_prompt``
-    and ``emo_prompt`` are resampled to the text length.  ``build_example``
-    and ``ConditionBundle`` reject streams that do not line up.
+    and ``emo_prompt`` are resampled to the text length.  ``x_t`` and
+    ``t`` are zero; the sampler replaces them.  ``BatchInputs`` rejects
+    streams that do not line up.
     """
     text_phonemes = np.asarray(text_phonemes)
     t_text = text_phonemes.shape[0]
     if t_text < 1:
         raise ValueError("text prompt must contain at least one frame")
-    t_spk = np.shape(spk_phonemes)[0]
+    tokens = np.concatenate([spk_phonemes, text_phonemes])
     features = np.concatenate(
         [spk_features, np.zeros((spk_features.shape[0], t_text))], axis=1
     )
-    bits = np.zeros(t_spk + t_text, dtype=np.uint8)
-    bits[t_spk:] = 1
-    return build_example(
-        features,
-        np.concatenate([spk_phonemes, text_phonemes]),
-        np.concatenate([spk_nv, interpolate_stream(nv_prompt, t_text)], axis=1),
-        np.concatenate([spk_emo, interpolate_stream(emo_prompt, t_text)], axis=1),
-        bits,
+    bits = np.zeros(tokens.shape[0])
+    bits[np.shape(spk_phonemes)[0]:] = 1.0
+    return BatchInputs.from_examples(
+        np.zeros((1, features.shape[0], tokens.shape[0])),
+        np.zeros(1),
+        tokens[None],
+        np.concatenate([spk_nv, interpolate_stream(nv_prompt, t_text)], axis=1)[None],
+        np.concatenate([spk_emo, interpolate_stream(emo_prompt, t_text)], axis=1)[None],
+        features[None],
+        bits[None],
     )
 
 
@@ -119,50 +122,49 @@ def guided_field(
 
 def integrate_batch(
     field: FieldFn,
-    conds: Sequence[ConditionBundle],
+    prompts: BatchInputs,
     cfg: GuidanceConfig,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Integrate the guided field from noise to data for a batch of prompts.
 
-    All bundles must share the context shape and the mask; the mask must
-    select at least one frame and the context must be zero under it.
-    The state starts as standard-normal noise over the whole sequence
-    and is stepped from t=0 to t=1 in ``cfg.nfe`` steps; under guidance
-    each step evaluates the field once with the real conditions and once
-    with blanked conditions.  Both condition batches are stacked once;
-    an evaluation swaps in only the state and the time.  The masked
-    columns of each final state are returned.
+    All rows must share the mask; the mask must select at least one
+    frame and the context must be zero under it.  The state starts as
+    standard-normal noise of the prompts' x_t shape and is stepped from
+    t=0 to t=1 in ``cfg.nfe`` steps; under guidance each step evaluates
+    the field once with the real conditions and once with blanked
+    conditions.  Both batches are built once; an evaluation swaps in only
+    the state and the time, and the caller's prompts are left unchanged.
+    Returns the masked frames of the final state, (B, F, masked frames).
     """
-    if not conds:
+    b = prompts.x_t.shape[0]
+    if b == 0:
         raise ValueError("no prompts to integrate")
-    shapes = {c.context.shape for c in conds}
-    if len(shapes) != 1:
-        raise ValueError(f"batched prompts disagree in context shape: {sorted(shapes)}")
-    b = len(conds)
-    x = rng.standard_normal((b, *shapes.pop()))
-    cond_batch = BatchInputs.from_examples(x, np.zeros(b), conds)
-    bits = cond_batch.mask_bits
+    bits = prompts.mask_bits
     if np.any(bits != bits[0]):
         raise ValueError("batched prompts must share one mask")
     sel = bits[0] == 1.0
     if not sel.any():
         raise ValueError("prompt mask must select at least one frame")
-    if np.any(cond_batch.context[:, :, sel] != 0.0):
+    if np.any(prompts.context[:, :, sel] != 0.0):
         raise ValueError("prompt context must be zero under the mask")
-    blank_batch = (
-        BatchInputs.from_examples(x, np.zeros(b), [zero_conditions(c) for c in conds])
-        if cfg.strength > 0
-        else None
-    )
+    x = rng.standard_normal(prompts.x_t.shape)
+    # Own objects, so swapping x_t and t leaves the prompts alone; the
+    # blank batch also owns the streams it blanks.
+    cond_batch = replace(prompts)
+    blank_batch = None
+    if cfg.strength > 0:
+        blank_batch = replace(prompts, **{name: getattr(prompts, name).copy()
+                                          for name in ("tokens", "nv", "emo", "context")})
+        blank_batch.blank(slice(None))
 
     def velocity(state: np.ndarray, t: float) -> np.ndarray:
-        ts = np.full(b, t)
-        v_cond = field(replace(cond_batch, x_t=state, t=ts))
+        cond_batch.x_t, cond_batch.t = state, np.full(b, t)
+        v_cond = field(cond_batch)
         if blank_batch is None:
             return v_cond
-        v_uncond = field(replace(blank_batch, x_t=state, t=ts))
-        return guided_field(v_cond, v_uncond, cfg.strength)
+        blank_batch.x_t, blank_batch.t = state, cond_batch.t
+        return guided_field(v_cond, field(blank_batch), cfg.strength)
 
     h = 1.0 / cfg.nfe
     for k in range(cfg.nfe):
@@ -176,4 +178,4 @@ def integrate_batch(
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state after step {k + 1}/{cfg.nfe}")
 
-    return list(x[:, :, sel])
+    return x[:, :, sel]

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fm_core import PathConfig, on_path_field, sample_conditional_path
-from .infill import BLANK_TOKEN, EMO_DIM, NV_DIM, BatchInputs, sample_mask
+from .infill import EMO_DIM, NV_DIM, BatchInputs, sample_mask
 from .features import FormatError, load_feature_matrix, load_phonemes, read_manifest
 from .seqmodel import (
     LrSchedule,
@@ -196,18 +196,15 @@ def draw_batch(
         return out
 
     x1, tokens, nv, emo = (gather(name) for name in ("features", "phonemes", "nv", "emo"))
-    mask_bits = sample_mask(B, x1.shape[2], rng).astype(np.float64)
+    mask_bits = sample_mask(B, x1.shape[2], rng)
     t = rng.uniform(0.0, 1.0, B)
     x0 = rng.standard_normal(x1.shape)
     drop = rng.uniform(size=B) < p_drop
-    context = (1.0 - mask_bits)[:, None, :] * x1
-    tokens[drop] = BLANK_TOKEN
-    for stream in (nv, emo, context):
-        stream[drop] = 0.0
-    inputs = BatchInputs(
-        x_t=sample_conditional_path(x1, t[:, None, None], x0, path_cfg),
-        t=t, tokens=tokens, nv=nv, emo=emo, context=context, mask_bits=mask_bits,
+    inputs = BatchInputs.from_examples(
+        sample_conditional_path(x1, t[:, None, None], x0, path_cfg), t, tokens, nv, emo, x1,
+        mask_bits,
     )
+    inputs.blank(drop)
     return inputs, on_path_field(x0, x1, path_cfg), sources
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flowcond import (
-    ConditionBundle,
+    BatchInputs,
     GuidanceConfig,
     LrSchedule,
     ModelConfig,
@@ -21,7 +21,6 @@ from flowcond import (
     PathConfig,
     VectorFieldModel,
     assemble_prompt,
-    build_example,
     conditional_vector_field,
     guided_field,
     init_params,
@@ -47,7 +46,6 @@ from flowcond.features import (
 from flowcond.metrics import aggregate_seeds, aro_val_sim, frame_cosine_sim
 from flowcond.training import Corpus, TrainSettings, train_loop
 from flowcond.seqmodel import (
-    BatchInputs,
     masked_batch_loss_grad,
     param_names,
 )
@@ -66,14 +64,11 @@ def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
 
 
-def blank_prompt(f, t):
-    """Every condition blank and every frame masked: the unconditional task."""
-    return ConditionBundle(
-        phonemes=np.zeros(t, dtype=np.int64),
-        nv=np.zeros((32, t)),
-        emo=np.zeros((2, t)),
-        context=np.zeros((f, t)),
-        mask=np.ones(t, dtype=np.uint8),
+def blank_prompt(f, t, b=1):
+    """B rows with every condition blank and every frame masked: the unconditional task."""
+    return BatchInputs.from_examples(
+        np.zeros((b, f, t)), np.zeros(b), np.zeros((b, t), dtype=np.int64),
+        np.zeros((b, 32, t)), np.zeros((b, 2, t)), np.zeros((b, f, t)), np.ones((b, t)),
     )
 
 
@@ -144,7 +139,7 @@ def test_criterion_1_analytic_path_exactness():
     prompt = blank_prompt(F_DIM, 12)
     for nfe in (1, 4, 32):
         seed_rng = np.random.default_rng(50)
-        out = integrate_batch(field, [prompt], GuidanceConfig(strength=0.0, nfe=nfe), seed_rng)[0]
+        out = integrate_batch(field, prompt, GuidanceConfig(strength=0.0, nfe=nfe), seed_rng)[0]
         x0 = np.random.default_rng(50).standard_normal((1, F_DIM, 12))[0]
         worst = max(worst, float(np.max(np.abs(out - (x1 + SIGMA_MIN * x0)))))
 
@@ -168,21 +163,17 @@ def test_criterion_2_gradient_correctness():
     params = init_params(cfg, rng, zero_output=False)
 
     B, T = 2, 5
-    conds = []
-    for _ in range(B):
-        bits = np.zeros(T, dtype=np.uint8)
-        bits[1:4] = 1
-        conds.append(
-            ConditionBundle(
-                phonemes=rng.integers(0, cfg.n_phonemes, T),
-                nv=rng.standard_normal((32, T)) * 0.3,
-                emo=rng.uniform(-0.5, 0.5, (2, T)),
-                context=rng.standard_normal((3, T)),
-                mask=bits,
-            )
-        )
-    inputs = BatchInputs.from_examples(
-        [rng.standard_normal((3, T)) for _ in range(B)], rng.uniform(0, 1, B), conds
+    bits = np.zeros(T)
+    bits[1:4] = 1.0
+    rows = [
+        (rng.integers(0, cfg.n_phonemes, T), rng.standard_normal((32, T)) * 0.3,
+         rng.uniform(-0.5, 0.5, (2, T)), rng.standard_normal((3, T)))
+        for _ in range(B)
+    ]
+    tokens, nv, emo, context = (np.stack(stream) for stream in zip(*rows))
+    inputs = BatchInputs(
+        x_t=np.stack([rng.standard_normal((3, T)) for _ in range(B)]), t=rng.uniform(0, 1, B),
+        tokens=tokens, nv=nv, emo=emo, context=context, mask_bits=np.tile(bits, (B, 1)),
     )
     u_target = rng.standard_normal((B, 3, T))
 
@@ -281,16 +272,13 @@ def test_criterion_3_gaussian_recovery():
     assert state.step == steps <= 20_000
 
     field = make_field_fn(model, params)
-    prompt = blank_prompt(2, 1)
+    prompts = blank_prompt(2, 1, b=2500)
     sample_rng = np.random.default_rng(123)
-    outs = []
-    for _ in range(4):
-        outs.extend(
-            integrate_batch(
-                field, [prompt] * 2500, GuidanceConfig(strength=0.0, nfe=32), sample_rng
-            )
-        )
-    samples = np.array([o[:, 0] for o in outs])
+    outs = [
+        integrate_batch(field, prompts, GuidanceConfig(strength=0.0, nfe=32), sample_rng)
+        for _ in range(4)
+    ]
+    samples = np.concatenate(outs)[:, :, 0]
     assert samples.shape == (10_000, 2)
 
     mean_err = np.abs(samples.mean(axis=0) - mu)
@@ -316,12 +304,12 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
     held = oracle_corpus("sinusoid", 100, seed=200)
 
     rng = np.random.default_rng(999)
-    prompts, truths, spans = [], [], []
-    for feats, phn, nv, emo in held:
+    masks, truths, spans = [], [], []
+    for feats, *_ in held:
         mask = sample_mask(1, T_FRAMES, rng, (0.5, 0.5))[0]
         start = int(np.argmax(mask))
         end = start + int(mask.sum())
-        prompts.append(build_example(feats, phn, nv, emo, mask))
+        masks.append(mask)
         truths.append(feats)
         spans.append((start, end))
 
@@ -329,11 +317,15 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
     groups: dict[tuple[int, int], list[int]] = {}
     for i, span in enumerate(spans):
         groups.setdefault(span, []).append(i)
-    outs = [None] * len(prompts)
+    outs = [None] * len(held)
     gen_rng = np.random.default_rng(5)
     gcfg = GuidanceConfig(strength=1.0, nfe=32)
     for idxs in groups.values():
-        for i, out in zip(idxs, integrate_batch(field, [prompts[i] for i in idxs], gcfg, gen_rng)):
+        prompts = BatchInputs.from_examples(
+            np.zeros((len(idxs), F_DIM, T_FRAMES)), np.zeros(len(idxs)), held.phonemes[idxs],
+            held.nv[idxs], held.emo[idxs], held.features[idxs], np.stack([masks[i] for i in idxs]),
+        )
+        for i, out in zip(idxs, integrate_batch(field, prompts, gcfg, gen_rng)):
             outs[i] = out
 
     model_rmse, base_rmse = [], []
@@ -386,6 +378,9 @@ def test_criterion_5_amplitude_tracks_arousal(mixed_model):
         )
         targets.append(1.0 + emo_t[0])
 
+    prompts = BatchInputs(
+        **{k: np.concatenate([vars(p)[k] for p in prompts]) for k in vars(prompts[0])}
+    )
     outs = integrate_batch(
         field, prompts, GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(9)
     )
@@ -419,7 +414,7 @@ def test_criterion_6_cfg_sanity():
 
     prompt = blank_prompt(3, 6)
     integrate_batch(
-        counting_field, [prompt], GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
+        counting_field, prompt, GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
     )
     assert calls["n"] == 64
     report(6, "guided_field(.,.,0) bitwise-equal to conditional field; 64 evals at nfe=32 w=1")

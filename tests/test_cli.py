@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowcond import cli, curate
 from flowcond.cli import main, parse_config_file
@@ -599,6 +601,77 @@ def test_sample_overflowing_field_is_one_line_error(tmp_path, corpus_dir, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: sampling failed:") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.fmck"]
+
+
+FUZZ_CFG = ModelConfig(n_layers=1, d_model=8, d_ffn=8, d_phn=2, n_phonemes=5, feature_dim=3)
+
+
+def phoneme_file(n):
+    """``n`` in-vocabulary ids, sometimes with one id outside the vocabulary."""
+    valid = st.lists(st.integers(0, FUZZ_CFG.n_phonemes - 1), min_size=n, max_size=n)
+    wild = st.integers(-2**70, -1) | st.integers(FUZZ_CFG.n_phonemes, 2**70)
+    return st.one_of(valid, st.tuples(valid, wild, st.integers(0, n)).map(
+        lambda v: v[0][:v[2]] + [v[1]] + v[0][v[2]:]))
+
+
+def fmat_stream(rows, frames, elements):
+    """An FMAT stream of about ``rows`` x ``frames``, sometimes one off in either."""
+    off = st.sampled_from([0] * 8 + [-1, 1])
+    return st.tuples(off, off).flatmap(lambda d: arrays(
+        np.float32, (max(rows + d[0], 0), max(frames + d[1], 0)), elements=elements))
+
+
+@st.composite
+def sample_requests(draw):
+    """Prompt streams and phoneme files for ``flowcond sample``, some malformed."""
+    values = st.floats(width=32)
+    emo_values = st.floats(-1.0, 1.0, width=32)
+    request = {"text.phn": draw(phoneme_file(draw(st.integers(0, 5))))}
+    if draw(st.booleans()):
+        t_spk = draw(st.integers(0, 4))
+        request["spk.phn"] = draw(phoneme_file(t_spk))
+        request["spk.fmat"] = draw(fmat_stream(FUZZ_CFG.feature_dim, t_spk, values))
+        request["spk_nv.fmat"] = draw(fmat_stream(32, t_spk, values))
+        request["spk_emo.fmat"] = draw(fmat_stream(2, t_spk, emo_values))
+    if draw(st.booleans()):
+        request["nv.fmat"] = draw(fmat_stream(32, draw(st.integers(0, 4)), values))
+    if draw(st.booleans()):
+        request["emo.fmat"] = draw(fmat_stream(2, draw(st.integers(0, 4)), emo_values))
+    return request
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=sample_requests())
+def test_sample_prompt_boundary_fuzz(tmp_path_factory, capsys, request):
+    # Every prompt either samples, or fails with one line and writes nothing.
+    work = tmp_path_factory.mktemp("fuzz")
+    ck = work / "tiny.fmck"
+    save_checkpoint(ck, FUZZ_CFG, init_params(FUZZ_CFG, np.random.default_rng(0)))
+    for name, content in request.items():
+        if name.endswith(".phn"):
+            (work / name).write_text(" ".join(map(str, content)) + "\n")
+        else:
+            store_feature_matrix(content, work / name)
+    argv = ["sample", "--checkpoint", ck, "--text-phonemes", work / "text.phn",
+            "--nfe", 1, "--out", work / "gen.fmat"]
+    if "spk.phn" in request:
+        argv += ["--spk-phonemes", work / "spk.phn", "--spk-features", work / "spk.fmat",
+                 "--spk-nv", work / "spk_nv.fmat", "--spk-emo", work / "spk_emo.fmat"]
+    argv += ["--nv-prompt", work / "nv.fmat"] if "nv.fmat" in request else ["--zero-nv"]
+    argv += ["--emo-prompt", work / "emo.fmat"] if "emo.fmat" in request else ["--zero-emo"]
+    code = run_cli(*argv)
+    event(f"exit {code}")
+    err = capsys.readouterr().err
+    written = {p.name for p in work.iterdir()} - {"tiny.fmck", *request}
+    if code == 0:
+        assert err == "" and written == {"gen.fmat", "gen.fmat.json"}
+        assert load_feature_matrix(work / "gen.fmat").values.shape[1] == len(request["text.phn"])
+    else:
+        assert code == 1
+        assert err.startswith(("error:", "format error:")) and err.count("\n") == 1, err
+        assert written == set(), written
 
 
 # -- curate / eval ------------------------------------------------------------

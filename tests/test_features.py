@@ -108,6 +108,18 @@ def test_phoneme_file_round_trip(tmp_path):
     assert np.array_equal(load_phonemes(p), tokens)
 
 
+@pytest.mark.parametrize("token, match", [
+    ("x1", "non-integer"),
+    (str(2**63), "64-bit integer range"),
+    (str(-2**63 - 1), "64-bit integer range"),
+])
+def test_phoneme_file_bad_token_is_format_error(tmp_path, token, match):
+    p = tmp_path / "t.phn"
+    p.write_text(f"1 {token} 2\n")
+    with pytest.raises(FormatError, match=match):
+        load_phonemes(p)
+
+
 # -- synthetic oracle ----------------------------------------------------------
 
 

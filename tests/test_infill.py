@@ -3,25 +3,25 @@ import pytest
 
 from flowcond import (
     BLANK_TOKEN,
-    ConditionBundle,
+    BatchInputs,
     PathConfig,
-    build_example,
     sample_mask,
-    zero_conditions,
 )
 from flowcond.training import Corpus, draw_batch
 
 
-def make_bundle(T=6, F=4, rng=None):
+def make_batch(B=3, T=6, F=4, rng=None):
     rng = rng or np.random.default_rng(0)
-    bits = np.zeros(T, dtype=np.uint8)
-    bits[: max(1, T // 2)] = 1
-    return ConditionBundle(
-        phonemes=rng.integers(1, 5, T),
-        nv=rng.standard_normal((32, T)),
-        emo=rng.uniform(-0.5, 0.5, (2, T)),
-        context=rng.standard_normal((F, T)),
-        mask=bits,
+    bits = np.zeros((B, T))
+    bits[:, : max(1, T // 2)] = 1.0
+    return BatchInputs(
+        x_t=rng.standard_normal((B, F, T)),
+        t=rng.uniform(0.0, 1.0, B),
+        tokens=rng.integers(1, 5, (B, T)),
+        nv=rng.standard_normal((B, 32, T)),
+        emo=rng.uniform(-0.5, 0.5, (B, 2, T)),
+        context=rng.standard_normal((B, F, T)),
+        mask_bits=bits,
     )
 
 
@@ -36,37 +36,60 @@ def all_contiguous_masks(T):
     return out
 
 
-def bundle_with_mask(mask, T=3):
-    return ConditionBundle(
-        phonemes=np.ones(T, dtype=np.int64),
-        nv=np.zeros((32, T)),
-        emo=np.zeros((2, T)),
-        context=np.zeros((4, T)),
-        mask=mask,
+def one_row(T, F, **streams):
+    """Fields of a valid one-row batch of length T, with ``streams`` replacing some."""
+    fields = dict(
+        x_t=np.zeros((1, F, T)),
+        t=np.zeros(1),
+        tokens=np.ones((1, T), dtype=np.int64),
+        nv=np.zeros((1, 32, T)),
+        emo=np.zeros((1, 2, T)),
+        context=np.zeros((1, F, T)),
+        mask_bits=np.ones((1, T)),
     )
+    return {**fields, **streams}
+
+
+@pytest.mark.parametrize("T, F, streams, match", [
+    (3, 4, dict(mask_bits=np.array([[0, 2, 1]])), "0 or 1"),
+    (3, 4, dict(mask_bits=np.array([[0, -1, 1]])), "0 or 1"),
+    (3, 4, dict(mask_bits=np.array([[0.0, 2.0, 1.0]])), "0 or 1"),
+    (3, 4, dict(mask_bits=np.array([[0.5, 1.0, 1.0]])), "0 or 1"),
+    (3, 4, dict(mask_bits=np.zeros((2, 3))), "mask_bits must have shape"),
+    (5, 3, dict(tokens=np.ones((1, 6), dtype=np.int64)), "tokens must have shape"),
+    (5, 3, dict(nv=np.zeros((1, 32, 6))), "nv must have shape"),
+    (5, 3, dict(emo=np.zeros((1, 2, 4))), "emo must have shape"),
+    (5, 3, dict(context=np.zeros((1, 2, 5))), "context must have shape"),
+    (5, 3, dict(t=np.zeros(2)), "t must have shape"),
+    (5, 3, dict(x_t=np.zeros((3, 5))), "x_t must be B x F x T"),
+    (5, 3, dict(emo=np.full((1, 2, 5), 0.7)), r"emo values must lie in \[-0.5, 0.5\]"),
+], ids=["mask-2", "mask-minus-1", "mask-2.0", "mask-0.5", "mask-shape", "tokens", "nv", "emo",
+        "context", "t", "x_t-2d", "emo-range"])
+def test_batch_rejects_bad_rows(T, F, streams, match):
+    with pytest.raises(ValueError, match=match):
+        BatchInputs(**one_row(T, F, **streams))
+
+
+def test_batch_rejects_rows_that_disagree_in_feature_count():
+    # Prompts whose context shapes differ cannot share one batch.
+    rows = one_row(3, 2, mask_bits=np.array([[0.0, 1.0, 1.0]]))
+    rows = {k: np.concatenate([v, v]) for k, v in rows.items()}
+    rows["context"] = np.zeros((2, 3, 3))
+    with pytest.raises(ValueError, match="context must have shape"):
+        BatchInputs(**rows)
 
 
 def test_mask_validation():
-    with pytest.raises(ValueError):
-        bundle_with_mask(np.array([0, 2, 1]))
-    with pytest.raises(ValueError):
-        bundle_with_mask(np.zeros((2, 3)))
-
-
-def test_mask_validation_after_uint8_cast():
-    # The mask is cast to uint8 before the check: -1 wraps to 255 and is
-    # rejected; floats truncate, so 2.0 is rejected and 0.0/1.0 pass.
-    with pytest.raises(ValueError, match="0 or 1"):
-        bundle_with_mask(np.array([0, -1, 1]))
-    with pytest.raises(ValueError, match="0 or 1"):
-        bundle_with_mask(np.array([0.0, 2.0, 1.0]))
-    mask = bundle_with_mask(np.array([1.0, 0.0, 1.0])).mask
-    assert mask.dtype == np.uint8 and mask.tolist() == [1, 0, 1]
-    empty = np.zeros(0, dtype=np.int64)
-    assert bundle_with_mask(empty, T=0).mask.shape == (0,)
-    # A bundle may be empty, but a training example must hide a frame.
+    for bits in (np.array([[1.0, 0.0, 1.0]]), np.array([[1, 0, 1]], dtype=np.uint8)):
+        assert BatchInputs(**one_row(3, 4, mask_bits=bits)).mask_bits.tolist() == [[1, 0, 1]]
+    # A batch may be empty along T or B, but a training row must hide a frame.
+    assert BatchInputs(**one_row(0, 4)).mask_bits.shape == (1, 0)
+    empty = BatchInputs(**{k: v[:0] for k, v in one_row(3, 4).items()})
+    assert empty.x_t.shape == (0, 4, 3)
+    rows = one_row(0, 4)
+    rows["features"] = rows.pop("context")
     with pytest.raises(ValueError, match="at least one frame"):
-        build_example(np.zeros((4, 0)), empty, np.zeros((32, 0)), np.zeros((2, 0)), empty)
+        BatchInputs.from_examples(**rows)
 
 
 def test_sample_mask_is_a_uint8_array():
@@ -132,30 +155,36 @@ def test_sample_mask_single_row_matches_scalar_draw(ratio_range):
         assert rng.random() == ref_rng.random()
 
 
-def test_build_example_full_mask():
+def test_from_examples_full_mask():
     rng = np.random.default_rng(1)
     T, F = 5, 3
     feats = rng.standard_normal((F, T))
-    cond = build_example(
-        feats,
-        rng.integers(0, 4, T),
-        rng.standard_normal((32, T)),
-        rng.uniform(-0.5, 0.5, (2, T)),
-        np.ones(T, dtype=np.uint8),
+    batch = BatchInputs.from_examples(
+        np.zeros((1, F, T)),
+        np.zeros(1),
+        rng.integers(0, 4, (1, T)),
+        rng.standard_normal((1, 32, T)),
+        rng.uniform(-0.5, 0.5, (1, 2, T)),
+        feats[None],
+        np.ones((1, T), dtype=np.uint8),
     )
-    assert cond.context.shape == feats.shape
-    assert np.all(cond.context == 0.0)
+    assert batch.context.shape == (1, F, T)
+    assert np.all(batch.context == 0.0)
+    for name in ("x_t", "t", "nv", "emo", "context", "mask_bits"):
+        assert getattr(batch, name).dtype == np.float64, name
 
 
-def test_build_example_rejects_empty_mask():
+def test_from_examples_rejects_empty_mask():
     rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        build_example(
-            rng.standard_normal((3, 4)),
-            rng.integers(0, 4, 4),
-            rng.standard_normal((32, 4)),
-            rng.uniform(-0.5, 0.5, (2, 4)),
-            np.zeros(4, dtype=np.uint8),
+    with pytest.raises(ValueError, match="at least one frame"):
+        BatchInputs.from_examples(
+            np.zeros((1, 3, 4)),
+            np.zeros(1),
+            rng.integers(0, 4, (1, 4)),
+            rng.standard_normal((1, 32, 4)),
+            rng.uniform(-0.5, 0.5, (1, 2, 4)),
+            rng.standard_normal((1, 3, 4)),
+            np.zeros((1, 4), dtype=np.uint8),
         )
 
 
@@ -165,41 +194,19 @@ def test_reconstruction_identity():
         T, F = int(rng.integers(2, 12)), int(rng.integers(1, 6))
         feats = rng.standard_normal((F, T))
         mask = sample_mask(1, T, rng, ratio_range=(0.2, 0.9))[0]
-        cond = build_example(
-            feats,
-            rng.integers(0, 4, T),
-            rng.standard_normal((32, T)),
-            rng.uniform(-0.5, 0.5, (2, T)),
-            mask,
+        batch = BatchInputs.from_examples(
+            np.zeros((1, F, T)),
+            np.zeros(1),
+            rng.integers(0, 4, (1, T)),
+            rng.standard_normal((1, 32, T)),
+            rng.uniform(-0.5, 0.5, (1, 2, T)),
+            feats[None],
+            mask[None],
         )
         # each element is either zeroed under the mask or copied exactly
         hidden = mask == 1
-        assert np.all(cond.context[:, hidden] == 0.0)
-        assert np.array_equal(cond.context[:, ~hidden], feats[:, ~hidden])
-
-
-def test_bundle_length_mismatch():
-    rng = np.random.default_rng(4)
-    with pytest.raises(ValueError):
-        ConditionBundle(
-            phonemes=rng.integers(0, 4, 5),
-            nv=rng.standard_normal((32, 6)),
-            emo=rng.uniform(-0.5, 0.5, (2, 5)),
-            context=rng.standard_normal((3, 5)),
-            mask=np.ones(5, dtype=np.uint8),
-        )
-
-
-def test_bundle_emo_range():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        ConditionBundle(
-            phonemes=rng.integers(0, 4, 5),
-            nv=rng.standard_normal((32, 5)),
-            emo=np.full((2, 5), 0.7),
-            context=rng.standard_normal((3, 5)),
-            mask=np.ones(5, dtype=np.uint8),
-        )
+        assert np.all(batch.context[0][:, hidden] == 0.0)
+        assert np.array_equal(batch.context[0][:, ~hidden], feats[:, ~hidden])
 
 
 def make_corpus(n=8, T=6, F=4, seed=0):
@@ -259,9 +266,15 @@ def test_dropout_all_or_nothing():
         assert np.array_equal(getattr(out, name)[~drop], getattr(plain, name)[~drop]), name
 
 
-def test_zero_conditions_preserves_mask():
-    cond = make_bundle()
-    z = zero_conditions(cond)
-    assert np.array_equal(z.mask, cond.mask)
-    assert np.all(z.context == 0.0) and np.all(z.nv == 0.0) and np.all(z.emo == 0.0)
-    assert np.all(z.phonemes == BLANK_TOKEN)
+def test_blank_rows_in_place():
+    batch = make_batch(B=4)
+    before = {k: v.copy() for k, v in vars(batch).items()}
+    rows = np.array([True, False, True, False])
+    batch.blank(rows)
+    assert np.all(batch.tokens[rows] == BLANK_TOKEN)
+    for name in ("nv", "emo", "context"):
+        assert np.all(getattr(batch, name)[rows] == 0.0), name
+    for name in ("x_t", "t", "mask_bits"):
+        assert np.array_equal(getattr(batch, name), before[name]), name
+    for name in ("tokens", "nv", "emo", "context"):
+        assert np.array_equal(getattr(batch, name)[~rows], before[name][~rows]), name

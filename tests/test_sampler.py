@@ -3,7 +3,6 @@ import pytest
 
 from flowcond import (
     BatchInputs,
-    ConditionBundle,
     GuidanceConfig,
     ModelConfig,
     PathConfig,
@@ -29,6 +28,11 @@ def make_prompt(F=3, t_spk=4, t_text=6, rng=None, seed=0):
         nv_prompt=rng.standard_normal((32, t_text)),
         emo_prompt=rng.uniform(-0.5, 0.5, (2, t_text)),
     )
+
+
+def stack(prompts):
+    """One batch holding the rows of every prompt, in order."""
+    return BatchInputs(**{k: np.concatenate([vars(p)[k] for p in prompts]) for k in vars(prompts[0])})
 
 
 # -- interpolate_stream ----------------------------------------------------
@@ -93,15 +97,16 @@ def test_interpolate_domain_errors():
 
 def test_assemble_lengths_and_region():
     p = make_prompt(t_spk=4, t_text=6)
-    assert isinstance(p, ConditionBundle)
-    assert p.length == 10
-    assert np.array_equal(p.mask, [0] * 4 + [1] * 6)
-    assert p.context.shape == (3, 10)
+    assert isinstance(p, BatchInputs)
+    assert p.tokens.shape == (1, 10)
+    assert np.array_equal(p.mask_bits, [[0] * 4 + [1] * 6])
+    assert p.context.shape == (1, 3, 10)
+    assert np.all(p.x_t == 0.0) and np.all(p.t == 0.0)
 
 
 def test_assemble_text_features_zero():
     p = make_prompt()
-    assert np.all(p.context[:, p.mask == 1] == 0.0)
+    assert np.all(p.context[:, :, p.mask_bits[0] == 1] == 0.0)
 
 
 def test_assemble_prompt_streams_pass_through_when_aligned():
@@ -116,7 +121,7 @@ def test_assemble_prompt_streams_pass_through_when_aligned():
         nv_prompt=nv,
         emo_prompt=rng.uniform(-0.5, 0.5, (2, 6)),
     )
-    assert np.array_equal(p.nv[:, 4:], nv)
+    assert np.array_equal(p.nv[0, :, 4:], nv)
 
 
 def test_assemble_prompt_interpolates_short_streams():
@@ -130,8 +135,8 @@ def test_assemble_prompt_interpolates_short_streams():
         nv_prompt=rng.standard_normal((32, 3)),
         emo_prompt=np.array([[-0.5, -0.5], [0.0, 0.0]]),
     )
-    assert p.nv.shape == (32, 7)
-    assert p.emo.shape == (2, 7)
+    assert p.nv.shape == (1, 32, 7)
+    assert p.emo.shape == (1, 2, 7)
 
 
 def test_assemble_prompt_is_the_infill_example():
@@ -154,12 +159,12 @@ def test_assemble_prompt_is_the_infill_example():
         emo_prompt=emo_prompt,
     )
     for got, want in (
-        (p.context[:, :4], spk_features.astype(np.float64)),
-        (p.context[:, 4:], np.zeros((3, 6))),
-        (p.nv[:, :4], spk_nv.astype(np.float64)),
-        (p.nv[:, 4:], interpolate_stream(nv_prompt, 6)),
-        (p.emo[:, :4], spk_emo.astype(np.float64)),
-        (p.emo[:, 4:], interpolate_stream(emo_prompt, 6)),
+        (p.context[0, :, :4], spk_features.astype(np.float64)),
+        (p.context[0, :, 4:], np.zeros((3, 6))),
+        (p.nv[0, :, :4], spk_nv.astype(np.float64)),
+        (p.nv[0, :, 4:], interpolate_stream(nv_prompt, 6)),
+        (p.emo[0, :, :4], spk_emo.astype(np.float64)),
+        (p.emo[0, :, 4:], interpolate_stream(emo_prompt, 6)),
     ):
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
@@ -198,14 +203,16 @@ def test_assemble_empty_text_rejected():
         )
 
 
-def blank_bundle(bits, context):
+def blank_prompt(bits, context):
     t = len(bits)
-    return ConditionBundle(
-        phonemes=np.zeros(t, dtype=np.int64),
-        nv=np.zeros((32, t)),
-        emo=np.zeros((2, t)),
-        context=context,
-        mask=bits,
+    return BatchInputs(
+        x_t=np.zeros((1, *context.shape)),
+        t=np.zeros(1),
+        tokens=np.zeros((1, t), dtype=np.int64),
+        nv=np.zeros((1, 32, t)),
+        emo=np.zeros((1, 2, t)),
+        context=context[None],
+        mask_bits=np.array([bits], dtype=np.float64),
     )
 
 
@@ -214,24 +221,26 @@ def zero_field(inputs):
 
 
 def test_integrate_rejects_nonzero_context_under_mask():
-    bundle = blank_bundle([0, 0, 1, 1, 1], np.ones((2, 5)))
+    prompt = blank_prompt([0, 0, 1, 1, 1], np.ones((2, 5)))
     with pytest.raises(ValueError, match="zero under the mask"):
-        integrate_batch(zero_field, [bundle], GuidanceConfig(), np.random.default_rng(0))
+        integrate_batch(zero_field, prompt, GuidanceConfig(), np.random.default_rng(0))
 
 
 def test_integrate_rejects_empty_mask():
-    bundle = blank_bundle([0, 0, 0], np.ones((2, 3)))
+    prompt = blank_prompt([0, 0, 0], np.ones((2, 3)))
     with pytest.raises(ValueError, match="at least one frame"):
-        integrate_batch(zero_field, [bundle], GuidanceConfig(), np.random.default_rng(0))
+        integrate_batch(zero_field, prompt, GuidanceConfig(), np.random.default_rng(0))
 
 
 def test_integrate_rejects_disagreeing_bundles():
-    a = blank_bundle([0, 1, 1], np.zeros((2, 3)))
+    # Rows of one batch that disagree in mask, and an empty batch.
+    a = blank_prompt([0, 1, 1], np.zeros((2, 3)))
     cfg, rng = GuidanceConfig(), np.random.default_rng(0)
     with pytest.raises(ValueError, match="one mask"):
-        integrate_batch(zero_field, [a, blank_bundle([1, 1, 0], np.zeros((2, 3)))], cfg, rng)
-    with pytest.raises(ValueError, match="context shape"):
-        integrate_batch(zero_field, [a, blank_bundle([0, 1, 1], np.zeros((3, 3)))], cfg, rng)
+        integrate_batch(zero_field, stack([a, blank_prompt([1, 1, 0], np.zeros((2, 3)))]), cfg, rng)
+    empty = BatchInputs(**{k: v[:0] for k, v in vars(a).items()})
+    with pytest.raises(ValueError, match="no prompts"):
+        integrate_batch(zero_field, empty, cfg, rng)
 
 
 def test_empty_speaker_prompt_allowed():
@@ -245,7 +254,7 @@ def test_empty_speaker_prompt_allowed():
         nv_prompt=np.zeros((32, 4)),
         emo_prompt=np.zeros((2, 4)),
     )
-    assert np.array_equal(p.mask, [1, 1, 1, 1])
+    assert np.array_equal(p.mask_bits, [[1, 1, 1, 1]])
 
 
 # -- guided_field ------------------------------------------------------------
@@ -299,7 +308,7 @@ def test_integrate_analytic_euler_exact_any_nfe():
     for nfe in (1, 4, 32):
         out = integrate_batch(
             field,
-            [prompt],
+            prompt,
             GuidanceConfig(strength=0.0, nfe=nfe, solver="euler"),
             np.random.default_rng(100),
         )[0]
@@ -315,8 +324,8 @@ def test_integrate_fixed_seed_bitwise_identical():
     x1 = np.random.default_rng(11).standard_normal((3, 10))
     field = analytic_field_toward(x1, path_cfg)
     cfg = GuidanceConfig(strength=0.0, nfe=8)
-    a = integrate_batch(field, [prompt], cfg, np.random.default_rng(42))[0]
-    b = integrate_batch(field, [prompt], cfg, np.random.default_rng(42))[0]
+    a = integrate_batch(field, prompt, cfg, np.random.default_rng(42))[0]
+    b = integrate_batch(field, prompt, cfg, np.random.default_rng(42))[0]
     assert np.array_equal(a, b)
 
 
@@ -330,7 +339,7 @@ def test_integrate_evaluation_count_under_guidance():
 
     integrate_batch(
         counting_field,
-        [prompt],
+        prompt,
         GuidanceConfig(strength=1.0, nfe=32, solver="euler"),
         np.random.default_rng(0),
     )
@@ -339,7 +348,7 @@ def test_integrate_evaluation_count_under_guidance():
     calls["n"] = 0
     integrate_batch(
         counting_field,
-        [prompt],
+        prompt,
         GuidanceConfig(strength=0.0, nfe=32, solver="euler"),
         np.random.default_rng(0),
     )
@@ -355,29 +364,48 @@ def test_integrate_nonfinite_state_reports_step():
     with pytest.raises(FloatingPointError, match="step 1"):
         integrate_batch(
             exploding_field,
-            [prompt],
+            prompt,
             GuidanceConfig(strength=0.0, nfe=4),
             np.random.default_rng(0),
         )
 
 
 def test_guided_request_stacks_conditions_once(monkeypatch):
-    # The condition batches are built once per integration (conditional and
-    # blanked), not once per field evaluation.
+    # The conditional and the blanked batch are built once per request,
+    # whatever the NFE, not once per field evaluation.
     cfg = ModelConfig(n_layers=1, d_model=8, d_ffn=8, d_phn=2, n_phonemes=5, feature_dim=3)
     field = make_field_fn(VectorFieldModel(cfg), init_params(cfg, np.random.default_rng(0)))
-    original = BatchInputs.from_examples.__func__
+    prompt = make_prompt(seed=8)
+    original = BatchInputs.__post_init__
     calls = {"n": 0}
 
-    def counting(cls, *args):
+    def counting(self):
         calls["n"] += 1
-        return original(cls, *args)
+        original(self)
 
-    monkeypatch.setattr(BatchInputs, "from_examples", classmethod(counting))
+    monkeypatch.setattr(BatchInputs, "__post_init__", counting)
+    for nfe in (1, 32):
+        for solver in ("euler", "midpoint"):
+            calls["n"] = 0
+            integrate_batch(
+                field, prompt, GuidanceConfig(strength=1.0, nfe=nfe, solver=solver),
+                np.random.default_rng(0),
+            )
+            assert calls["n"] <= 2, (nfe, solver)
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint"])
+@pytest.mark.parametrize("strength", [1.0, 0.0], ids=["guided", "unguided"])
+def test_integrate_leaves_prompts_unchanged(solver, strength):
+    prompts = stack([make_prompt(seed=s) for s in (20, 21)])
+    before = {k: v.copy() for k, v in vars(prompts).items()}
     integrate_batch(
-        field, [make_prompt(seed=8)], GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(0)
+        lambda inputs: np.ones_like(inputs.x_t), prompts,
+        GuidanceConfig(strength=strength, nfe=3, solver=solver), np.random.default_rng(0),
     )
-    assert calls["n"] <= 2
+    for name, value in before.items():
+        got = getattr(prompts, name)
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
 
 def test_midpoint_at_least_as_accurate_as_euler():
@@ -396,7 +424,7 @@ def test_midpoint_at_least_as_accurate_as_euler():
     def run(solver, nfe, seed=3):
         return integrate_batch(
             gaussian_field,
-            [make_prompt(F=3, t_spk=1, t_text=5, seed=7)],
+            make_prompt(F=3, t_spk=1, t_text=5, seed=7),
             GuidanceConfig(strength=0.0, nfe=nfe, solver=solver),
             np.random.default_rng(seed),
         )[0]
@@ -416,11 +444,11 @@ def test_float32_field_tracks_float64_integration(strength, solver):
     cfg = ModelConfig(feature_dim=3, n_phonemes=5)
     model = VectorFieldModel(cfg)
     params = init_params(cfg, np.random.default_rng(4), zero_output=False)
-    prompts = [make_prompt(t_spk=8, t_text=24, seed=s) for s in (10, 11)]
+    prompts = stack([make_prompt(t_spk=8, t_text=24, seed=s) for s in (10, 11)])
     guidance = GuidanceConfig(strength=strength, nfe=32, solver=solver)
 
     def run(field):
-        return np.stack(integrate_batch(field, prompts, guidance, np.random.default_rng(9)))
+        return integrate_batch(field, prompts, guidance, np.random.default_rng(9))
 
     got = run(make_field_fn(model, params))
     want = run(lambda inputs: model.forward_batch(inputs, params)[0])

@@ -7,7 +7,6 @@ from scipy.special import erf
 
 from flowcond import (
     BatchInputs,
-    ConditionBundle,
     LrSchedule,
     ModelConfig,
     OptimizerState,
@@ -36,20 +35,27 @@ SMALL = ModelConfig(
 
 
 def make_cond(T, F, rng, cfg=SMALL):
-    bits = np.zeros(T, dtype=np.uint8)
-    bits[T // 3 : T // 3 + max(1, T // 2)] = 1
-    return ConditionBundle(
-        phonemes=rng.integers(0, cfg.n_phonemes, T),
+    """One example's condition streams and context, by field name."""
+    bits = np.zeros(T)
+    bits[T // 3 : T // 3 + max(1, T // 2)] = 1.0
+    return dict(
+        tokens=rng.integers(0, cfg.n_phonemes, T),
         nv=rng.standard_normal((32, T)) * 0.3,
         emo=rng.uniform(-0.5, 0.5, (2, T)),
         context=rng.standard_normal((F, T)),
-        mask=bits,
+        mask_bits=bits,
     )
+
+
+def stack_examples(x_t, t, conds):
+    """The batch of the given states, times and ``make_cond`` streams."""
+    return BatchInputs(x_t=np.stack(x_t), t=np.asarray(t, dtype=np.float64),
+                       **{k: np.stack([c[k] for c in conds]) for k in conds[0]})
 
 
 def forward_one(model, x_t, t, cond, params):
     """Model output for a single example, shaped like x_t."""
-    out, _ = model.forward_batch(BatchInputs.from_examples([x_t], [t], [cond]), params)
+    out, _ = model.forward_batch(stack_examples([x_t], [t], [cond]), params)
     return out[0]
 
 
@@ -58,7 +64,7 @@ def make_batch(B, T, cfg, rng):
     conds = [make_cond(T, F, rng, cfg) for _ in range(B)]
     x_t = [rng.standard_normal((F, T)) for _ in range(B)]
     ts = list(rng.uniform(0, 1, B))
-    return BatchInputs.from_examples(x_t, ts, conds), conds
+    return stack_examples(x_t, ts, conds), conds
 
 
 # -- config and embedding ------------------------------------------------------
@@ -175,13 +181,7 @@ def test_forward_permutation_equivariant_without_positions():
     out = forward_one(model, x_t, 0.3, cond, params)
 
     perm = rng.permutation(T)
-    cond_p = ConditionBundle(
-        phonemes=cond.phonemes[perm],
-        nv=cond.nv[:, perm],
-        emo=cond.emo[:, perm],
-        context=cond.context[:, perm],
-        mask=cond.mask[perm],
-    )
+    cond_p = {k: v[..., perm] for k, v in cond.items()}
     out_p = forward_one(model, x_t[:, perm], 0.3, cond_p, params)
     assert np.allclose(out_p, out[:, perm], atol=1e-12)
 
@@ -193,13 +193,7 @@ def test_forward_sensitive_to_emo_stream():
     cond = make_cond(6, 3, rng)
     x_t = rng.standard_normal((3, 6))
     base = forward_one(model, x_t, 0.5, cond, params)
-    bumped = ConditionBundle(
-        phonemes=cond.phonemes,
-        nv=cond.nv,
-        emo=np.clip(cond.emo + 0.2, -0.5, 0.5),
-        context=cond.context,
-        mask=cond.mask,
-    )
+    bumped = {**cond, "emo": np.clip(cond["emo"] + 0.2, -0.5, 0.5)}
     out = forward_one(model, x_t, 0.5, bumped, params)
     assert np.max(np.abs(out - base)) > 0.0
 
