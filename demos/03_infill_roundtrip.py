@@ -13,7 +13,6 @@ from flowcond import (
     ModelConfig,
     integrate_batch,
     make_field_fn,
-    sample_mask,
     VectorFieldModel,
 )
 from flowcond.features import synth_condition_oracle, synth_phonemes
@@ -22,7 +21,6 @@ from flowcond.training import Corpus, TrainSettings, train_loop
 import numpy as np
 
 T, F = 48, 8
-rng = np.random.default_rng(7)
 
 
 def make_examples(n, seed):
@@ -44,9 +42,9 @@ params, history, _ = train_loop(cfg, [corpus], [1.0], settings)
 print(f"  loss {history[0][1]:.3f} -> {history[-1][1]:.3f} over {len(history)} steps")
 
 held = make_examples(1, seed=99)[0]
-mask = sample_mask(1, T, rng, (0.5, 0.5))[0]
-start = int(np.argmax(mask))
-end = start + int(mask.sum())
+start, end = T // 4, 3 * T // 4  # hide the middle half
+mask = np.zeros(T)
+mask[start:end] = 1.0
 prompt = BatchInputs.from_examples(
     np.zeros((1, F, T)), np.zeros(1), held.phonemes[None], held.nv[None], held.emo[None],
     held.features[None], mask[None],

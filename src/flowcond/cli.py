@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .curate import OVLR_MIN, run_pipeline
 from .features import (
-    FeatureMatrix,
     FormatError,
     generate_corpus,
     load_feature_matrix,
@@ -168,8 +167,9 @@ def cmd_train(args) -> int:
     corpora = [load_corpus(m) for m in manifests]
     feature_dim, _ = check_corpora(corpora, ratios)
     for manifest, corpus in zip(manifests, corpora):
-        for i, ex in enumerate(corpus, start=1):
-            _check_vocab(ex.phonemes, f"{manifest} record {i}", desk.n_phonemes)
+        if corpus.phonemes.min() < 0 or corpus.phonemes.max() >= desk.n_phonemes:
+            for i, row in enumerate(corpus.phonemes, start=1):  # the first bad record raises
+                _check_vocab(row, f"{manifest} record {i}", desk.n_phonemes)
     model_cfg = replace(desk, feature_dim=feature_dim)
 
     out = Path(args.out)
@@ -222,6 +222,13 @@ def _stream(flag: str, path: str, rows: int, frames: int | None = None) -> np.nd
     return values.astype(np.float64)
 
 
+def _emo_stream(flag: str, path: str, frames: int | None) -> np.ndarray:
+    values = _stream(flag, path, EMO_DIM, frames)
+    if (np.abs(values) > 0.5).any():
+        raise CliError(f"{flag} {path} has values outside [-0.5, 0.5]")
+    return values
+
+
 def _tokens(path: str, n_phonemes: int) -> np.ndarray:
     tokens = load_phonemes(path)
     _check_vocab(tokens, path, n_phonemes)
@@ -251,7 +258,7 @@ def cmd_sample(args) -> int:
         t_spk = spk_tokens.shape[0]
         spk_feats = _stream("--spk-features", args.spk_features, f, t_spk)
         spk_nv = _stream("--spk-nv", args.spk_nv, NV_DIM, t_spk)
-        spk_emo = _stream("--spk-emo", args.spk_emo, EMO_DIM, t_spk)
+        spk_emo = _emo_stream("--spk-emo", args.spk_emo, t_spk)
     else:
         spk_feats = np.zeros((f, 0))
         spk_tokens = np.zeros(0, dtype=np.int64)
@@ -267,7 +274,7 @@ def cmd_sample(args) -> int:
             "no nonverbal stream: pass --nv-prompt <fmat>, or --zero-nv for a zero placeholder"
         )
     if args.emo_prompt:
-        emo_prompt = _stream("--emo-prompt", args.emo_prompt, EMO_DIM)
+        emo_prompt = _emo_stream("--emo-prompt", args.emo_prompt, None)
     elif args.zero_emo:
         emo_prompt = np.zeros((EMO_DIM, t_text))
     else:
@@ -287,9 +294,7 @@ def cmd_sample(args) -> int:
     except FloatingPointError as exc:
         raise CliError(f"sampling failed: {exc}") from exc
 
-    store_feature_matrix(
-        FeatureMatrix(generated.astype(np.float32), model_cfg.frames_per_second), out
-    )
+    store_feature_matrix(generated, out)  # as float32, stamped 100 frames/s
     sidecar = {
         "command": "sample",
         "checkpoint": str(ck_path),

@@ -110,23 +110,21 @@ class BatchInputs:
             stream[rows] = 0.0
 
 
-def sample_mask(
-    B: int, T: int, rng: np.random.Generator, ratio_range: tuple[float, float] = (0.7, 1.0)
-) -> np.ndarray:
+# Voicebox's infill task: each mask hides 70-100% of the frames.
+MASK_RATIO_RANGE = (0.7, 1.0)
+
+
+def sample_mask(B: int, T: int, rng: np.random.Generator) -> np.ndarray:
     """Sample B masks, each one contiguous span covering round(r*T) frames.
 
-    Each row's r is uniform on ``ratio_range`` and its span start is
-    uniform among valid offsets; all B ratios are drawn before the B
-    starts.  A span is clamped to at least one frame so every mask is
-    usable for training.  Returns a (B, T) uint8 0/1 array.
+    Each row's r is uniform on ``MASK_RATIO_RANGE`` and its span start
+    is uniform among valid offsets; all B ratios are drawn before the B
+    starts.  With r in [0.7, 1], every span covers 1 to T frames, so
+    every mask is usable for training.  Returns a (B, T) uint8 0/1 array.
     """
-    lo, hi = ratio_range
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ValueError(f"ratio_range must satisfy 0 < lo <= hi <= 1, got {ratio_range}")
     if T < 1:
         raise ValueError(f"sequence length must be >= 1, got {T}")
-    r = rng.uniform(lo, hi, B)
+    r = rng.uniform(*MASK_RATIO_RANGE, B)
     span = np.floor(r * T + 0.5).astype(np.int64)  # round half up, avoids banker's rounding
-    np.clip(span, 1, T, out=span)
     offset = np.arange(T) - rng.integers(T - span + 1)[:, None]  # frame index - span start
     return ((offset >= 0) & (offset < span[:, None])).astype(np.uint8)

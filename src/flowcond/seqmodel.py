@@ -10,8 +10,8 @@ forward pass computes in the dtype of the parameters it is given, so
 precision option.
 
 Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
-per frame, projected to the model width, and a sinusoidal embedding of
-the path time t is added (plus an optional sinusoidal positional code).
+per frame, projected to the model width, and sinusoidal codes of the
+path time t and of the frame position are added.
 
 Memory layout: a training step allocates no large array.
 - Arena: ``init_params`` and ``load_checkpoint`` return a name -> array
@@ -38,7 +38,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,34 +63,22 @@ class ModelConfig:
     d_model: int = 64
     d_ffn: int = 128
     d_phn: int = 8
-    d_nv: int = NV_DIM
-    d_emo: int = EMO_DIM
     n_phonemes: int = 16
     feature_dim: int = 8
-    frames_per_second: float = 100.0
-    use_positional: bool = True
+    # Constants, kept as fields so that the checkpoint's config block records them.
+    d_nv: int = field(default=NV_DIM, init=False)
+    d_emo: int = field(default=EMO_DIM, init=False)
+    frames_per_second: float = field(default=100.0, init=False)
+    use_positional: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        counts = {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_model": self.d_model,
-            "d_ffn": self.d_ffn,
-            "d_phn": self.d_phn,
-            "n_phonemes": self.n_phonemes,
-            "feature_dim": self.feature_dim,
-        }
-        for name, value in counts.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for f in fields(self):  # every settable field is a count
+            if f.init and getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.d_nv != NV_DIM:
-            raise ValueError(f"d_nv must be {NV_DIM}, got {self.d_nv}")
-        if self.d_emo != EMO_DIM:
-            raise ValueError(f"d_emo must be {EMO_DIM}, got {self.d_emo}")
 
     @property
     def input_dim(self) -> int:
@@ -431,8 +419,7 @@ class VectorFieldModel:
         z, z_attn = ws.z, ws.z_attn
         _linear(ws.u, params["in_w"], params["in_b"], z)
         z += time_embedding(inputs.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
-        if cfg.use_positional:
-            z += positional_encoding(t_len, cfg.d_model, dtype)[None, :, :]
+        z += positional_encoding(t_len, cfg.d_model, dtype)[None, :, :]
 
         scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
         for i, blk in enumerate(ws.blocks):
@@ -757,7 +744,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
     cfg_block = take(cfg_len, "config block")
     try:
-        cfg = ModelConfig(**json.loads(cfg_block))
+        raw = json.loads(cfg_block)
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        for f in fields(ModelConfig):
+            if not f.init:  # a constant: absent, or its value with its JSON type
+                got = raw.pop(f.name, f.default)
+                if type(got) is not type(f.default) or got != f.default:
+                    raise ValueError(f"{f.name} must be {json.dumps(f.default)}")
+        cfg = ModelConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad config block in checkpoint {path}: {exc}") from exc
     except RecursionError:

@@ -27,7 +27,6 @@ from flowcond import (
     integrate_batch,
     load_checkpoint,
     make_field_fn,
-    sample_mask,
     save_checkpoint,
     train_step,
 )
@@ -306,9 +305,13 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
     rng = np.random.default_rng(999)
     masks, truths, spans = [], [], []
     for feats, *_ in held:
-        mask = sample_mask(1, T_FRAMES, rng, (0.5, 0.5))[0]
-        start = int(np.argmax(mask))
-        end = start + int(mask.sum())
+        # A half-length span, drawn the way sample_mask draws one row: the
+        # ratio, then a uniform start.
+        span = int(np.floor(rng.uniform(0.5, 0.5) * T_FRAMES + 0.5))
+        start = int(rng.integers(0, T_FRAMES - span + 1))
+        end = start + span
+        mask = np.zeros(T_FRAMES, dtype=np.uint8)
+        mask[start:end] = 1
         masks.append(mask)
         truths.append(feats)
         spans.append((start, end))

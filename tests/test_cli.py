@@ -248,6 +248,14 @@ def out_of_vocab_phoneme(tmp_path):
     return [corpus], "phoneme id 16"
 
 
+def first_of_two_out_of_vocab_records(tmp_path):
+    good, bad = small_corpus(tmp_path, "a"), small_corpus(tmp_path, "b")
+    (bad / "mixed_00001.phn").write_text("1 " * 7 + "-1\n")
+    (bad / "mixed_00002.phn").write_text("1 " * 7 + "16\n")
+    return [good, bad], (f"phoneme id -1 in {bad / 'manifest.jsonl'} record 2 is outside "
+                         "the model vocabulary (ids 0..15)")
+
+
 def other_feature_dim(tmp_path):
     return [small_corpus(tmp_path, "a"), small_corpus(tmp_path, "b", feature_dim=4)], "4 x 8"
 
@@ -256,8 +264,9 @@ def other_frame_length(tmp_path):
     return [small_corpus(tmp_path, "a"), small_corpus(tmp_path, "b", frames=12)], "8 x 12"
 
 
-@pytest.mark.parametrize("make", [out_of_vocab_phoneme, other_feature_dim, other_frame_length],
-                         ids=["phoneme-id", "feature-dim", "frame-length"])
+@pytest.mark.parametrize("make", [out_of_vocab_phoneme, first_of_two_out_of_vocab_records,
+                                  other_feature_dim, other_frame_length],
+                         ids=["phoneme-id", "first-bad-record", "feature-dim", "frame-length"])
 def test_train_corpora_that_do_not_fit_the_model_leave_no_files(tmp_path, capsys, make):
     corpora, detail = make(tmp_path)
     out = tmp_path / "run"
@@ -498,6 +507,33 @@ def test_sample_misshapen_stream_names_flag_and_file(tmp_path, corpus_dir, train
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag in err and str(bad) in err and message in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.fmat"]
+
+
+@pytest.mark.parametrize("flag", ["--spk-emo", "--emo-prompt"])
+def test_sample_emo_out_of_range_names_flag_and_file(tmp_path, corpus_dir, trained_run, capsys,
+                                                     flag):
+    emo = load_feature_matrix(corpus_dir / "mixed_00000.emo.fmat").values
+    emo[1, 5] = 0.7
+    bad = tmp_path / "bad.emo.fmat"
+    store_feature_matrix(emo, bad)
+    streams = {
+        "--spk-features": corpus_dir / "mixed_00000.fmat",
+        "--spk-phonemes": corpus_dir / "mixed_00000.phn",
+        "--spk-nv": corpus_dir / "mixed_00000.nv.fmat",
+        "--spk-emo": corpus_dir / "mixed_00000.emo.fmat",
+        "--nv-prompt": corpus_dir / "mixed_00001.nv.fmat",
+        "--emo-prompt": corpus_dir / "mixed_00001.emo.fmat",
+        flag: bad,
+    }
+    assert run_cli(
+        "sample", "--checkpoint", trained_run / "checkpoint.fmck",
+        "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        *[a for kv in streams.items() for a in kv], "--out", tmp_path / "x.fmat",
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {bad} has values outside [-0.5, 0.5]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.emo.fmat"]
 
 
 @pytest.mark.parametrize("out_name, messages", [
@@ -915,6 +951,38 @@ def test_sample_deeply_nested_checkpoint_config_is_one_line_error(tmp_path, caps
     assert captured.out == ""
     assert captured.err == f"format error: bad config block in checkpoint {ck}: nested too deeply\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.fmck", "t.phn"]
+
+
+@pytest.mark.parametrize("block, detail", [
+    ({"d_nv": 16}, "d_nv must be 32"),
+    ({"d_nv": 32.0}, "d_nv must be 32"),
+    ({"d_emo": 3}, "d_emo must be 2"),
+    ({"use_positional": False}, "use_positional must be true"),
+    ({"use_positional": 1}, "use_positional must be true"),
+    ({"frames_per_second": 50}, "frames_per_second must be 100.0"),
+    ({"frames_per_second": 100}, "frames_per_second must be 100.0"),
+    ([1, 2], "not a JSON object"),
+    ("desk", "not a JSON object"),
+    (3, "not a JSON object"),
+], ids=["d_nv", "d_nv-float", "d_emo", "use_positional", "use_positional-int",
+        "frames_per_second", "frames_per_second-int", "list", "string", "number"])
+def test_sample_checkpoint_config_block_boundary(tmp_path, capsys, block, detail):
+    # A dict edits the saved config block; any other value replaces it.
+    ck = tmp_path / "tiny.fmck"
+    save_checkpoint(ck, FUZZ_CFG, init_params(FUZZ_CFG, np.random.default_rng(0)))
+    blob = ck.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    if isinstance(block, dict):
+        block = {**json.loads(blob[12 : 12 + n]), **block}
+    raw = json.dumps(block).encode()
+    ck.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n :])
+    (tmp_path / "t.phn").write_text("1 2 3\n")
+    assert run_cli("sample", "--checkpoint", ck, "--text-phonemes", tmp_path / "t.phn",
+                   "--zero-nv", "--zero-emo", "--nfe", 1, "--out", tmp_path / "gen.fmat") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"format error: bad config block in checkpoint {ck}: {detail}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.phn", "tiny.fmck"]
 
 
 # -- one parser per process -------------------------------------------------------

@@ -7,6 +7,7 @@ from flowcond import (
     PathConfig,
     sample_mask,
 )
+from flowcond import infill
 from flowcond.training import Corpus, draw_batch
 
 
@@ -98,18 +99,31 @@ def test_sample_mask_is_a_uint8_array():
     assert mask.shape == (3, 7) and mask.dtype == np.uint8
 
 
-def test_sample_mask_full_ratio():
-    masks = sample_mask(4, 9, np.random.default_rng(0), ratio_range=(1.0, 1.0))
+def test_sample_mask_full_ratio(monkeypatch):
+    # The span law at a pinned ratio: r = 1 masks every frame.
+    monkeypatch.setattr(infill, "MASK_RATIO_RANGE", (1.0, 1.0))
+    masks = sample_mask(4, 9, np.random.default_rng(0))
     assert np.all(masks == 1)
 
 
-def test_sample_mask_half_ratio_span_and_contiguity():
+def test_sample_mask_half_ratio_span_and_contiguity(monkeypatch):
     # r pinned at 0.5 over T=10 must give exactly 5 contiguous ones.
+    monkeypatch.setattr(infill, "MASK_RATIO_RANGE", (0.5, 0.5))
     legal = all_contiguous_masks(10)
     for seed in range(50):
-        mask = sample_mask(1, 10, np.random.default_rng(seed), ratio_range=(0.5, 0.5))[0]
+        mask = sample_mask(1, 10, np.random.default_rng(seed))[0]
         assert mask.sum() == 5
         assert mask.tobytes() in legal
+
+
+def test_sample_mask_spans_cover_70_to_100_percent():
+    # round(r * T) frames for r in [0.7, 1]: over T=10, one contiguous run of
+    # 7 to 10 ones, each length drawn; T=1 always masks its one frame.
+    legal = all_contiguous_masks(10)
+    masks = sample_mask(400, 10, np.random.default_rng(0))
+    assert all(mask.tobytes() in legal for mask in masks)
+    assert set(masks.sum(axis=1).tolist()) == {7, 8, 9, 10}
+    assert np.all(sample_mask(5, 1, np.random.default_rng(0)) == 1)
 
 
 def test_sample_mask_deterministic():
@@ -121,15 +135,13 @@ def test_sample_mask_deterministic():
 def test_sample_mask_domain():
     with pytest.raises(ValueError):
         sample_mask(1, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_mask(1, 5, np.random.default_rng(0), ratio_range=(0.0, 0.5))
 
 
 def test_sample_mask_contiguous_exhaustive_small_T():
     # Every row of a sampled batch must be one of the brute-force interval masks.
     for T in range(1, 13):
         legal = all_contiguous_masks(T)
-        masks = sample_mask(200, T, np.random.default_rng(T), ratio_range=(0.1, 1.0))
+        masks = sample_mask(200, T, np.random.default_rng(T))
         assert masks.shape == (200, T)
         for mask in masks:
             assert mask.tobytes() in legal
@@ -138,21 +150,23 @@ def test_sample_mask_contiguous_exhaustive_small_T():
 
 def scalar_mask(T, rng, ratio_range):
     """One mask drawn with scalar draws: the reference law for a single row."""
-    span = min(max(int(np.floor(rng.uniform(*ratio_range) * T + 0.5)), 1), T)
+    span = int(np.floor(rng.uniform(*ratio_range) * T + 0.5))
     start = int(rng.integers(0, T - span + 1))
     bits = np.zeros(T, dtype=np.uint8)
     bits[start : start + span] = 1
     return bits
 
 
-@pytest.mark.parametrize("ratio_range", [(0.7, 1.0), (0.5, 0.5), (0.1, 1.0)])
-def test_sample_mask_single_row_matches_scalar_draw(ratio_range):
+@pytest.mark.parametrize("ratio_range", [infill.MASK_RATIO_RANGE, (0.5, 0.5), (0.1, 1.0)])
+def test_sample_mask_single_row_matches_scalar_draw(monkeypatch, ratio_range):
     # A one-row batch consumes the generator exactly as one scalar draw.
-    for seed in range(200):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        mask = sample_mask(1, 48, rng, ratio_range)[0]
-        assert mask.tobytes() == scalar_mask(48, ref_rng, ratio_range).tobytes()
-        assert rng.random() == ref_rng.random()
+    monkeypatch.setattr(infill, "MASK_RATIO_RANGE", ratio_range)
+    for T in (1, 7, 48):
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask = sample_mask(1, T, rng)[0]
+            assert mask.tobytes() == scalar_mask(T, ref_rng, ratio_range).tobytes()
+            assert rng.random() == ref_rng.random()
 
 
 def test_from_examples_full_mask():
@@ -193,7 +207,10 @@ def test_reconstruction_identity():
     for _ in range(20):
         T, F = int(rng.integers(2, 12)), int(rng.integers(1, 6))
         feats = rng.standard_normal((F, T))
-        mask = sample_mask(1, T, rng, ratio_range=(0.2, 0.9))[0]
+        span = int(rng.integers(1, T))  # 1 to T-1 frames: some hidden, some visible
+        start = int(rng.integers(0, T - span + 1))
+        mask = np.zeros(T, dtype=np.uint8)
+        mask[start : start + span] = 1
         batch = BatchInputs.from_examples(
             np.zeros((1, F, T)),
             np.zeros(1),

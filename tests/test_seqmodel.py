@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from flowcond import (
 from flowcond import seqmodel
 from flowcond.fm_core import on_path_field, sample_conditional_path
 from flowcond.seqmodel import (
+    PRESETS,
     _param_shapes,
     masked_batch_loss_grad,
     param_names,
@@ -74,11 +76,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(d_model=10, n_heads=3)
     with pytest.raises(ValueError):
-        ModelConfig(d_nv=16)
-    with pytest.raises(ValueError):
-        ModelConfig(d_emo=3)
-    with pytest.raises(ValueError):
         ModelConfig(n_layers=0)
+    # Constants of the model, not settings: no caller can pass them.
+    for name, value in (("d_nv", 16), ("d_emo", 3), ("use_positional", False),
+                        ("frames_per_second", 50.0)):
+        with pytest.raises(TypeError, match=name):
+            ModelConfig(**{name: value})
 
 
 def test_embed_same_token_same_column():
@@ -167,16 +170,15 @@ def test_forward_rejects_nonfinite_input():
         forward_one(model, x, 0.5, cond, params)
 
 
-def test_forward_permutation_equivariant_without_positions():
-    cfg = ModelConfig(
-        n_layers=2, n_heads=2, d_model=16, d_ffn=24, d_phn=4,
-        n_phonemes=6, feature_dim=3, use_positional=False,
-    )
+def test_forward_permutation_equivariant_without_positions(monkeypatch):
+    # With a zero position code, attention sees the frames as a set.
+    monkeypatch.setattr(seqmodel, "positional_encoding",
+                        lambda T, d_model, dtype: np.zeros((T, d_model), dtype))
     rng = np.random.default_rng(5)
-    model = VectorFieldModel(cfg)
-    params = init_params(cfg, rng, zero_output=False)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
     T = 9
-    cond = make_cond(T, 3, rng, cfg)
+    cond = make_cond(T, 3, rng)
     x_t = rng.standard_normal((3, T))
     out = forward_one(model, x_t, 0.3, cond, params)
 
@@ -232,11 +234,10 @@ def fd_check(model, params, inputs, u_target, names, coords_per_tensor, rng, h=1
     return worst, grads
 
 
-# Four heads and no positional code: a head-axis vs q/k/v-axis mix-up in
-# the fused attention buffers cannot hide behind a symmetric layout.
+# Four heads: a head-axis vs q/k/v-axis mix-up in the fused attention
+# buffers cannot hide behind a symmetric layout.
 FOUR_HEADS = ModelConfig(
     n_layers=2, n_heads=4, d_model=16, d_ffn=24, d_phn=4, n_phonemes=6, feature_dim=3,
-    use_positional=False,
 )
 
 
@@ -349,8 +350,7 @@ def reference_forward(cfg, inputs, params):
     )
     z = linear(u, params["in_w"], params["in_b"])
     z = z + seqmodel.time_embedding(inputs.t, d)[:, None, :]
-    if cfg.use_positional:
-        z = z + positional_encoding(T, d)[None]
+    z = z + positional_encoding(T, d)[None]
     for i in range(cfg.n_layers):
         p = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith(f"block{i}.")}
         y1 = layernorm(z, p["ln1_g"], p["ln1_b"])
@@ -722,6 +722,15 @@ def test_checkpoint_file_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_committed_checkpoint_round_trips(tmp_path):
+    # The benchmark's desk checkpoint: a real artifact with all four fixed keys.
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sample_model.fmck"
+    cfg, params = load_checkpoint(committed)
+    assert cfg == PRESETS["desk"]
+    save_checkpoint(tmp_path / "again.fmck", cfg, params)
+    assert (tmp_path / "again.fmck").read_bytes() == committed.read_bytes()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "x.fmck"
     p.write_bytes(b"JUNKJUNKJUNK")
@@ -766,6 +775,18 @@ def test_checkpoint_bad_config_block(tmp_path):
         with pytest.raises(FormatError, match="config block") as info:
             load_checkpoint(p)
         assert str(p) in str(info.value)
+
+
+def test_checkpoint_fixed_keys_may_be_absent(tmp_path):
+    # The fixed keys hold constants, so a block without them loads as well.
+    p = tmp_path / "x.fmck"
+    save_checkpoint(p, SMALL, init_params(SMALL, np.random.default_rng(16)))
+    blob = p.read_bytes()
+    good = json.loads(blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]])
+    fixed = ("d_nv", "d_emo", "frames_per_second", "use_positional")
+    block = {k: v for k, v in good.items() if k not in fixed}
+    p.write_bytes(with_config_block(blob, json.dumps(block).encode()))
+    assert load_checkpoint(p)[0] == SMALL
 
 
 @pytest.mark.parametrize(
