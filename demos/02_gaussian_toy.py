@@ -6,7 +6,8 @@ and after a short run the integrated flow reproduces the target's
 moments.  (The acceptance suite runs a longer, tighter version.)
 """
 
-# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
+import numpy as np
+
 from flowcond import (
     BatchInputs,
     GuidanceConfig,
@@ -19,8 +20,6 @@ from flowcond import (
     make_field_fn,
 )
 from flowcond.seqmodel import adam_update, masked_batch_loss_grad
-
-import numpy as np
 
 SIGMA_MIN = 1e-5
 STEPS, BATCH = 1200, 128
@@ -48,7 +47,7 @@ for step in range(1, STEPS + 1):
     x_t = ts[:, None, None] * x1 + (1 - (1 - SIGMA_MIN) * ts[:, None, None]) * x0
     u = x1 - (1 - SIGMA_MIN) * x0
     inputs = BatchInputs(x_t=x_t, t=ts, **blank)
-    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    v, cache = model.forward_batch(inputs, params)
     loss, dv = masked_batch_loss_grad(v, u, inputs.mask_bits)
     grads = model.backward_batch(dv, cache, params)
     adam_update(params, grads, state)

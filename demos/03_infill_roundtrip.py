@@ -6,7 +6,8 @@ compares against the known truth.  (Short budget; expect a rough fit.
 The acceptance suite trains longer and checks a hard threshold.)
 """
 
-# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
+import numpy as np
+
 from flowcond import (
     BatchInputs,
     GuidanceConfig,
@@ -17,8 +18,6 @@ from flowcond import (
 )
 from flowcond.features import synth_condition_oracle, synth_phonemes
 from flowcond.training import Corpus, TrainSettings, train_loop
-
-import numpy as np
 
 T, F = 48, 8
 

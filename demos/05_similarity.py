@@ -5,11 +5,10 @@ up to longer), plus the multi-seed mean/std summary used to report
 repeated generation runs.
 """
 
-# flowcond goes before numpy so that FLOWCOND_THREADS can pin BLAS threads.
+import numpy as np
+
 from flowcond import aggregate_seeds, aro_val_sim, frame_cosine_sim
 from flowcond.features import synth_condition_oracle
-
-import numpy as np
 
 rng = np.random.default_rng(0)
 

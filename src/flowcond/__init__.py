@@ -8,8 +8,6 @@ gradients, guided ODE sampling, the data-curation gates, and trajectory
 similarity metrics.
 """
 
-from . import _thread_env  # noqa: F401  (must precede numpy-importing modules)
-
 from .fm_core import (
     PathConfig,
     path_mean_std,
@@ -24,7 +22,6 @@ from .infill import (
 )
 from .sampler import (
     GuidanceConfig,
-    interpolate_stream,
     assemble_prompt,
     guided_field,
     integrate_batch,
@@ -46,6 +43,7 @@ from .features import (
     FeatureMatrix,
     DatasetRecord,
     FormatError,
+    interpolate_stream,
     load_feature_matrix,
     store_feature_matrix,
     synth_condition_oracle,

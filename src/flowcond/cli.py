@@ -27,9 +27,9 @@ from .features import (
     store_feature_matrix,
     SYNTH_KINDS,
 )
-from .infill import NV_DIM, EMO_DIM
+from .infill import EMO_BOUND, EMO_DIM, NV_DIM
 from .metrics import aggregate_seeds, aro_val_sim, frame_cosine_sim
-from .sampler import GuidanceConfig, assemble_prompt, integrate_batch
+from .sampler import SOLVERS, GuidanceConfig, assemble_prompt, integrate_batch
 from .seqmodel import (
     FIELD_DTYPE,
     PRESETS,
@@ -224,8 +224,8 @@ def _stream(flag: str, path: str, rows: int, frames: int | None = None) -> np.nd
 
 def _emo_stream(flag: str, path: str, frames: int | None) -> np.ndarray:
     values = _stream(flag, path, EMO_DIM, frames)
-    if (np.abs(values) > 0.5).any():
-        raise CliError(f"{flag} {path} has values outside [-0.5, 0.5]")
+    if (np.abs(values) > EMO_BOUND).any():
+        raise CliError(f"{flag} {path} has values outside [-{EMO_BOUND}, {EMO_BOUND}]")
     return values
 
 
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-emo", action="store_true")
     p.add_argument("--nfe", type=int, default=32)
     p.add_argument("--guidance", type=float, default=1.0)
-    p.add_argument("--solver", choices=["euler", "midpoint"], default="euler")
+    p.add_argument("--solver", choices=SOLVERS, default="euler")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func="cmd_sample")

@@ -24,6 +24,8 @@ FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
 # Element cap keeps rows*cols*4 comfortably inside 32-bit file offsets.
 _MAX_ELEMENTS = 2**31
+# Frames per second of every feature stream.
+FRAME_RATE = 100.0
 
 SYNTH_KINDS = ("constant", "ramp", "step", "sinusoid")
 
@@ -37,7 +39,7 @@ class FeatureMatrix:
     """An F x T frame matrix with its frame rate; stored as 32-bit floats."""
 
     values: np.ndarray
-    frame_rate: float = 100.0
+    frame_rate: float = FRAME_RATE
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -134,6 +136,33 @@ def load_phonemes(path: str | Path) -> np.ndarray:
 
 def frames_to_seconds(frames: int, frames_per_second: float) -> float:
     return frames / frames_per_second
+
+
+def interpolate_stream(src: np.ndarray, target_len: int) -> np.ndarray:
+    """Linearly resample each row of a D x L stream to length ``target_len``.
+
+    Endpoints are preserved: column 0 maps to column 0 and column L-1 to
+    column target_len-1.  Equal lengths return the values unchanged.
+    Output is float64.
+    """
+    src = np.asarray(src)
+    if src.ndim != 2:
+        raise ValueError(f"stream must be 2-d, got shape {src.shape}")
+    d, length = src.shape
+    if length < 1:
+        raise ValueError("stream must have at least one column")
+    if target_len < 1:
+        raise ValueError(f"target length must be >= 1, got {target_len}")
+    if length == target_len:
+        return src.astype(np.float64)
+    # np.interp returns a knot's value exactly when a query lands on it, so
+    # one column broadcasts and one query reads column 0.
+    xs = np.arange(length, dtype=np.float64)
+    xq = np.linspace(0.0, float(length - 1), target_len)
+    out = np.empty((d, target_len), dtype=np.float64)
+    for i in range(d):
+        out[i] = np.interp(xq, xs, src[i].astype(np.float64))
+    return out
 
 
 # One encoder for every line; json.dumps(..., sort_keys=True) would build a
@@ -351,7 +380,7 @@ def generate_corpus(
                 phonemes_path=paths["phonemes"].name,
                 nv_path=paths["nv"].name,
                 emo_path=paths["emo"].name,
-                duration_s=frames_to_seconds(T, FeatureMatrix.frame_rate),
+                duration_s=frames_to_seconds(T, FRAME_RATE),
                 emotion_label=_EMOTION_LABELS[int(rng.integers(len(_EMOTION_LABELS)))],
                 emotion_confidence=round(float(rng.uniform()), 4),
                 ovlr=round(float(rng.uniform(1.0, 5.0)), 4),

@@ -17,6 +17,8 @@ import numpy as np
 
 NV_DIM = 32
 EMO_DIM = 2
+# Arousal/valence streams are centered: every value lies in [-EMO_BOUND, EMO_BOUND].
+EMO_BOUND = 0.5
 
 # Token id 0 is reserved as the blank/ dropped-condition phoneme.
 BLANK_TOKEN = 0
@@ -62,8 +64,8 @@ class BatchInputs:
         if np.any((bits != 0) & (bits != 1)):
             raise ValueError("mask bits must be 0 or 1")
         emo = self.emo
-        if emo.size and (emo.min() < -0.5 or emo.max() > 0.5):
-            raise ValueError("emo values must lie in [-0.5, 0.5]")
+        if emo.size and (emo.min() < -EMO_BOUND or emo.max() > EMO_BOUND):
+            raise ValueError(f"emo values must lie in [-{EMO_BOUND}, {EMO_BOUND}]")
 
     @classmethod
     def from_examples(

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampler import interpolate_stream
+from .features import interpolate_stream
+from .infill import EMO_BOUND
 
 
 @dataclass
@@ -70,8 +71,10 @@ def aro_val_sim(a: np.ndarray, b: np.ndarray) -> float:
         arr = np.asarray(arr)
         if arr.ndim != 2 or arr.shape[0] != 2:
             raise ValueError(f"{name} must be a 2 x K arousal/valence series, got {arr.shape}")
-        if arr.size and (arr.min() < -0.5 or arr.max() > 0.5):
-            raise ValueError(f"{name} is not centered: values must lie in [-0.5, 0.5]")
+        if arr.size and (arr.min() < -EMO_BOUND or arr.max() > EMO_BOUND):
+            raise ValueError(
+                f"{name} is not centered: values must lie in [-{EMO_BOUND}, {EMO_BOUND}]"
+            )
     return frame_cosine_sim(a, b)
 
 

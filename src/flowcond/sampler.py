@@ -15,11 +15,14 @@ from typing import Callable
 
 import numpy as np
 
+from .features import interpolate_stream
 from .infill import BatchInputs
 
 # A field callable maps stacked model inputs (state x_t (B,F,T), times,
 # condition streams) to velocities of the same shape as the state.
 FieldFn = Callable[[BatchInputs], np.ndarray]
+
+SOLVERS = ("euler", "midpoint")
 
 
 @dataclass(frozen=True)
@@ -35,35 +38,8 @@ class GuidanceConfig:
             raise ValueError(f"guidance strength must be finite and >= 0, got {self.strength}")
         if self.nfe < 1:
             raise ValueError(f"nfe must be >= 1, got {self.nfe}")
-        if self.solver not in ("euler", "midpoint"):
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-
-
-def interpolate_stream(src: np.ndarray, target_len: int) -> np.ndarray:
-    """Linearly resample each row of a D x L stream to length ``target_len``.
-
-    Endpoints are preserved: column 0 maps to column 0 and column L-1 to
-    column target_len-1.  Equal lengths return the values unchanged.
-    Output is float64.
-    """
-    src = np.asarray(src)
-    if src.ndim != 2:
-        raise ValueError(f"stream must be 2-d, got shape {src.shape}")
-    d, length = src.shape
-    if length < 1:
-        raise ValueError("stream must have at least one column")
-    if target_len < 1:
-        raise ValueError(f"target length must be >= 1, got {target_len}")
-    if length == target_len:
-        return src.astype(np.float64)
-    # np.interp returns a knot's value exactly when a query lands on it, so
-    # one column broadcasts and one query reads column 0.
-    xs = np.arange(length, dtype=np.float64)
-    xq = np.linspace(0.0, float(length - 1), target_len)
-    out = np.empty((d, target_len), dtype=np.float64)
-    for i in range(d):
-        out[i] = np.interp(xq, xs, src[i].astype(np.float64))
-    return out
 
 
 def assemble_prompt(

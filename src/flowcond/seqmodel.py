@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .infill import BatchInputs, NV_DIM, EMO_DIM
-from .features import FormatError
+from .features import FRAME_RATE, FormatError
 
 CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 1
@@ -68,7 +68,7 @@ class ModelConfig:
     # Constants, kept as fields so that the checkpoint's config block records them.
     d_nv: int = field(default=NV_DIM, init=False)
     d_emo: int = field(default=EMO_DIM, init=False)
-    frames_per_second: float = field(default=100.0, init=False)
+    frames_per_second: float = field(default=FRAME_RATE, init=False)
     use_positional: bool = field(default=True, init=False)
 
     def __post_init__(self):
@@ -380,12 +380,12 @@ class VectorFieldModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, inputs: BatchInputs, params, *, want_cache: bool = False):
-        """Velocities (B, F, T) in the dtype of ``params``.
+    def forward_batch(self, inputs: BatchInputs, params):
+        """``(velocities, cache)``: velocities (B, F, T) in the dtype of ``params``.
 
         The inputs are checked for non-finite values as given and then
         cast to the parameter dtype.  The velocities are a fresh array on
-        every call.  The cache lives in the model's workspace and is valid
+        every call.  The cache refers to the model's workspace and is valid
         until the next forward_batch call.
         """
         cfg = self.config
@@ -453,13 +453,10 @@ class VectorFieldModel:
         # fresh: callers hold velocities across calls (guidance, midpoint)
         v_out = np.empty((b, t_len, cfg.feature_dim), dtype)
         _linear(ws.g_out, params["out_w"], params["out_b"], v_out)
-        out = v_out.transpose(0, 2, 1)
-        if not want_cache:
-            return out, None
         cache = {"workspace": ws, "generation": ws.generation, "u": ws.u,
                  "tokens": inputs.tokens, "blocks": ws.blocks, "g_out": ws.g_out,
                  "lnfc": ws.lnfc, "scale": scale}
-        return out, cache
+        return v_out.transpose(0, 2, 1), cache
 
     # -- backward ----------------------------------------------------------
 
@@ -467,12 +464,12 @@ class VectorFieldModel:
         """Gradients of a scalar loss w.r.t. every parameter tensor.
 
         ``grad_out`` is dLoss/dOutput with output shape (B, F, T);
-        ``cache`` comes from the latest forward_batch(want_cache=True).
+        ``cache`` comes from the latest forward_batch.
         The gradients are views of the workspace's gradient arena and
         are valid until the next backward_batch call at this shape.
         """
         if cache is None:
-            raise RuntimeError("backward requires a cache from forward_batch(want_cache=True)")
+            raise RuntimeError("backward requires a cache from forward_batch")
         ws = cache["workspace"]
         if ws is not self._ws or cache["generation"] != ws.generation:
             raise RuntimeError(
@@ -665,7 +662,7 @@ def train_step(
         raise ValueError("batch must be nonempty")
     if u_target.shape != inputs.x_t.shape:
         raise ValueError(f"u_target shape {u_target.shape} != x_t shape {inputs.x_t.shape}")
-    v_pred, cache = model.forward_batch(inputs, params, want_cache=True)
+    v_pred, cache = model.forward_batch(inputs, params)
     loss, dv = masked_batch_loss_grad(v_pred, u_target, inputs.mask_bits)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
@@ -765,8 +762,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         name = take(name_len, "tensor name").decode()
         (ndim,) = struct.unpack("<I", take(4, "tensor rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
-        n_elem = int(np.prod(shape)) if ndim else 1
-        raw = take(4 * n_elem, f"tensor {name} payload")
+        raw = take(4 * math.prod(shape), f"tensor {name} payload")  # exact: no int64 wrap
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
             raise FormatError(f"non-finite values in tensor {name} of {path}")

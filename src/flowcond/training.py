@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fm_core import PathConfig, on_path_field, sample_conditional_path
-from .infill import EMO_DIM, NV_DIM, BatchInputs, sample_mask
+from .infill import EMO_BOUND, EMO_DIM, NV_DIM, BatchInputs, sample_mask
 from .features import FormatError, load_feature_matrix, load_phonemes, read_manifest
 from .seqmodel import (
     LrSchedule,
@@ -102,8 +102,8 @@ class Corpus:
             )
         finite = [np.isfinite(a).all(axis=(1, 2)) for a in (self.features, self.nv, self.emo)]
         for ok, problem in ((np.logical_and.reduce(finite), "has non-finite values"),
-                            ((np.abs(self.emo) <= 0.5).all(axis=(1, 2)),
-                             "has emo values outside [-0.5, 0.5]")):
+                            ((np.abs(self.emo) <= EMO_BOUND).all(axis=(1, 2)),
+                             f"has emo values outside [-{EMO_BOUND}, {EMO_BOUND}]")):
             if not ok.all():
                 raise CorpusValueError(int(np.argmin(ok)), problem)
 

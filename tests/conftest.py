@@ -1,13 +1,11 @@
 """Pin BLAS to one thread for the test session.
 
-The package pins the BLAS thread count from FLOWCOND_THREADS when it is
-imported before numpy, so importing it here, before any test module
-loads numpy, makes the pin take effect.  An explicit FLOWCOND_THREADS in
-the environment still wins.
+The BLAS library reads its thread count once, when numpy loads, and no
+test module has loaded numpy yet when this file runs.  A value already
+set in the environment wins.
 """
 
 import os
 
-os.environ.setdefault("FLOWCOND_THREADS", "1")
-
-import flowcond  # noqa: E402,F401
+for knob in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(knob, "1")

@@ -194,7 +194,7 @@ def test_criterion_2_gradient_correctness():
         loss, _ = masked_batch_loss_grad(v, u_target, inputs.mask_bits)
         return loss
 
-    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    v, cache = model.forward_batch(inputs, params)
     _, dv = masked_batch_loss_grad(v, u_target, inputs.mask_bits)
     grads = model.backward_batch(dv, cache, params)
 

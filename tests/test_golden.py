@@ -20,10 +20,9 @@ both, and never skips.
 
 import os
 
-# Pin BLAS before numpy loads: flowcond first (tests/conftest.py does the
-# same under pytest).
-os.environ.setdefault("FLOWCOND_THREADS", "1")
-from flowcond.cli import main  # noqa: E402
+# Pin BLAS before numpy loads (tests/conftest.py does the same under pytest).
+for knob in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(knob, "1")
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -34,6 +33,8 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+from flowcond.cli import main  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"

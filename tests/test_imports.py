@@ -1,9 +1,11 @@
-"""scipy is loaded only when the model runs.
+"""Importing flowcond leaves the process alone, and scipy loads only with the model.
 
-``seqmodel.erf`` imports ``scipy.special`` on its first call, so commands
-that run no model (``synth``, ``curate``, ``eval``) start on numpy alone.
-The test session itself has ``scipy.special`` loaded (``test_seqmodel``
-imports it), so each check runs in a fresh interpreter.
+``import flowcond`` edits no environment variable: BLAS threads are
+pinned by the launching environment, and the retired ``FLOWCOND_THREADS``
+alias has no effect.  ``seqmodel.erf`` imports ``scipy.special`` on its
+first call, so commands that run no model (``synth``, ``curate``,
+``eval``) start on numpy alone.  The test session itself has numpy and
+``scipy.special`` loaded, so each check runs in a fresh interpreter.
 """
 
 import os
@@ -13,11 +15,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+BLAS_KNOBS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 PROBE = """
+import os
 import sys
 from pathlib import Path
 
+before = dict(os.environ)
 import flowcond
+print("environ", dict(os.environ) == before)
 from flowcond import cli
 
 def loaded():
@@ -67,15 +74,18 @@ print("erf bitwise")
 
 
 def test_scipy_special_loads_only_with_the_model(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(SRC), "FLOWCOND_THREADS": "1"}
+    # The BLAS knobs start unset, so an import that pinned them would show.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_KNOBS}
+    env.update(PYTHONPATH=str(SRC), FLOWCOND_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-c", PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     status = [line for line in done.stdout.splitlines()
-              if line.split()[0] in ("import", "synth", "curate", "eval", "forward", "erf")]
+              if line.split()[0] in ("environ", "import", "synth", "curate", "eval", "forward", "erf")]
     assert status == [
+        "environ True",
         "import False",
         "synth False",
         "curate False",

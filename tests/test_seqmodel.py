@@ -212,7 +212,7 @@ def fd_check(model, params, inputs, u_target, names, coords_per_tensor, rng, h=1
         loss, _ = masked_batch_loss_grad(v, u_target, inputs.mask_bits)
         return loss
 
-    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    v, cache = model.forward_batch(inputs, params)
     _, dv = masked_batch_loss_grad(v, u_target, inputs.mask_bits)
     grads = model.backward_batch(dv, cache, params)
 
@@ -261,7 +261,7 @@ def test_backward_zero_loss_grad_gives_zero_grads():
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 4, SMALL, rng)
-    _, cache = model.forward_batch(inputs, params, want_cache=True)
+    _, cache = model.forward_batch(inputs, params)
     grads = model.backward_batch(np.zeros((2, 3, 4)), cache, params)
     for g in grads.values():
         assert np.all(g == 0.0)
@@ -272,7 +272,7 @@ def test_gradient_of_loss_at_minimum_is_zero():
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 4, SMALL, rng)
-    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    v, cache = model.forward_batch(inputs, params)
     loss, dv = masked_batch_loss_grad(v, v.copy(), inputs.mask_bits)
     assert loss == 0.0
     grads = model.backward_batch(dv, cache, params)
@@ -293,7 +293,7 @@ def test_backward_rejects_cache_overwritten_by_later_forward():
     params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 4, SMALL, rng)
     other, _ = make_batch(2, 4, SMALL, rng)
-    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    v, cache = model.forward_batch(inputs, params)
     first = {k: g.copy() for k, g in model.backward_batch(np.ones_like(v), cache, params).items()}
     again = model.backward_batch(np.ones_like(v), cache, params)  # a backward keeps the cache
     assert all(np.array_equal(first[k], again[k]) for k in first)
@@ -301,7 +301,7 @@ def test_backward_rejects_cache_overwritten_by_later_forward():
     with pytest.raises(RuntimeError, match="stale") as info:
         model.backward_batch(np.ones((2, 3, 4)), cache, params)
     assert "\n" not in str(info.value)
-    _, cache = model.forward_batch(inputs, params, want_cache=True)
+    _, cache = model.forward_batch(inputs, params)
     model.forward_batch(make_batch(3, 4, SMALL, rng)[0], params)  # new shape
     with pytest.raises(RuntimeError, match="stale"):
         model.backward_batch(np.ones((2, 3, 4)), cache, params)
@@ -318,7 +318,7 @@ def test_forward_returns_fresh_velocities():
     other, _ = make_batch(2, 5, SMALL, rng)
     a, _ = model.forward_batch(inputs, params)
     kept = a.copy()
-    b, _ = model.forward_batch(other, params, want_cache=True)
+    b, _ = model.forward_batch(other, params)
     assert not np.shares_memory(a, b)
     np.testing.assert_array_equal(a, kept)
 
@@ -446,7 +446,7 @@ def test_float32_params_keep_forward_and_cache_float32():
     params32 = {k: v.astype(np.float32) for k, v in params.items()}
     inputs, _ = make_batch(2, 6, SMALL, rng)
     model = VectorFieldModel(SMALL)
-    out, cache = model.forward_batch(inputs, params32, want_cache=True)
+    out, cache = model.forward_batch(inputs, params32)
     assert out.dtype == np.float32
     arrays = cached_arrays(cache)
     assert len(arrays) >= 3 + 13 * SMALL.n_layers
@@ -588,7 +588,7 @@ def test_adam_update_matches_per_tensor_reference_bitwise(monkeypatch, adam_slic
     ref_state.m, ref_state.v = {}, {}
     for _ in range(4):
         inputs, _ = make_batch(2, 5, SMALL, rng)
-        v, cache = model.forward_batch(inputs, params, want_cache=True)
+        v, cache = model.forward_batch(inputs, params)
         _, dv = masked_batch_loss_grad(v, rng.standard_normal(v.shape), inputs.mask_bits)
         grads = model.backward_batch(dv, cache, params)
         reference_adam(ref, {k: g.copy() for k, g in grads.items()}, ref_state)
@@ -603,7 +603,7 @@ def test_adam_update_rejects_params_outside_the_arena():
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 4, SMALL, rng)
-    v, cache = model.forward_batch(inputs, params, want_cache=True)
+    v, cache = model.forward_batch(inputs, params)
     grads = model.backward_batch(np.ones_like(v), cache, params)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
     copied = {k: a.copy() for k, a in params.items()}
@@ -746,11 +746,20 @@ def test_checkpoint_truncation(tmp_path):
     p = tmp_path / "x.fmck"
     save_checkpoint(p, SMALL, params)
     blob = p.read_bytes()
-    p.write_bytes(blob[: len(blob) - 10])
+    # The first tensor's shape, claiming (2**32 - 1)**2 elements: a count
+    # that wraps around in int64 must still read as a truncated payload.
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    (name_len,) = struct.unpack("<I", blob[16 + cfg_len : 20 + cfg_len])
+    dims = 24 + cfg_len + name_len
+    assert struct.unpack("<I", blob[dims - 4 : dims]) == (2,)
+    huge = blob[:dims] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + blob[dims + 8 :]
     from flowcond import FormatError
 
-    with pytest.raises(FormatError, match="truncated"):
-        load_checkpoint(p)
+    for bad in (blob[: len(blob) - 10], huge):
+        p.write_bytes(bad)
+        with pytest.raises(FormatError, match="truncated") as info:
+            load_checkpoint(p)
+        assert str(p) in str(info.value)
 
 
 def with_config_block(blob, block):
