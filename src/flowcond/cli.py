@@ -54,10 +54,6 @@ def _write_provenance(path: Path, command: str, args: dict) -> None:
     path.write_text(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _check_output_file(path: Path) -> None:
     """Reject an output path that cannot be written as a file, before any work."""
     if not path.parent.is_dir():
@@ -239,7 +235,8 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     _check_output_file(out)
     ck_path = Path(args.checkpoint)
-    model_cfg, params = load_checkpoint(ck_path)
+    ck_bytes = ck_path.read_bytes()  # read once: the sidecar hashes the bytes that were parsed
+    model_cfg, params = load_checkpoint(ck_path, ck_bytes)
     model = VectorFieldModel(model_cfg)
 
     text_tokens = _tokens(args.text_phonemes, model_cfg.n_phonemes)
@@ -298,7 +295,7 @@ def cmd_sample(args) -> int:
     sidecar = {
         "command": "sample",
         "checkpoint": str(ck_path),
-        "checkpoint_sha256": _sha256(ck_path),
+        "checkpoint_sha256": hashlib.sha256(ck_bytes).hexdigest(),
         "guidance": args.guidance,
         "nfe": args.nfe,
         "solver": args.solver,

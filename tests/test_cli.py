@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, fields
@@ -422,6 +423,26 @@ def test_sample_defaults_recorded_in_sidecar(tmp_path, corpus_dir, trained_run):
     assert len(sidecar["checkpoint_sha256"]) == 64
     assert sidecar["field_dtype"] == "float32"
     assert load_feature_matrix(out).values.shape == (8, 24)
+
+
+def test_sample_reads_checkpoint_once_and_hashes_those_bytes(tmp_path, corpus_dir, trained_run,
+                                                             monkeypatch):
+    ck = trained_run / "checkpoint.fmck"
+    reads = []
+    real_read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        if self == ck:
+            reads.append(self)
+        return real_read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    out = tmp_path / "gen.fmat"
+    assert run_cli("sample", "--checkpoint", ck, "--text-phonemes", corpus_dir / "mixed_00001.phn",
+                   "--zero-nv", "--zero-emo", "--nfe", 2, "--out", out) == 0
+    assert len(reads) == 1
+    sidecar = json.loads((tmp_path / "gen.fmat.json").read_text())
+    assert sidecar["checkpoint_sha256"] == hashlib.sha256(real_read_bytes(ck)).hexdigest()
 
 
 def test_sample_fixed_seed_identical_output(tmp_path, corpus_dir, trained_run):

@@ -2,10 +2,12 @@
 
 ``import flowcond`` edits no environment variable: BLAS threads are
 pinned by the launching environment, and the retired ``FLOWCOND_THREADS``
-alias has no effect.  ``seqmodel.erf`` imports ``scipy.special`` on its
-first call, so commands that run no model (``synth``, ``curate``,
-``eval``) start on numpy alone.  The test session itself has numpy and
-``scipy.special`` loaded, so each check runs in a fresh interpreter.
+alias has no effect.  ``seqmodel.erf`` computes float32 in numpy and
+imports ``scipy.special`` on its first float64 call, so the float32
+``sample`` field and the commands that run no model (``synth``,
+``curate``, ``eval``) start on numpy alone, and a float64 forward loads
+it.  The test session itself has numpy and ``scipy.special`` loaded, so
+each check runs in a fresh interpreter.
 """
 
 import os
@@ -42,11 +44,17 @@ assert cli.main(["eval", "emo-sim", "--a", str(tmp / "c" / "mixed_00000.emo.fmat
 print("eval", loaded())
 
 import numpy as np
-from flowcond import ModelConfig, VectorFieldModel, init_params
+from flowcond import ModelConfig, VectorFieldModel, init_params, save_checkpoint
 from flowcond.infill import BatchInputs, EMO_DIM, NV_DIM
 
 cfg = ModelConfig(n_layers=1, d_model=8, d_ffn=16, feature_dim=4)
 rng = np.random.default_rng(0)
+save_checkpoint(tmp / "small.fmck", cfg, init_params(cfg, rng, zero_output=False))
+(tmp / "text.phn").write_text("1 2 3 4 5 6")
+assert cli.main(["sample", "--checkpoint", str(tmp / "small.fmck"), "--text-phonemes",
+                 str(tmp / "text.phn"), "--zero-nv", "--zero-emo", "--nfe", "4",
+                 "--out", str(tmp / "gen.fmat")]) == 0
+print("sample", loaded())
 B, T = 2, 5
 inputs = BatchInputs(
     x_t=rng.standard_normal((B, cfg.feature_dim, T)),
@@ -62,14 +70,17 @@ print("forward", loaded())
 
 from scipy.special import erf
 from flowcond import seqmodel
-for dtype in (np.float32, np.float64):
-    x = rng.standard_normal(4096).astype(dtype) * 3
-    got, want = seqmodel.erf(x), erf(x)
-    assert got.dtype == want.dtype == dtype
-    assert got.tobytes() == want.tobytes()
-    out = np.empty_like(x)
-    assert seqmodel.erf(x, out=out) is out and out.tobytes() == want.tobytes()
-print("erf bitwise")
+x = rng.standard_normal(4096) * 3
+got, want = seqmodel.erf(x), erf(x)
+assert got.dtype == want.dtype == np.float64
+assert got.tobytes() == want.tobytes()
+out = np.empty_like(x)
+assert seqmodel.erf(x, out=out) is out and out.tobytes() == want.tobytes()
+x32 = x.astype(np.float32)
+got32 = seqmodel.erf(x32)
+assert got32.dtype == np.float32
+assert np.abs(got32 - erf(x32.astype(np.float64))).max() <= 5e-7
+print("erf float64 bitwise, float32 within 5e-7")
 """
 
 
@@ -83,13 +94,15 @@ def test_scipy_special_loads_only_with_the_model(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     status = [line for line in done.stdout.splitlines()
-              if line.split()[0] in ("environ", "import", "synth", "curate", "eval", "forward", "erf")]
+              if line.split()[0] in ("environ", "import", "synth", "curate", "eval", "sample",
+                                         "forward", "erf")]
     assert status == [
         "environ True",
         "import False",
         "synth False",
         "curate False",
         "eval False",
+        "sample False",
         "forward True",
-        "erf bitwise",
+        "erf float64 bitwise, float32 within 5e-7",
     ]

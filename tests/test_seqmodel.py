@@ -426,6 +426,29 @@ def test_layernorm_reductions_match_np_mean_bitwise(dtype, width):
         np.testing.assert_array_equal(got, want)
 
 
+def test_float32_erf_accuracy_and_special_values():
+    x = np.linspace(-6.0, 6.0, 2_000_001, dtype=np.float32)
+    got = seqmodel.erf(x)
+    assert got.dtype == np.float32
+    assert np.abs(got - erf(x.astype(np.float64))).max() <= 5e-7
+    # exactly odd, signed zeros included
+    np.testing.assert_array_equal(seqmodel.erf(-x).view(np.uint32), (-got).view(np.uint32))
+
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    got = seqmodel.erf(special)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, [0.0, -0.0, 1.0, -1.0, np.nan])
+    assert np.signbit(got).tolist()[:4] == [False, True, False, True]
+
+    y = x.copy()
+    want = seqmodel.erf(x)
+    assert seqmodel.erf(y, out=y) is y and y.tobytes() == want.tobytes()
+    scratch = (np.empty_like(x), np.empty_like(x))
+    assert seqmodel.erf(x, scratch=scratch).tobytes() == want.tobytes()
+    zero_d = seqmodel.erf(x[1234].reshape(()))
+    assert zero_d.shape == () and zero_d.tobytes() == want[1234].tobytes()
+
+
 def cached_arrays(obj, path=""):
     """Every float array in a forward cache, by its path."""
     if isinstance(obj, np.ndarray):
@@ -502,21 +525,35 @@ def make_training_batch(rng, B, T, cfg=SMALL):
     return inputs, on_path_field(x0, x1, path_cfg)
 
 
-def test_train_step_evaluates_erf_once_per_layer(monkeypatch):
+@pytest.fixture
+def erf_calls(monkeypatch):
+    """The dtype of each call to ``seqmodel.erf``, the one erf entry point."""
     calls = []
 
-    def counting_erf(*args, **kwargs):
-        calls.append(1)
-        return real_erf(*args, **kwargs)
+    def counting_erf(x, *args, **kwargs):
+        calls.append(x.dtype)
+        return real_erf(x, *args, **kwargs)
 
     real_erf = seqmodel.erf
     monkeypatch.setattr(seqmodel, "erf", counting_erf)
+    return calls
+
+
+def test_train_step_evaluates_erf_once_per_layer(erf_calls):
     rng = np.random.default_rng(17)
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
     train_step(model, *make_training_batch(rng, 2, 5), params, state)
-    assert len(calls) == SMALL.n_layers
+    assert erf_calls == [np.float64] * SMALL.n_layers
+
+
+def test_field_evaluates_erf_once_per_layer(erf_calls):
+    # The float32 erf is numpy code, but it is still reached through seqmodel.erf.
+    rng = np.random.default_rng(18)
+    params = init_params(SMALL, rng, zero_output=False)
+    make_field_fn(VectorFieldModel(SMALL), params)(make_batch(2, 5, SMALL, rng)[0])
+    assert erf_calls == [np.float32] * SMALL.n_layers
 
 
 def test_train_step_rejects_empty_batch():
