@@ -103,59 +103,26 @@ def cmd_synth(args) -> int:
 
 # -- train ---------------------------------------------------------------------
 
-# Config-file key -> parser: every TrainSettings field (its annotation is a
-# string), plus the comma-separated manifests and ratios.
-_CONFIG_KEYS = {
-    **{f.name: {"int": int, "float": float}[f.type] for f in fields(TrainSettings)},
-    "manifests": str,
-    "ratios": str,
-}
-
-
-def parse_config_file(path: str | Path) -> dict:
-    """Plain key = value lines; '#' starts a comment."""
-    out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return out
-
 
 def cmd_train(args) -> int:
-    cfg_file = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value  # flag wins over config file
-        return cfg_file.get(key, default)
-
     manifests = list(args.manifest or [])
-    if not manifests and "manifests" in cfg_file:
-        manifests = [m.strip() for m in cfg_file["manifests"].split(",") if m.strip()]
     if not manifests:
-        raise CliError("no training manifests given (--manifest or config 'manifests')")
-
-    ratios_raw = pick(args.ratios, "ratios", None)
-    if ratios_raw is None:
+        raise CliError("no training manifests given (--manifest)")
+    if args.ratios is None:
         ratios = [1.0 / len(manifests)] * len(manifests)
     else:
-        ratios = [float(r) for r in str(ratios_raw).split(",")]
+        ratios = [float(r) for r in args.ratios.split(",")]
 
-    # Only the values the config file or a flag sets: TrainSettings holds
-    # the defaults.
-    names = [f.name for f in fields(TrainSettings)]
-    values = {k: pick(getattr(args, k), k, None) for k in names}
-    settings = TrainSettings(**{k: v for k, v in values.items() if v is not None})
+    # Only the values a flag sets: TrainSettings holds the defaults.
+    settings = TrainSettings(**{
+        f.name: getattr(args, f.name) for f in fields(TrainSettings)
+        if f.init and getattr(args, f.name) is not None
+    })
+
+    out = Path(args.out)
+    for name in ("checkpoint.fmck", "loss_log.txt", "provenance.json"):  # what a run writes
+        if (out / name).is_dir():
+            raise CliError(f"output path {out / name} is a directory")
 
     # Every corpus must stack into one batch shape and fit the model's
     # vocabulary; check both before anything is written.
@@ -168,7 +135,6 @@ def cmd_train(args) -> int:
                 _check_vocab(row, f"{manifest} record {i}", desk.n_phonemes)
     model_cfg = replace(desk, feature_dim=feature_dim)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.fmck"
     log_path = out / "loss_log.txt"
@@ -233,7 +199,9 @@ def _tokens(path: str, n_phonemes: int) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     out = Path(args.out)
+    sidecar_path = Path(str(out) + ".json")
     _check_output_file(out)
+    _check_output_file(sidecar_path)
     ck_path = Path(args.checkpoint)
     ck_bytes = ck_path.read_bytes()  # read once: the sidecar hashes the bytes that were parsed
     model_cfg, params = load_checkpoint(ck_path, ck_bytes)
@@ -310,7 +278,7 @@ def cmd_sample(args) -> int:
         "field_dtype": np.dtype(FIELD_DTYPE).name,
         "package_version": __version__,
     }
-    Path(str(out) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    sidecar_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n")
     print(f"wrote {generated.shape[1]} generated frames to {out}")
     return 0
 
@@ -422,15 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func="cmd_synth")
 
     p = sub.add_parser("train", help="train the vector-field model")
-    p.add_argument("--config", help="key = value config file; flags override")
     p.add_argument("--manifest", action="append", help="training manifest (repeatable)")
     p.add_argument("--ratios", help="comma-separated mixing ratios, one per manifest")
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-frames", type=int)
     p.add_argument("--peak-lr", type=float)
     p.add_argument("--warmup", dest="warmup_steps", type=int)
-    p.add_argument("--sigma-min", type=float)
-    p.add_argument("--p-drop", type=float)
     p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)

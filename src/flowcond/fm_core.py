@@ -17,6 +17,10 @@ import numpy as np
 # Denominators at or below this are treated as singular.
 _EPS = 1e-12
 
+# Residual noise scale at the data endpoint: the path default and the
+# fixed value every training run uses.
+SIGMA_MIN = 1e-5
+
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -27,7 +31,7 @@ class PathConfig:
     at t=1 when positive.
     """
 
-    sigma_min: float = 1e-5
+    sigma_min: float = SIGMA_MIN
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_min < 1.0:

@@ -10,13 +10,13 @@ array over the batch's rows (``draw_batch``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fm_core import PathConfig, on_path_field, sample_conditional_path
+from .fm_core import SIGMA_MIN, PathConfig, on_path_field, sample_conditional_path
 from .infill import EMO_BOUND, EMO_DIM, NV_DIM, BatchInputs, sample_mask
 from .features import FormatError, load_feature_matrix, load_phonemes, read_manifest
 from .seqmodel import (
@@ -36,10 +36,11 @@ class TrainSettings:
     batch_frames: int = 768
     peak_lr: float = 1e-3
     warmup_steps: int = 20
-    sigma_min: float = 1e-5
-    p_drop: float = 0.2
     checkpoint_every: int = 0  # 0: only the final checkpoint
     seed: int = 0
+    # Fixed by the recipe, not per run; still recorded in provenance.
+    sigma_min: float = field(default=SIGMA_MIN, init=False)
+    p_drop: float = field(default=0.2, init=False)  # condition dropout for guidance
 
     def __post_init__(self):
         if self.steps < 0:
@@ -50,9 +51,6 @@ class TrainSettings:
             raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        PathConfig(sigma_min=self.sigma_min)  # raises on a bad sigma_min
-        if not 0.0 <= self.p_drop <= 1.0:
-            raise ValueError(f"p_drop must be in [0, 1], got {self.p_drop}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.seed < 0:

@@ -85,7 +85,7 @@ def oracle_corpus(kind, n, seed, T=T_FRAMES):
 
 def train_on_corpus(corpus, steps, seed):
     settings = TrainSettings(steps=steps, batch_frames=12 * T_FRAMES, peak_lr=2e-3,
-                             warmup_steps=100, sigma_min=SIGMA_MIN, p_drop=0.2, seed=seed)
+                             warmup_steps=100, seed=seed)
     params, _, _ = train_loop(DESK, [corpus], [1.0], settings)
     return VectorFieldModel(DESK), params
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowcond import cli, curate
-from flowcond.cli import main, parse_config_file
+from flowcond.cli import main
 from flowcond.features import (
     FeatureMatrix,
     FormatError,
@@ -130,33 +130,17 @@ def test_train_loss_log_format(tmp_path, corpus_dir):
         float(loss), float(lr)
 
 
-def test_train_config_file_with_flag_override(tmp_path, corpus_dir):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(
-        "steps = 5\npeak_lr = 1e-3  # comment\nwarmup_steps = 2\nseed = 9\n"
-    )
-    out = tmp_path / "run"
-    assert run_cli("train", "--config", cfg, "--manifest", corpus_dir / "manifest.jsonl",
-                   "--steps", 2, "--out", out) == 0
-    lines = (out / "loss_log.txt").read_text().splitlines()
-    assert len(lines) == 2  # flag overrode config's 5
-    prov = json.loads((out / "provenance.json").read_text())
-    assert prov["args"]["seed"] == 9
-
-
 # The train provenance records every field of TrainSettings.
 PROVENANCE_SETTINGS = tuple(f.name for f in fields(TrainSettings))
 
 
 @dataclass
 class ShiftedSettings(TrainSettings):
-    """TrainSettings with every recorded default moved off its real value."""
+    """TrainSettings with every settable default but steps moved off its real value."""
 
     batch_frames: int = 96
     peak_lr: float = 5e-4
     warmup_steps: int = 3
-    sigma_min: float = 1e-4
-    p_drop: float = 0.1
     checkpoint_every: int = 4
     seed: int = 13
 
@@ -179,17 +163,25 @@ def test_train_defaults_come_from_train_settings(tmp_path, corpus_dir, monkeypat
     assert run_cli("train", "--manifest", manifest, "--steps", 0, "--out", tmp_path / "a") == 0
     assert recorded(tmp_path / "a") == expected()
 
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("peak_lr = 2e-3\nwarmup_steps = 7\nseed = 9\n")
-    assert run_cli("train", "--config", cfg, "--manifest", manifest, "--steps", 0,
-                   "--seed", 4, "--out", tmp_path / "b") == 0
+    assert run_cli("train", "--manifest", manifest, "--steps", 0, "--peak-lr", 2e-3,
+                   "--warmup", 7, "--seed", 4, "--out", tmp_path / "b") == 0
     assert recorded(tmp_path / "b") == expected(peak_lr=2e-3, warmup_steps=7, seed=4)
+
+
+def test_train_records_fixed_sigma_min_and_p_drop(tmp_path, corpus_dir):
+    assert run_cli("train", "--manifest", corpus_dir / "manifest.jsonl", "--steps", 0,
+                   "--out", tmp_path / "run") == 0
+    args = json.loads((tmp_path / "run" / "provenance.json").read_text())["args"]
+    assert (args["sigma_min"], args["p_drop"]) == (1e-05, 0.2)
+    for fixed in ({"sigma_min": 1e-4}, {"p_drop": 0.1}):
+        with pytest.raises(TypeError):
+            TrainSettings(**fixed)
 
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--p-drop", "1.5"), ("--p-drop", "nan"), ("--sigma-min", "nan"), ("--peak-lr", "-1"),
-     ("--peak-lr", "inf"), ("--warmup", "-5"), ("--checkpoint-every", "-1"), ("--seed", "-1")],
+    [("--peak-lr", "-1"), ("--peak-lr", "inf"), ("--warmup", "-5"),
+     ("--checkpoint-every", "-1"), ("--seed", "-1")],
 )
 def test_train_bad_setting_values_leave_no_files(tmp_path, corpus_dir, capsys, flag, value):
     out = tmp_path / "run"
@@ -198,6 +190,22 @@ def test_train_bad_setting_values_leave_no_files(tmp_path, corpus_dir, capsys, f
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["checkpoint.fmck", "loss_log.txt", "provenance.json"])
+def test_train_output_path_directory_fails_before_training(tmp_path, corpus_dir, capsys,
+                                                            monkeypatch, name):
+    def no_load(manifest):
+        raise AssertionError(f"{manifest} was loaded")
+
+    monkeypatch.setattr(cli, "load_corpus", no_load)
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert run_cli("train", "--manifest", corpus_dir / "manifest.jsonl", "--steps", 2,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path {out / name} is a directory\n"
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def small_corpus(root, name, frames=8, feature_dim=8):
@@ -306,35 +314,16 @@ def test_train_record_of_another_shape_in_one_manifest_leaves_no_files(tmp_path,
     assert not out.exists()
 
 
-def test_train_schema_is_train_settings():
-    names = {f.name for f in fields(TrainSettings)}
+def test_train_schema_is_train_settings(capsys):
+    names = {f.name for f in fields(TrainSettings) if f.init}
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in commands.choices["train"]._actions} - {"help"}
-    assert dests == names | {"config", "manifest", "ratios", "out"}
-    assert set(cli._CONFIG_KEYS) == names | {"manifests", "ratios"}
-
-
-def test_parse_config_rejects_preset_key(tmp_path):
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text("preset = desk\n")
-    with pytest.raises(cli.CliError, match="unknown config key 'preset'"):
-        parse_config_file(cfg)
-
-
-def test_shipped_configs_parse():
-    configs = Path(__file__).parent.parent / "configs"
-    desk = parse_config_file(configs / "desk.cfg")
-    assert TrainSettings(**desk).steps == 2000
-
-
-def test_parse_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    from flowcond.cli import CliError
-
-    with pytest.raises(CliError, match="bogus"):
-        parse_config_file(cfg)
+    assert dests == names | {"manifest", "ratios", "out"}
+    for flag in ("--config=run.cfg", "--sigma-min=1e-4", "--p-drop=0.1"):
+        with pytest.raises(SystemExit):
+            main(["train", "--manifest", "m.jsonl", "--out", "run", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_train_bad_ratios_rejected(tmp_path, corpus_dir, capsys):
@@ -583,6 +572,19 @@ def test_sample_missing_output_dir_fails_before_integrating(tmp_path, corpus_dir
     assert all(m in err for m in messages)
     assert calls["n"] == 0
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("existing")]
+
+
+def test_sample_sidecar_path_directory_fails_before_integrating(tmp_path, corpus_dir,
+                                                               trained_run, capsys):
+    (tmp_path / "g.fmat.json").mkdir()
+    assert run_cli(
+        "sample", "--checkpoint", trained_run / "checkpoint.fmck",
+        "--text-phonemes", corpus_dir / "mixed_00001.phn",
+        "--zero-nv", "--zero-emo", "--nfe", 2, "--out", tmp_path / "g.fmat",
+    ) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path {tmp_path / 'g.fmat.json'} is a directory\n"
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("g.fmat.json")]
 
 
 def test_sample_out_of_vocab_phoneme_rejected(tmp_path, corpus_dir, trained_run, capsys):
