@@ -9,7 +9,6 @@ similarity metrics.
 """
 
 from .fm_core import (
-    PathConfig,
     path_mean_std,
     sample_conditional_path,
     conditional_vector_field,

@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from .features import (
 )
 from .infill import EMO_BOUND, EMO_DIM, NV_DIM
 from .metrics import aggregate_seeds, aro_val_sim, frame_cosine_sim
-from .sampler import SOLVERS, GuidanceConfig, assemble_prompt, integrate_batch
+from .sampler import GuidanceConfig, assemble_prompt, integrate_batch
 from .seqmodel import (
     FIELD_DTYPE,
     PRESETS,
@@ -38,7 +39,7 @@ from .seqmodel import (
     load_checkpoint,
     make_field_fn,
 )
-from .training import TrainSettings, check_corpora, load_corpus, train_loop
+from .training import TrainSettings, check_corpora, load_corpus, snapshot_path, train_loop
 
 
 class CliError(Exception):
@@ -104,6 +105,17 @@ def cmd_synth(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 
+def _train_writes(name: str, checkpoint: Path, settings: TrainSettings) -> bool:
+    """Whether a run that keeps ``checkpoint`` writes a file called ``name`` beside it."""
+    if name in (checkpoint.name, "loss_log.txt", "provenance.json"):
+        return True
+    every = settings.checkpoint_every
+    step = name.removeprefix(checkpoint.stem + "_step").removesuffix(checkpoint.suffix)
+    return (every > 0 and step.isdecimal()
+            and int(step) in range(every, settings.steps + 1, every)
+            and snapshot_path(checkpoint, int(step)).name == name)
+
+
 def cmd_train(args) -> int:
     manifests = list(args.manifest or [])
     if not manifests:
@@ -120,9 +132,13 @@ def cmd_train(args) -> int:
     })
 
     out = Path(args.out)
-    for name in ("checkpoint.fmck", "loss_log.txt", "provenance.json"):  # what a run writes
-        if (out / name).is_dir():
-            raise CliError(f"output path {out / name} is a directory")
+    checkpoint = out / "checkpoint.fmck"
+    # One scan of --out, not a stat per interval snapshot, finds a
+    # directory where the run would write a file.
+    if out.is_dir():
+        for name in sorted(entry.name for entry in os.scandir(out) if entry.is_dir()):
+            if _train_writes(name, checkpoint, settings):
+                raise CliError(f"output path {out / name} is a directory")
 
     # Every corpus must stack into one batch shape and fit the model's
     # vocabulary; check both before anything is written.
@@ -136,7 +152,6 @@ def cmd_train(args) -> int:
     model_cfg = replace(desk, feature_dim=feature_dim)
 
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint = out / "checkpoint.fmck"
     log_path = out / "loss_log.txt"
 
     with open(log_path, "w") as log:
@@ -250,7 +265,7 @@ def cmd_sample(args) -> int:
     prompt = assemble_prompt(
         spk_feats, spk_tokens, spk_nv, spk_emo, text_tokens, nv_prompt, emo_prompt
     )
-    guidance = GuidanceConfig(strength=args.guidance, nfe=args.nfe, solver=args.solver)
+    guidance = GuidanceConfig(strength=args.guidance, nfe=args.nfe)
     rng = np.random.default_rng(args.seed)
     try:
         # integrate_batch reports a non-finite state itself, in one error.
@@ -266,7 +281,7 @@ def cmd_sample(args) -> int:
         "checkpoint_sha256": hashlib.sha256(ck_bytes).hexdigest(),
         "guidance": args.guidance,
         "nfe": args.nfe,
-        "solver": args.solver,
+        "solver": "euler",  # the only integrator; recorded like train's sigma_min
         "seed": args.seed,
         "text_phonemes": str(args.text_phonemes),
         "spk_features": str(args.spk_features) if args.spk_features else None,
@@ -414,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-emo", action="store_true")
     p.add_argument("--nfe", type=int, default=32)
     p.add_argument("--guidance", type=float, default=1.0)
-    p.add_argument("--solver", choices=SOLVERS, default="euler")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func="cmd_sample")

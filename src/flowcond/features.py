@@ -134,10 +134,6 @@ def load_phonemes(path: str | Path) -> np.ndarray:
         raise FormatError(f"phoneme id outside the 64-bit integer range in {path}") from None
 
 
-def frames_to_seconds(frames: int, frames_per_second: float) -> float:
-    return frames / frames_per_second
-
-
 def interpolate_stream(src: np.ndarray, target_len: int) -> np.ndarray:
     """Linearly resample each row of a D x L stream to length ``target_len``.
 
@@ -380,7 +376,7 @@ def generate_corpus(
                 phonemes_path=paths["phonemes"].name,
                 nv_path=paths["nv"].name,
                 emo_path=paths["emo"].name,
-                duration_s=frames_to_seconds(T, FRAME_RATE),
+                duration_s=T / FRAME_RATE,
                 emotion_label=_EMOTION_LABELS[int(rng.integers(len(_EMOTION_LABELS)))],
                 emotion_confidence=round(float(rng.uniform()), 4),
                 ovlr=round(float(rng.uniform(1.0, 5.0)), 4),

@@ -10,35 +10,19 @@ regression loss that trains a parametric field against this target is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Denominators at or below this are treated as singular.
 _EPS = 1e-12
 
-# Residual noise scale at the data endpoint: the path default and the
-# fixed value every training run uses.
+# Residual noise scale at the data endpoint: the fixed value every
+# training run uses.  The functions below take sigma_min explicitly; it
+# must be in [0, 1), and a positive value keeps the target field finite
+# at t=1.
 SIGMA_MIN = 1e-5
 
 
-@dataclass(frozen=True)
-class PathConfig:
-    """Shape of the affine probability path.
-
-    ``sigma_min`` is the residual noise scale left at the data endpoint;
-    it must be small and nonnegative, and keeps the target field finite
-    at t=1 when positive.
-    """
-
-    sigma_min: float = SIGMA_MIN
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_min < 1.0:
-            raise ValueError(f"sigma_min must be in [0, 1), got {self.sigma_min}")
-
-
-def path_mean_std(t, cfg: PathConfig) -> tuple:
+def path_mean_std(t, sigma_min: float) -> tuple:
     """Mean coefficient and standard deviation of the path at time t.
 
     The path is Gaussian around t*x1 with std 1 - (1 - sigma_min)*t, so
@@ -48,11 +32,11 @@ def path_mean_std(t, cfg: PathConfig) -> tuple:
     """
     if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"t must be in [0, 1], got {t}")
-    return t, 1.0 - (1.0 - cfg.sigma_min) * t
+    return t, 1.0 - (1.0 - sigma_min) * t
 
 
 def sample_conditional_path(
-    x1: np.ndarray, t, x0: np.ndarray, cfg: PathConfig
+    x1: np.ndarray, t, x0: np.ndarray, sigma_min: float
 ) -> np.ndarray:
     """Point on the path at time t for prior draw x0 and data x1.
 
@@ -61,12 +45,12 @@ def sample_conditional_path(
     """
     if x0.shape != x1.shape:
         raise ValueError(f"x0 shape {x0.shape} != x1 shape {x1.shape}")
-    mean_coeff, std = path_mean_std(t, cfg)
+    mean_coeff, std = path_mean_std(t, sigma_min)
     return mean_coeff * x1 + std * x0
 
 
 def conditional_vector_field(
-    x: np.ndarray, x1: np.ndarray, t: float, cfg: PathConfig
+    x: np.ndarray, x1: np.ndarray, t: float, sigma_min: float
 ) -> np.ndarray:
     """Target vector field u(x | x1) at time t.
 
@@ -76,15 +60,15 @@ def conditional_vector_field(
     """
     if x.shape != x1.shape:
         raise ValueError(f"x shape {x.shape} != x1 shape {x1.shape}")
-    denom = 1.0 - (1.0 - cfg.sigma_min) * t
+    denom = 1.0 - (1.0 - sigma_min) * t
     if denom <= _EPS:
         raise ZeroDivisionError(
             f"path field singular: 1 - (1 - sigma_min)*t = {denom} at t={t}"
         )
-    return (x1 - (1.0 - cfg.sigma_min) * x) / denom
+    return (x1 - (1.0 - sigma_min) * x) / denom
 
 
-def on_path_field(x0: np.ndarray, x1: np.ndarray, cfg: PathConfig) -> np.ndarray:
+def on_path_field(x0: np.ndarray, x1: np.ndarray, sigma_min: float) -> np.ndarray:
     """Target field evaluated on the path itself: x1 - (1 - sigma_min)*x0.
 
     Algebraically identical to ``conditional_vector_field`` at
@@ -94,4 +78,4 @@ def on_path_field(x0: np.ndarray, x1: np.ndarray, cfg: PathConfig) -> np.ndarray
     """
     if x0.shape != x1.shape:
         raise ValueError(f"x0 shape {x0.shape} != x1 shape {x1.shape}")
-    return x1 - (1.0 - cfg.sigma_min) * x0
+    return x1 - (1.0 - sigma_min) * x0

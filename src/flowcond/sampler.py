@@ -22,24 +22,23 @@ from .infill import BatchInputs
 # condition streams) to velocities of the same shape as the state.
 FieldFn = Callable[[BatchInputs], np.ndarray]
 
-SOLVERS = ("euler", "midpoint")
-
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """ODE integration budget and guidance strength."""
+    """ODE integration budget and guidance strength.
+
+    ``nfe`` is the number of Euler steps, which is the number of field
+    evaluations per branch: a guided request makes 2 * nfe.
+    """
 
     strength: float = 1.0
     nfe: int = 32
-    solver: str = "euler"
 
     def __post_init__(self):
         if not 0.0 <= self.strength < math.inf:
             raise ValueError(f"guidance strength must be finite and >= 0, got {self.strength}")
         if self.nfe < 1:
             raise ValueError(f"nfe must be >= 1, got {self.nfe}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
 def assemble_prompt(
@@ -107,9 +106,9 @@ def integrate_batch(
     All rows must share the mask; the mask must select at least one
     frame and the context must be zero under it.  The state starts as
     standard-normal noise of the prompts' x_t shape and is stepped from
-    t=0 to t=1 in ``cfg.nfe`` steps; under guidance each step evaluates
-    the field once with the real conditions and once with blanked
-    conditions.  Both batches are built once; an evaluation swaps in only
+    t=0 to t=1 in ``cfg.nfe`` Euler steps; under guidance each step
+    evaluates the field once with the real conditions and once with
+    blanked conditions.  Both batches are built once; an evaluation swaps in only
     the state and the time, and the caller's prompts are left unchanged.
     Returns the masked frames of the final state, (B, F, masked frames).
     """
@@ -134,23 +133,14 @@ def integrate_batch(
                                           for name in ("tokens", "nv", "emo", "context")})
         blank_batch.blank(slice(None))
 
-    def velocity(state: np.ndarray, t: float) -> np.ndarray:
-        cond_batch.x_t, cond_batch.t = state, np.full(b, t)
-        v_cond = field(cond_batch)
-        if blank_batch is None:
-            return v_cond
-        blank_batch.x_t, blank_batch.t = state, cond_batch.t
-        return guided_field(v_cond, field(blank_batch), cfg.strength)
-
     h = 1.0 / cfg.nfe
     for k in range(cfg.nfe):
-        t = k * h
-        v = velocity(x, t)
-        if cfg.solver == "euler":
-            x = x + h * v
-        else:  # midpoint
-            x_mid = x + 0.5 * h * v
-            x = x + h * velocity(x_mid, t + 0.5 * h)
+        cond_batch.x_t, cond_batch.t = x, np.full(b, k * h)
+        v = field(cond_batch)
+        if blank_batch is not None:
+            blank_batch.x_t, blank_batch.t = x, cond_batch.t
+            v = guided_field(v, field(blank_batch), cfg.strength)
+        x = x + h * v
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state after step {k + 1}/{cfg.nfe}")
 

@@ -486,7 +486,7 @@ class VectorFieldModel:
             z += z_attn
 
         _layernorm(z, params["out_ln_g"], params["out_ln_b"], ws.g_out, *ws.lnfc)
-        # fresh: callers hold velocities across calls (guidance, midpoint)
+        # fresh: callers hold velocities across calls (guidance)
         v_out = np.empty((b, t_len, cfg.feature_dim), dtype)
         _linear(ws.g_out, params["out_w"], params["out_b"], v_out)
         cache = {"workspace": ws, "generation": ws.generation, "u": ws.u,

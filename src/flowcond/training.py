@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fm_core import SIGMA_MIN, PathConfig, on_path_field, sample_conditional_path
+from .fm_core import SIGMA_MIN, on_path_field, sample_conditional_path
 from .infill import EMO_BOUND, EMO_DIM, NV_DIM, BatchInputs, sample_mask
 from .features import FormatError, load_feature_matrix, load_phonemes, read_manifest
 from .seqmodel import (
@@ -172,15 +172,16 @@ def check_corpora(corpora: Sequence[Corpus], ratios: Sequence[float]) -> tuple[i
 
 def draw_batch(
     corpora: Sequence[Corpus], ratios: Sequence[float], B: int, p_drop: float,
-    path_cfg: PathConfig, rng: np.random.Generator,
+    rng: np.random.Generator,
 ) -> tuple[BatchInputs, np.ndarray, np.ndarray]:
     """One batch of B masked-infill rows; returns (inputs, u_target, sources).
 
     Each quantity is drawn once for all B rows, in this order: every
     row's source corpus and record, the masks, t, x0, and the dropout
-    coins.  A dropped row has its phonemes, nv, emo and context blanked
-    (the unconditional branch); its mask and x_t stay.  The corpora and
-    ratios must pass ``check_corpora``.
+    coins.  The path leaves residual noise ``SIGMA_MIN``.  A dropped row
+    has its phonemes, nv, emo and context blanked (the unconditional
+    branch); its mask and x_t stay.  The corpora and ratios must pass
+    ``check_corpora``.
     """
     sources = rng.choice(len(corpora), size=B, p=ratios)
     records = rng.integers(np.array([len(c) for c in corpora])[sources])
@@ -199,11 +200,17 @@ def draw_batch(
     x0 = rng.standard_normal(x1.shape)
     drop = rng.uniform(size=B) < p_drop
     inputs = BatchInputs.from_examples(
-        sample_conditional_path(x1, t[:, None, None], x0, path_cfg), t, tokens, nv, emo, x1,
+        sample_conditional_path(x1, t[:, None, None], x0, SIGMA_MIN), t, tokens, nv, emo, x1,
         mask_bits,
     )
     inputs.blank(drop)
-    return inputs, on_path_field(x0, x1, path_cfg), sources
+    return inputs, on_path_field(x0, x1, SIGMA_MIN), sources
+
+
+def snapshot_path(checkpoint_path: Path, step: int) -> Path:
+    """Where ``train_loop`` keeps the interval snapshot taken after ``step``."""
+    return checkpoint_path.with_name(
+        f"{checkpoint_path.stem}_step{step:06d}{checkpoint_path.suffix}")
 
 
 def train_loop(
@@ -235,23 +242,20 @@ def train_loop(
             total_steps=max(settings.steps, 1),
         )
     )
-    path_cfg = PathConfig(sigma_min=settings.sigma_min)
 
     def write_checkpoint(step: int | None = None):
         if checkpoint_path is None:
             return
         save_checkpoint(checkpoint_path, model_cfg, params)
         if step is not None:  # retained interval snapshot
-            ck = Path(checkpoint_path)
-            save_checkpoint(ck.with_name(f"{ck.stem}_step{step:06d}{ck.suffix}"),
-                            model_cfg, params)
+            save_checkpoint(snapshot_path(Path(checkpoint_path), step), model_cfg, params)
 
     write_checkpoint()  # steps=0 leaves the initial state on disk
 
     history: list[tuple[int, float, float]] = []
     source_counts = np.zeros(len(corpora), dtype=np.int64)
     for step in range(1, settings.steps + 1):
-        inputs, u_target, sources = draw_batch(corpora, ratios, B, settings.p_drop, path_cfg, rng)
+        inputs, u_target, sources = draw_batch(corpora, ratios, B, settings.p_drop, rng)
         source_counts += np.bincount(sources, minlength=len(corpora))
         params, loss, lr = train_step(model, inputs, u_target, params, state)
         history.append((step, loss, lr))

@@ -18,7 +18,6 @@ from flowcond import (
     LrSchedule,
     ModelConfig,
     OptimizerState,
-    PathConfig,
     VectorFieldModel,
     assemble_prompt,
     conditional_vector_field,
@@ -35,7 +34,9 @@ from flowcond.curate import emotion_gate, quality_gate, run_pipeline
 from flowcond.features import (
     DatasetRecord,
     FeatureMatrix,
+    carrier_matrix,
     load_feature_matrix,
+    pattern_vector,
     read_manifest,
     store_feature_matrix,
     synth_condition_oracle,
@@ -50,7 +51,6 @@ from flowcond.seqmodel import (
 )
 
 SIGMA_MIN = 1e-5
-PATH_CFG = PathConfig(sigma_min=SIGMA_MIN)
 
 T_FRAMES, F_DIM, N_PHN = 48, 8, 16
 DESK = ModelConfig(
@@ -123,7 +123,7 @@ def test_criterion_1_analytic_path_exactness():
             x = x0.copy()
             h = 1.0 / nfe
             for k in range(nfe):
-                x = x + h * conditional_vector_field(x, x1, k * h, PATH_CFG)
+                x = x + h * conditional_vector_field(x, x1, k * h, SIGMA_MIN)
             worst = max(worst, float(np.max(np.abs(x - target))))
 
     # the same exactness through the sampler's integrate_batch()
@@ -132,7 +132,7 @@ def test_criterion_1_analytic_path_exactness():
     def field(inputs):
         x, t = inputs.x_t, inputs.t[0]
         return np.stack(
-            [conditional_vector_field(x[i], x1, t, PATH_CFG) for i in range(x.shape[0])]
+            [conditional_vector_field(x[i], x1, t, SIGMA_MIN) for i in range(x.shape[0])]
         )
 
     prompt = blank_prompt(F_DIM, 12)
@@ -351,44 +351,56 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
 
 # -- criterion 5: conditioning faithfulness --------------------------------------------
 
+T_SPK, T_TEXT = 16, 32  # prompt length stays within the trained T
 
-def test_criterion_5_amplitude_tracks_arousal(mixed_model):
-    model, params, train_time = mixed_model
-    t0 = time.perf_counter()
-    field = make_field_fn(model, params)
 
-    # 50 prompts with fresh arousal trajectories, cycling through kinds so
-    # step changes are included; prompt length stays within the trained T
-    t_spk, t_text = 16, 32
+def conditioned_outputs(model, params, with_nv):
+    """Generate 50 held-out prompts under fresh oracle condition streams.
+
+    Each prompt is a held-out speaker prefix followed by a text region
+    whose emo stream (and, ``with_nv``, nv burst) is drawn by the oracle,
+    cycling through trajectory kinds so step changes are included.
+    Returns the guided outputs (50, F, T_TEXT) and the emo (50, 2,
+    T_TEXT) and nv (50, 32, T_TEXT) streams they were conditioned on.
+    """
     held = oracle_corpus("mixed", 50, seed=400)
     kinds = ("step", "ramp", "sinusoid", "constant")
-    prompts, targets = [], []
+    prompts, emos, nvs = [], [], []
     for i, (feats, phn, nv, emo) in enumerate(held):
         traj_rng = np.random.default_rng(1000 + i)
-        emo_t, _, _ = synth_condition_oracle(
-            kinds[i % 4], t_text, traj_rng, feature_dim=F_DIM, with_nv=False
+        emo_t, nv_t, _ = synth_condition_oracle(
+            kinds[i % 4], T_TEXT, traj_rng, feature_dim=F_DIM, with_nv=with_nv
         )
         prompts.append(
             assemble_prompt(
-                spk_features=feats[:, :t_spk],
-                spk_phonemes=phn[:t_spk],
-                spk_nv=nv[:, :t_spk],
-                spk_emo=emo[:, :t_spk],
-                text_phonemes=synth_phonemes(t_text, traj_rng, N_PHN),
-                nv_prompt=np.zeros((32, t_text)),
+                spk_features=feats[:, :T_SPK],
+                spk_phonemes=phn[:T_SPK],
+                spk_nv=nv[:, :T_SPK],
+                spk_emo=emo[:, :T_SPK],
+                text_phonemes=synth_phonemes(T_TEXT, traj_rng, N_PHN),
+                nv_prompt=nv_t,
                 emo_prompt=emo_t,
             )
         )
-        targets.append(1.0 + emo_t[0])
+        emos.append(emo_t)
+        nvs.append(nv_t)
 
     prompts = BatchInputs(
         **{k: np.concatenate([vars(p)[k] for p in prompts]) for k in vars(prompts[0])}
     )
     outs = integrate_batch(
-        field, prompts, GuidanceConfig(strength=1.0, nfe=32), np.random.default_rng(9)
+        make_field_fn(model, params), prompts, GuidanceConfig(strength=1.0, nfe=32),
+        np.random.default_rng(9),
     )
-    amplitudes = np.concatenate([np.linalg.norm(o, axis=0) for o in outs])
-    wanted = np.concatenate(targets)
+    return outs, np.stack(emos), np.stack(nvs)
+
+
+def test_criterion_5_amplitude_tracks_arousal(mixed_model):
+    model, params, train_time = mixed_model
+    t0 = time.perf_counter()
+    outs, emos, _ = conditioned_outputs(model, params, with_nv=False)
+    amplitudes = np.linalg.norm(outs, axis=1).ravel()
+    wanted = (1.0 + emos[:, 0]).ravel()
     r = float(np.corrcoef(amplitudes, wanted)[0, 1])
     elapsed = train_time + time.perf_counter() - t0
     assert r > 0.8, f"Pearson r {r}"
@@ -397,6 +409,36 @@ def test_criterion_5_amplitude_tracks_arousal(mixed_model):
         5,
         f"generated amplitude vs conditioned arousal: Pearson r {r:.4f} > 0.8 "
         f"over 50 prompts incl. step changes ({elapsed:.0f}s)",
+    )
+
+
+# -- criterion 10: nonverbal faithfulness ----------------------------------------------
+
+
+def test_criterion_10_pattern_tracks_nv_gate(mixed_model):
+    model, params, train_time = mixed_model
+    t0 = time.perf_counter()
+    outs, _, nvs = conditioned_outputs(model, params, with_nv=True)
+
+    # The oracle writes each column as (1 + arousal) * carrier + gate *
+    # pattern.  The carrier and the pattern overlap, so a projection onto
+    # the pattern alone mixes in arousal; least squares on both splits them.
+    carrier = carrier_matrix(F_DIM, T_SPK + T_TEXT)[:, T_SPK:]
+    basis = np.stack([carrier.T, np.broadcast_to(pattern_vector(F_DIM), (T_TEXT, F_DIM))],
+                     axis=2)  # (T_TEXT, F, 2): one basis per text frame
+    coef = np.linalg.pinv(basis) @ outs.transpose(0, 2, 1)[..., None]  # (50, T_TEXT, 2, 1)
+    pattern_coef = coef[:, :, 1, 0].ravel()
+    gate = np.linalg.norm(nvs, axis=1).ravel()
+    r = float(np.corrcoef(pattern_coef, gate)[0, 1])
+    rmse = float(np.sqrt(np.mean((pattern_coef - gate) ** 2)))
+    elapsed = train_time + time.perf_counter() - t0
+    assert r > 0.9, f"Pearson r {r}"
+    assert rmse < 0.1, f"RMSE {rmse}"
+    assert elapsed < 600.0
+    report(
+        10,
+        f"generated pattern coefficient vs conditioned nv gate: Pearson r {r:.4f} > 0.9, "
+        f"RMSE {rmse:.4f} < 0.1 over 50 prompts with nv bursts ({elapsed:.0f}s)",
     )
 
 

@@ -208,6 +208,25 @@ def test_train_output_path_directory_fails_before_training(tmp_path, corpus_dir,
     assert [p.name for p in out.iterdir()] == [name]
 
 
+def test_train_snapshot_path_directory_fails_before_training(tmp_path, corpus_dir, capsys):
+    # --steps 4 --checkpoint-every 2 keeps snapshots of steps 2 and 4; a
+    # directory at the last one fails before the first step, and a
+    # directory at a step the run does not snapshot is left alone.
+    train = ("train", "--manifest", corpus_dir / "manifest.jsonl", "--steps", 4,
+             "--batch-frames", 48, "--checkpoint-every", 2)
+    out = tmp_path / "run"
+    (out / "checkpoint_step000004.fmck").mkdir(parents=True)
+    assert run_cli(*train, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path {out / 'checkpoint_step000004.fmck'} is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["checkpoint_step000004.fmck"]
+
+    other = tmp_path / "other"
+    (other / "checkpoint_step000003.fmck").mkdir(parents=True)
+    assert run_cli(*train, "--out", other) == 0
+    assert (other / "checkpoint_step000004.fmck").is_file()
+
+
 def small_corpus(root, name, frames=8, feature_dim=8):
     out = root / name
     assert run_cli("synth", "--count", 3, "--frames", frames, "--feature-dim", feature_dim,
@@ -1036,10 +1055,10 @@ def test_reused_parser_does_not_accumulate_appended_manifests(recorded):
 
 
 def test_reused_parser_restores_sample_defaults(recorded):
-    assert run_cli(*SAMPLE_ARGS, "--nfe", 8, "--guidance", 2.5, "--solver", "midpoint") == 0
+    assert run_cli(*SAMPLE_ARGS, "--nfe", 8, "--guidance", 2.5, "--seed", 7) == 0
     assert run_cli(*SAMPLE_ARGS) == 0
-    picked = [(c["nfe"], c["guidance"], c["solver"]) for c in recorded]
-    assert picked == [(8, 2.5, "midpoint"), (32, 1.0, "euler")]
+    picked = [(c["nfe"], c["guidance"], c["seed"]) for c in recorded]
+    assert picked == [(8, 2.5, 7), (32, 1.0, 0)]
 
 
 def test_reused_parser_works_after_bad_flags(recorded, capsys):

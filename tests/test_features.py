@@ -15,6 +15,7 @@ from flowcond import (
     synth_condition_oracle,
 )
 from flowcond.features import (
+    FRAME_RATE,
     carrier_matrix,
     generate_corpus,
     load_phonemes,
@@ -27,10 +28,11 @@ from flowcond.features import (
 )
 
 
-def test_time_frame_conversions():
-    from flowcond.features import frames_to_seconds
-
-    assert frames_to_seconds(64, 100.0) == 0.64
+def test_time_frame_conversions(tmp_path):
+    # A generated record lasts its frame count over the frame rate.
+    manifest = generate_corpus(tmp_path / "c", "sinusoid", 2, 64, seed=0)
+    assert [rec.duration_s for _, rec in read_manifest(manifest)] == [64 / FRAME_RATE] * 2
+    assert 64 / FRAME_RATE == 0.64
 
 
 # -- feature matrix file format -----------------------------------------------

@@ -3,23 +3,14 @@ import pytest
 import sympy
 
 from flowcond import (
-    PathConfig,
     conditional_vector_field,
     on_path_field,
     path_mean_std,
     sample_conditional_path,
 )
+from flowcond.fm_core import SIGMA_MIN
 from flowcond.seqmodel import masked_batch_loss_grad
 from flowcond.training import Corpus, draw_batch
-
-
-def test_path_config_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        PathConfig(sigma_min=-0.1)
-    with pytest.raises(ValueError):
-        PathConfig(sigma_min=1.0)
-    PathConfig(sigma_min=0.0)
-    PathConfig(sigma_min=0.999)
 
 
 def draw_times(B, rng):
@@ -27,7 +18,7 @@ def draw_times(B, rng):
     data = np.random.default_rng(0)
     corpus = Corpus(data.standard_normal((4, 3, 5)), data.integers(1, 5, (4, 5)),
                     data.standard_normal((4, 32, 5)), data.uniform(-0.5, 0.5, (4, 2, 5)))
-    return draw_batch([corpus], [1.0], B, 0.2, PathConfig(), rng)
+    return draw_batch([corpus], [1.0], B, 0.2, rng)
 
 
 def test_sample_time_deterministic_under_fixed_seed():
@@ -46,59 +37,57 @@ def test_sample_time_uniform_mean():
 
 
 def test_path_mean_std_endpoints():
-    cfg = PathConfig(sigma_min=0.0)
-    assert path_mean_std(0.0, cfg) == (0.0, 1.0)
-    assert path_mean_std(1.0, cfg) == (1.0, 0.0)
+    sigma_min = 0.0
+    assert path_mean_std(0.0, sigma_min) == (0.0, 1.0)
+    assert path_mean_std(1.0, sigma_min) == (1.0, 0.0)
 
 
 def test_path_mean_std_hand_value():
     # 1 - (1 - 0.1) * 0.5 = 0.55 by hand
-    mean_c, std = path_mean_std(0.5, PathConfig(sigma_min=0.1))
+    mean_c, std = path_mean_std(0.5, 0.1)
     assert mean_c == 0.5
     assert std == pytest.approx(0.55, abs=1e-12)
 
 
 def test_path_mean_std_domain():
-    cfg = PathConfig()
     with pytest.raises(ValueError):
-        path_mean_std(-0.01, cfg)
+        path_mean_std(-0.01, SIGMA_MIN)
     with pytest.raises(ValueError):
-        path_mean_std(1.01, cfg)
+        path_mean_std(1.01, SIGMA_MIN)
 
 
 def test_path_endpoint_identities():
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((4, 6))
     x1 = rng.standard_normal((4, 6))
-    cfg0 = PathConfig(sigma_min=0.0)
-    assert np.array_equal(sample_conditional_path(x1, 0.0, x0, cfg0), x0)
-    assert np.array_equal(sample_conditional_path(x1, 1.0, x0, cfg0), x1)
+    sigma_min = 0.0
+    assert np.array_equal(sample_conditional_path(x1, 0.0, x0, sigma_min), x0)
+    assert np.array_equal(sample_conditional_path(x1, 1.0, x0, sigma_min), x1)
 
 
 def test_path_hand_value():
-    cfg = PathConfig(sigma_min=0.1)
+    sigma_min = 0.1
     x0 = np.ones((3, 3))
     x1 = np.zeros((3, 3))
-    out = sample_conditional_path(x1, 1.0, x0, cfg)
+    out = sample_conditional_path(x1, 1.0, x0, sigma_min)
     assert np.allclose(out, 0.1, atol=1e-12)
 
 
 def test_path_shape_mismatch():
-    cfg = PathConfig()
     with pytest.raises(ValueError):
-        sample_conditional_path(np.zeros((2, 3)), 0.5, np.zeros((2, 4)), cfg)
+        sample_conditional_path(np.zeros((2, 3)), 0.5, np.zeros((2, 4)), SIGMA_MIN)
 
 
 def test_field_on_path_constancy():
     # Along the path the target field reduces to x1 - (1 - s)*x0 for all t.
     rng = np.random.default_rng(5)
-    cfg = PathConfig(sigma_min=0.05)
+    sigma_min = 0.05
     x0 = rng.standard_normal((5, 7))
     x1 = rng.standard_normal((5, 7))
-    expected = on_path_field(x0, x1, cfg)
+    expected = on_path_field(x0, x1, sigma_min)
     for t in (0.0, 0.3, 0.7):
-        x_t = sample_conditional_path(x1, t, x0, cfg)
-        u = conditional_vector_field(x_t, x1, t, cfg)
+        x_t = sample_conditional_path(x1, t, x0, sigma_min)
+        u = conditional_vector_field(x_t, x1, t, sigma_min)
         assert np.max(np.abs(u - expected)) < 1e-12
 
 
@@ -112,32 +101,31 @@ def test_field_on_path_symbolic():
 
 def test_field_at_t_zero():
     rng = np.random.default_rng(9)
-    cfg = PathConfig(sigma_min=0.2)
+    sigma_min = 0.2
     x = rng.standard_normal((2, 4))
     x1 = rng.standard_normal((2, 4))
-    u = conditional_vector_field(x, x1, 0.0, cfg)
+    u = conditional_vector_field(x, x1, 0.0, sigma_min)
     assert np.allclose(u, x1 - 0.8 * x, atol=1e-15)
 
 
 def test_field_singularity():
-    cfg = PathConfig(sigma_min=0.0)
     with pytest.raises(ZeroDivisionError):
-        conditional_vector_field(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, cfg)
+        conditional_vector_field(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 0.0)
 
 
 def test_euler_exactness_any_step_count():
     # The trajectory is affine and the field constant along it, so Euler
     # integration is exact for every step count.
     rng = np.random.default_rng(11)
-    cfg = PathConfig(sigma_min=1e-5)
+    sigma_min = 1e-5
     x0 = rng.standard_normal((6, 10))
     x1 = rng.standard_normal((6, 10))
-    target = x1 + cfg.sigma_min * x0
+    target = x1 + sigma_min * x0
     for n in (1, 3, 17, 64):
         x = x0.copy()
         h = 1.0 / n
         for k in range(n):
-            x = x + h * conditional_vector_field(x, x1, k * h, cfg)
+            x = x + h * conditional_vector_field(x, x1, k * h, sigma_min)
         assert np.max(np.abs(x - target)) < 1e-10
 
 
@@ -206,11 +194,11 @@ def test_cfm_loss_nonnegative_and_permutation_invariant():
 
 def test_sample_conditional_path_one_time_per_batch_row():
     rng = np.random.default_rng(8)
-    cfg = PathConfig(sigma_min=1e-3)
+    sigma_min = 1e-3
     x1, x0 = rng.standard_normal((2, 4, 5, 6))
     t = rng.uniform(0.0, 1.0, 4)
-    x_t = sample_conditional_path(x1, t[:, None, None], x0, cfg)
+    x_t = sample_conditional_path(x1, t[:, None, None], x0, sigma_min)
     for i in range(4):
-        assert np.array_equal(x_t[i], sample_conditional_path(x1[i], float(t[i]), x0[i], cfg))
+        assert np.array_equal(x_t[i], sample_conditional_path(x1[i], float(t[i]), x0[i], sigma_min))
     with pytest.raises(ValueError, match=r"t must be in \[0, 1\]"):
-        sample_conditional_path(x1, np.array([0.5, 1.5, 0.0, 1.0])[:, None, None], x0, cfg)
+        sample_conditional_path(x1, np.array([0.5, 1.5, 0.0, 1.0])[:, None, None], x0, sigma_min)

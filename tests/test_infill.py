@@ -4,7 +4,6 @@ import pytest
 from flowcond import (
     BLANK_TOKEN,
     BatchInputs,
-    PathConfig,
     sample_mask,
 )
 from flowcond import infill
@@ -235,9 +234,8 @@ def make_corpus(n=8, T=6, F=4, seed=0):
 
 def dropout_pair(corpus, p_drop, seed, B=64):
     """The same batch draw without and with dropout; the coins are drawn either way."""
-    cfg = PathConfig()
-    plain = draw_batch([corpus], [1.0], B, 0.0, cfg, np.random.default_rng(seed))
-    dropped = draw_batch([corpus], [1.0], B, p_drop, cfg, np.random.default_rng(seed))
+    plain = draw_batch([corpus], [1.0], B, 0.0, np.random.default_rng(seed))
+    dropped = draw_batch([corpus], [1.0], B, p_drop, np.random.default_rng(seed))
     return plain[0], dropped[0], (dropped[0].tokens != plain[0].tokens).any(axis=1)
 
 

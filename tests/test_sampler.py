@@ -5,7 +5,6 @@ from flowcond import (
     BatchInputs,
     GuidanceConfig,
     ModelConfig,
-    PathConfig,
     VectorFieldModel,
     assemble_prompt,
     conditional_vector_field,
@@ -287,13 +286,13 @@ def test_guided_shape_mismatch():
 # -- integrate_batch -----------------------------------------------------------
 
 
-def analytic_field_toward(x1, cfg_path):
+def analytic_field_toward(x1, sigma_min):
     """Field callable that ignores conditions and flows toward a fixed x1."""
 
     def field(inputs):
         x, t = inputs.x_t, inputs.t[0]
         return np.stack(
-            [conditional_vector_field(x[i], x1, t, cfg_path) for i in range(x.shape[0])]
+            [conditional_vector_field(x[i], x1, t, sigma_min) for i in range(x.shape[0])]
         )
 
     return field
@@ -301,28 +300,27 @@ def analytic_field_toward(x1, cfg_path):
 
 def test_integrate_analytic_euler_exact_any_nfe():
     rng = np.random.default_rng(9)
-    path_cfg = PathConfig(sigma_min=1e-5)
+    sigma_min = 1e-5
     prompt = make_prompt(F=3, t_spk=4, t_text=6, seed=2)
     x1 = rng.standard_normal((3, 10))
-    field = analytic_field_toward(x1, path_cfg)
+    field = analytic_field_toward(x1, sigma_min)
     for nfe in (1, 4, 32):
         out = integrate_batch(
             field,
             prompt,
-            GuidanceConfig(strength=0.0, nfe=nfe, solver="euler"),
+            GuidanceConfig(strength=0.0, nfe=nfe),
             np.random.default_rng(100),
         )[0]
         # reconstruct the expected endpoint from the same noise draw
         x0 = np.random.default_rng(100).standard_normal((1, 3, 10))[0]
-        target = (x1 + path_cfg.sigma_min * x0)[:, 4:]
+        target = (x1 + sigma_min * x0)[:, 4:]
         assert np.max(np.abs(out - target)) < 1e-10
 
 
 def test_integrate_fixed_seed_bitwise_identical():
-    path_cfg = PathConfig(sigma_min=1e-5)
     prompt = make_prompt(seed=4)
     x1 = np.random.default_rng(11).standard_normal((3, 10))
-    field = analytic_field_toward(x1, path_cfg)
+    field = analytic_field_toward(x1, 1e-5)
     cfg = GuidanceConfig(strength=0.0, nfe=8)
     a = integrate_batch(field, prompt, cfg, np.random.default_rng(42))[0]
     b = integrate_batch(field, prompt, cfg, np.random.default_rng(42))[0]
@@ -340,7 +338,7 @@ def test_integrate_evaluation_count_under_guidance():
     integrate_batch(
         counting_field,
         prompt,
-        GuidanceConfig(strength=1.0, nfe=32, solver="euler"),
+        GuidanceConfig(strength=1.0, nfe=32),
         np.random.default_rng(0),
     )
     assert calls["n"] == 64
@@ -349,7 +347,7 @@ def test_integrate_evaluation_count_under_guidance():
     integrate_batch(
         counting_field,
         prompt,
-        GuidanceConfig(strength=0.0, nfe=32, solver="euler"),
+        GuidanceConfig(strength=0.0, nfe=32),
         np.random.default_rng(0),
     )
     assert calls["n"] == 32
@@ -385,59 +383,28 @@ def test_guided_request_stacks_conditions_once(monkeypatch):
 
     monkeypatch.setattr(BatchInputs, "__post_init__", counting)
     for nfe in (1, 32):
-        for solver in ("euler", "midpoint"):
-            calls["n"] = 0
-            integrate_batch(
-                field, prompt, GuidanceConfig(strength=1.0, nfe=nfe, solver=solver),
-                np.random.default_rng(0),
-            )
-            assert calls["n"] <= 2, (nfe, solver)
+        calls["n"] = 0
+        integrate_batch(
+            field, prompt, GuidanceConfig(strength=1.0, nfe=nfe), np.random.default_rng(0)
+        )
+        assert calls["n"] <= 2, nfe
 
 
-@pytest.mark.parametrize("solver", ["euler", "midpoint"])
 @pytest.mark.parametrize("strength", [1.0, 0.0], ids=["guided", "unguided"])
-def test_integrate_leaves_prompts_unchanged(solver, strength):
+def test_integrate_leaves_prompts_unchanged(strength):
     prompts = stack([make_prompt(seed=s) for s in (20, 21)])
     before = {k: v.copy() for k, v in vars(prompts).items()}
     integrate_batch(
         lambda inputs: np.ones_like(inputs.x_t), prompts,
-        GuidanceConfig(strength=strength, nfe=3, solver=solver), np.random.default_rng(0),
+        GuidanceConfig(strength=strength, nfe=3), np.random.default_rng(0),
     )
     for name, value in before.items():
         got = getattr(prompts, name)
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
 
-def test_midpoint_at_least_as_accurate_as_euler():
-    # Smooth time-dependent field with a known reference: the marginal
-    # flow of a Gaussian path with time-varying mean and scale.
-    mu = np.array([[1.0, -2.0, 0.5]]).T  # (3,1) broadcast over frames
-
-    def gaussian_field(inputs):
-        x, t = inputs.x_t, inputs.t[0]
-        s = 1.0 - 0.999 * t
-        ds = -0.999
-        m = t * mu
-        dm = mu
-        return (ds / s) * (x - m) + dm
-
-    def run(solver, nfe, seed=3):
-        return integrate_batch(
-            gaussian_field,
-            make_prompt(F=3, t_spk=1, t_text=5, seed=7),
-            GuidanceConfig(strength=0.0, nfe=nfe, solver=solver),
-            np.random.default_rng(seed),
-        )[0]
-
-    ref = run("euler", 10_000)
-    err_euler = np.max(np.abs(run("euler", 16) - ref))
-    err_mid = np.max(np.abs(run("midpoint", 16) - ref))
-    assert err_mid <= err_euler
-
-
-@pytest.mark.parametrize("solver", ["euler", "midpoint"])
 @pytest.mark.parametrize("strength", [1.0, 0.0], ids=["guided", "unguided"])
-def test_float32_field_tracks_float64_integration(strength, solver):
+def test_float32_field_tracks_float64_integration(strength):
     # The measured error bound of the float32 sampling field: the same
     # prompts and noise integrated through make_field_fn and through a
     # float64 forward of the same parameters.
@@ -445,7 +412,7 @@ def test_float32_field_tracks_float64_integration(strength, solver):
     model = VectorFieldModel(cfg)
     params = init_params(cfg, np.random.default_rng(4), zero_output=False)
     prompts = stack([make_prompt(t_spk=8, t_text=24, seed=s) for s in (10, 11)])
-    guidance = GuidanceConfig(strength=strength, nfe=32, solver=solver)
+    guidance = GuidanceConfig(strength=strength, nfe=32)
 
     def run(field):
         return integrate_batch(field, prompts, guidance, np.random.default_rng(9))
@@ -461,5 +428,5 @@ def test_guidance_config_validation():
         GuidanceConfig(strength=-1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(nfe=0)
-    with pytest.raises(ValueError):
-        GuidanceConfig(solver="rk4")
+    with pytest.raises(TypeError):  # Euler is the only integrator
+        GuidanceConfig(solver="euler")

@@ -11,7 +11,6 @@ from flowcond import (
     LrSchedule,
     ModelConfig,
     OptimizerState,
-    PathConfig,
     TrainingDivergedError,
     VectorFieldModel,
     embed_phonemes,
@@ -309,8 +308,8 @@ def test_backward_rejects_cache_overwritten_by_later_forward():
 
 def test_forward_returns_fresh_velocities():
     # Guidance holds the conditional field while it evaluates the
-    # unconditional one at the same shape, and midpoint holds its first
-    # evaluation, so a returned array must survive the next call.
+    # unconditional one at the same shape, so a returned array must
+    # survive the next call.
     rng = np.random.default_rng(31)
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
@@ -518,11 +517,11 @@ def test_train_step_zero_lr_leaves_params_bitwise():
 
 def make_training_batch(rng, B, T, cfg=SMALL):
     """A batch on the conditional path and its (B, F, T) target field."""
-    path_cfg = PathConfig(sigma_min=1e-5)
+    sigma_min = 1e-5
     x1, x0 = rng.standard_normal((2, B, cfg.feature_dim, T))
     inputs, _ = make_batch(B, T, cfg, rng)
-    inputs.x_t = sample_conditional_path(x1, inputs.t[:, None, None], x0, path_cfg)
-    return inputs, on_path_field(x0, x1, path_cfg)
+    inputs.x_t = sample_conditional_path(x1, inputs.t[:, None, None], x0, sigma_min)
+    return inputs, on_path_field(x0, x1, sigma_min)
 
 
 @pytest.fixture

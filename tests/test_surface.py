@@ -24,9 +24,7 @@ SURFACE = sorted([
     "field curate.CurationReport.retained_by_emotion",
     "field curate.CurationReport.speaker_gate",
     "field features.FeatureMatrix.frame_rate",
-    "field fm_core.PathConfig.sigma_min",
     "field sampler.GuidanceConfig.nfe",
-    "field sampler.GuidanceConfig.solver",
     "field sampler.GuidanceConfig.strength",
     "field seqmodel.ModelConfig.d_ffn",
     "field seqmodel.ModelConfig.d_model",
@@ -59,7 +57,6 @@ SURFACE = sorted([
     "flag flowcond sample --nv-prompt",
     "flag flowcond sample --out",
     "flag flowcond sample --seed",
-    "flag flowcond sample --solver",
     "flag flowcond sample --spk-emo",
     "flag flowcond sample --spk-features",
     "flag flowcond sample --spk-nv",
@@ -155,4 +152,4 @@ def flag_surface(parser: argparse.ArgumentParser, command: str = "flowcond") -> 
 def test_settable_surface_is_pinned():
     found = sorted(source_surface() + flag_surface(cli.build_parser()))
     assert found == SURFACE
-    assert len(SURFACE) == 78
+    assert len(SURFACE) == 75

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import flowcond.training as training
-from flowcond import PathConfig, TrainingDivergedError, load_checkpoint
+from flowcond import TrainingDivergedError, load_checkpoint
 from flowcond.features import FormatError, generate_corpus, store_feature_matrix
-from flowcond.fm_core import conditional_vector_field
+from flowcond.fm_core import SIGMA_MIN, conditional_vector_field
 from flowcond.seqmodel import ModelConfig
 from flowcond.training import (
     Corpus,
@@ -171,16 +171,15 @@ def one_record(corpus, k=0):
 
 def test_draw_batch_flow_targets_consistent(small_corpus):
     # With one record every row's data sample x1 is known.
-    cfg = PathConfig(sigma_min=1e-3)
     x1 = small_corpus.features[3]
-    inputs, u_target, _ = draw_batch([one_record(small_corpus, 3)], [1.0], 16, 0.0, cfg,
+    inputs, u_target, _ = draw_batch([one_record(small_corpus, 3)], [1.0], 16, 0.0,
                                      np.random.default_rng(8))
     assert inputs.x_t.shape == u_target.shape == (16, 8, 20)
     for x_t, t, u in zip(inputs.x_t, inputs.t, u_target):
         assert 0.0 <= t <= 1.0
-        x0 = (x1 - u) / (1.0 - cfg.sigma_min)
-        assert np.max(np.abs(x_t - (t * x1 + (1.0 - (1.0 - cfg.sigma_min) * t) * x0))) < 1e-12
-        assert np.max(np.abs(conditional_vector_field(x_t, x1, t, cfg) - u)) < 1e-10
+        x0 = (x1 - u) / (1.0 - SIGMA_MIN)
+        assert np.max(np.abs(x_t - (t * x1 + (1.0 - (1.0 - SIGMA_MIN) * t) * x0))) < 1e-12
+        assert np.max(np.abs(conditional_vector_field(x_t, x1, t, SIGMA_MIN) - u)) < 1e-10
     hidden = inputs.mask_bits[:, None, :] == 1.0
     assert np.all(inputs.context[np.broadcast_to(hidden, inputs.context.shape)] == 0.0)
     visible = np.broadcast_to(~hidden, inputs.context.shape)
@@ -194,8 +193,7 @@ def test_draw_batch_sources_follow_ratios():
     for sign, n in ((1.0, 3), (-1.0, 5)):
         corpora.append(Corpus(np.ones((n, 2, 1)), np.arange(1, n + 1)[:, None],
                               np.full((n, 32, 1), 0.1 * sign), np.zeros((n, 2, 1))))
-    inputs, _, sources = draw_batch(corpora, [0.5, 0.5], 10_000, 0.0, PathConfig(),
-                                    np.random.default_rng(0))
+    inputs, _, sources = draw_batch(corpora, [0.5, 0.5], 10_000, 0.0, np.random.default_rng(0))
     assert abs(np.mean(sources == 0) - 0.5) < 0.03
     for s, corpus in enumerate(corpora):
         rows = sources == s
