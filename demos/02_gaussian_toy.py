@@ -18,8 +18,8 @@ from flowcond import (
     init_params,
     integrate_batch,
     make_field_fn,
+    train_step,
 )
-from flowcond.seqmodel import adam_update, masked_batch_loss_grad
 
 SIGMA_MIN = 1e-5
 STEPS, BATCH = 1200, 128
@@ -46,11 +46,7 @@ for step in range(1, STEPS + 1):
     ts = rng.uniform(0, 1, BATCH)
     x_t = ts[:, None, None] * x1 + (1 - (1 - SIGMA_MIN) * ts[:, None, None]) * x0
     u = x1 - (1 - SIGMA_MIN) * x0
-    inputs = BatchInputs(x_t=x_t, t=ts, **blank)
-    v, cache = model.forward_batch(inputs, params)
-    loss, dv = masked_batch_loss_grad(v, u, inputs.mask_bits)
-    grads = model.backward_batch(dv, cache, params)
-    adam_update(params, grads, state)
+    params, loss, _ = train_step(model, BatchInputs(x_t=x_t, t=ts, **blank), u, params, state)
     if step % 300 == 0:
         print(f"step {step:5d}  loss {loss:.4f}")
 

@@ -176,7 +176,8 @@ def cmd_train(args) -> int:
     _write_provenance(
         out / "provenance.json",
         "train",
-        {"manifests": manifests, "ratios": ratios, **asdict(settings)},
+        {"manifests": manifests, "ratios": ratios, **asdict(settings),
+         "compute_dtype": np.dtype(FIELD_DTYPE).name},
     )
     final_loss = history[-1][1] if history else float("nan")
     print(f"trained {settings.steps} steps; final loss {final_loss:.6f}; checkpoint {checkpoint}")

@@ -4,10 +4,13 @@ A small pre-norm attention network regresses the transport velocity from
 the noisy state, the visible context, and the frame-aligned condition
 streams.  Forward, backward, and the optimizer are written directly in
 numpy so every gradient can be checked against finite differences.
-Training runs in float64; the sampling field runs in float32.  The
-forward pass computes in the dtype of the parameters it is given, so
-``make_field_fn`` casts them to float32 once and the sampler needs no
-precision option.
+The kernels compute in the dtype of the parameters they are given.
+Both the sampling field and training compute in ``FIELD_DTYPE``
+(float32): ``make_field_fn`` casts the parameters once, and
+``train_step`` runs the forward, loss and backward on a float32 copy of
+the float64 master weights, which Adam updates in float64 (mixed
+precision, Micikevicius et al., arXiv:1710.03740).  The gradient checks
+run the same kernels in float64.
 
 Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
 per frame, projected to the model width, and sinusoidal codes of the
@@ -17,9 +20,11 @@ Memory layout: a training step allocates no large array.
 - Arena: ``init_params`` and ``load_checkpoint`` return a name -> array
   dict whose arrays are views of one contiguous float64 vector, in
   ``param_names`` (checkpoint) order.  ``backward_batch`` writes the
-  gradients into a second arena of the same layout, and the Adam moments
-  are flat vectors of that layout, so ``adam_update`` runs over the
-  whole model in a few slices instead of once per tensor.
+  gradients into a second arena of the same layout, in the parameters'
+  dtype.  The Adam moments and ``train_step``'s float32 compute copy are
+  flat vectors of that layout too, so refreshing the copy is one
+  ``np.copyto`` and ``adam_update`` runs over the whole model in a few
+  slices instead of once per tensor.
 - Workspace: a ``VectorFieldModel`` keeps one workspace for the
   (B, T, dtype) of its latest forward pass; a pass at another shape
   replaces it.  It holds the forward cache and, once a backward pass has
@@ -245,7 +250,7 @@ def erf(x, out=None, *, scratch=None):
     float32 arrays take an odd rational approximation in numpy (no
     ``exp``; exactly odd, erf(+-inf) = +-1, NaN stays NaN).  Anything
     else goes to ``scipy.special.erf``, which loads on the first such
-    call, so the float32 sampling field and the commands that run no
+    call, so training, the sampling field and the commands that run no
     model never load scipy.  ``scratch`` is two float32 buffers of
     ``x``'s shape for the float32 path's temporaries; it changes no result.
     """
@@ -589,10 +594,12 @@ def masked_batch_loss_grad(
     The loss is the mean squared error between predicted and target
     fields (B, F, T) over the frames that ``mask_bits`` (B, T) selects;
     an all-ones mask scores every element.  A mask that selects nothing
-    is rejected since it leaves nothing to score.
+    is rejected since it leaves nothing to score.  Both are computed in
+    the dtype of ``v_pred``, so a float32 forward gets a float32 gradient.
     """
-    diff = v_pred - u_target
-    sel = mask_bits[:, None, :]
+    dtype = v_pred.dtype
+    diff = v_pred - u_target.astype(dtype, copy=False)
+    sel = mask_bits.astype(dtype, copy=False)[:, None, :]
     count = float(sel.sum() * v_pred.shape[1])
     if count == 0:
         raise ValueError("batch mask selects no frames")
@@ -619,6 +626,12 @@ class LrSchedule:
         return self.peak * max(frac, 0.0)
 
 
+# Precision of every forward and backward pass outside the gradient checks:
+# the sampling field and training's compute copy.  Checkpoints store
+# float32, so a float64 forward would buy the sampler nothing but time,
+# and float32 halves a training step's cost.
+FIELD_DTYPE = np.float32
+
 # Adam's moment decay rates and denominator floor: the published defaults.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Adam runs over the flat vectors in slices of this many elements: the
@@ -632,6 +645,9 @@ class OptimizerState:
 
     ``m`` and ``v`` are flat vectors in parameter-arena order, made on
     the first update; ``scratch`` holds the update's two temporaries.
+    ``compute`` is ``train_step``'s ``FIELD_DTYPE`` copy of the parameter
+    arena, made on its first step and refreshed from the master before
+    every step.
     """
 
     schedule: LrSchedule
@@ -639,6 +655,7 @@ class OptimizerState:
     m: np.ndarray | None = field(default=None, init=False)
     v: np.ndarray | None = field(default=None, init=False)
     scratch: np.ndarray | None = field(default=None, init=False, repr=False)
+    compute: dict[str, np.ndarray] | None = field(default=None, init=False, repr=False)
 
 
 def adam_update(params, grads, state: OptimizerState) -> float:
@@ -647,7 +664,8 @@ def adam_update(params, grads, state: OptimizerState) -> float:
     ``params`` and ``grads`` are arena dicts (from ``init_params`` or
     ``load_checkpoint``, and from ``backward_batch``), so the update runs
     over flat vectors, a few slices per step instead of one pass per
-    tensor.
+    tensor.  The moments and the update are computed in the dtype of
+    ``params``, whatever the dtype of ``grads``.
     """
     p = _arena_vector(params, "params")
     g = _arena_vector(grads, "grads")
@@ -666,10 +684,11 @@ def adam_update(params, grads, state: OptimizerState) -> float:
         ps, gs, m, v = p[sl], g[sl], state.m[sl], state.v[sl]
         step, denom = state.scratch[:, : ps.size]
         m *= b1
-        np.multiply(1.0 - b1, gs, out=step)
+        # dtype=: a float32 gradient is widened before the multiply, not after
+        np.multiply(1.0 - b1, gs, out=step, dtype=step.dtype)
         m += step
         v *= b2
-        np.multiply(gs, gs, out=step)
+        np.multiply(gs, gs, out=step, dtype=step.dtype)
         step *= 1.0 - b2
         v += step
         np.divide(m, bc1, out=step)
@@ -692,26 +711,36 @@ def train_step(
     """One optimizer update on a batch and its (B, F, T) target field.
 
     Returns (params, pre-update batch loss, learning rate applied).  The
-    loss is restricted to the masked frames of each row.
+    loss is restricted to the masked frames of each row.  ``params`` is
+    the master arena; the forward, loss and backward run on its
+    ``FIELD_DTYPE`` copy in ``opt_state``, and Adam updates the master.
+    A master value that overflows that dtype ends the run like a
+    non-finite loss.
     """
     if inputs.x_t.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     if u_target.shape != inputs.x_t.shape:
         raise ValueError(f"u_target shape {u_target.shape} != x_t shape {inputs.x_t.shape}")
-    v_pred, cache = model.forward_batch(inputs, params)
+    master = _arena_vector(params, "params")
+    if opt_state.compute is None:
+        opt_state.compute = _arena({k: a.shape for k, a in params.items()}, FIELD_DTYPE)
+    compute = opt_state.compute
+    copy = _arena_vector(compute, "compute")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        np.copyto(copy, master)
+    if not np.isfinite(copy).all():
+        raise TrainingDivergedError(
+            f"a parameter is not finite in {copy.dtype} at optimizer step {opt_state.step + 1}"
+        )
+    v_pred, cache = model.forward_batch(inputs, compute)
     loss, dv = masked_batch_loss_grad(v_pred, u_target, inputs.mask_bits)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite loss at optimizer step {opt_state.step + 1}"
         )
-    grads = model.backward_batch(dv, cache, params)
+    grads = model.backward_batch(dv, cache, compute)
     lr = adam_update(params, grads, opt_state)
     return params, loss, lr
-
-
-# Precision of the sampling field.  Checkpoints store float32, so a float64
-# forward would buy the sampler nothing but time.
-FIELD_DTYPE = np.float32
 
 
 def make_field_fn(model: VectorFieldModel, params):
@@ -734,7 +763,12 @@ def make_field_fn(model: VectorFieldModel, params):
 
 def save_checkpoint(path: str | Path, cfg: ModelConfig, params) -> None:
     """Write config and tensors: magic, version, JSON config block, then
-    length-prefixed named tensors as little-endian float32."""
+    length-prefixed named tensors as little-endian float32.
+
+    A tensor that is not finite in float32 (such as a float64 value past
+    float32's range) raises ``ValueError`` before anything is written,
+    since ``load_checkpoint`` would reject the file.
+    """
     names = param_names(cfg)
     cfg_json = json.dumps(asdict(cfg), sort_keys=True).encode()
     parts = [
@@ -745,7 +779,10 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig, params) -> None:
         struct.pack("<I", len(names)),
     ]
     for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            arr = np.ascontiguousarray(params[name], dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name} is not finite in float32; {path} not written")
         nb = name.encode()
         parts.append(struct.pack("<I", len(nb)))
         parts.append(nb)

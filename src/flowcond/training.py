@@ -23,6 +23,7 @@ from .seqmodel import (
     LrSchedule,
     ModelConfig,
     OptimizerState,
+    TrainingDivergedError,
     VectorFieldModel,
     init_params,
     save_checkpoint,
@@ -227,7 +228,8 @@ def train_loop(
     The corpora and ratios must pass ``check_corpora``.  ``on_step``
     receives (step, loss, lr) after each update.  When a checkpoint path
     is given, the file is rewritten every ``checkpoint_every`` steps and
-    at the end; a divergence abort leaves the last written checkpoint in
+    at the end; a divergence abort, including parameters that no longer
+    fit the checkpoint's float32, leaves the last written checkpoint in
     place.
     """
     B = max(1, settings.batch_frames // check_corpora(corpora, ratios)[1])
@@ -246,7 +248,10 @@ def train_loop(
     def write_checkpoint(step: int | None = None):
         if checkpoint_path is None:
             return
-        save_checkpoint(checkpoint_path, model_cfg, params)
+        try:
+            save_checkpoint(checkpoint_path, model_cfg, params)
+        except ValueError as exc:  # a master weight past float32's range
+            raise TrainingDivergedError(f"{exc} after optimizer step {state.step}") from None
         if step is not None:  # retained interval snapshot
             save_checkpoint(snapshot_path(Path(checkpoint_path), step), model_cfg, params)
 

@@ -208,6 +208,23 @@ def test_train_output_path_directory_fails_before_training(tmp_path, corpus_dir,
     assert [p.name for p in out.iterdir()] == [name]
 
 
+def test_train_divergence_leaves_only_loadable_checkpoints(tmp_path, corpus_dir, capsys):
+    # A peak learning rate of 1e30 diverges within a few steps.  Every
+    # checkpoint the run leaves, the one its error names included, loads.
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert run_cli("train", "--manifest", corpus_dir / "manifest.jsonl", "--steps", 30,
+                       "--peak-lr", "1e30", "--warmup", 0, "--checkpoint-every", 1,
+                       "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"last good checkpoint retained at {out / 'checkpoint.fmck'}" in err
+    checkpoints = sorted(out.glob("*.fmck"))
+    assert checkpoints
+    for path in checkpoints:
+        load_checkpoint(path)
+
+
 def test_train_snapshot_path_directory_fails_before_training(tmp_path, corpus_dir, capsys):
     # --steps 4 --checkpoint-every 2 keeps snapshots of steps 2 and 4; a
     # directory at the last one fails before the first step, and a

@@ -1,13 +1,13 @@
-"""Importing flowcond leaves the process alone, and scipy loads only with the model.
+"""Importing flowcond leaves the process alone, and scipy loads only with a float64 forward.
 
 ``import flowcond`` edits no environment variable: BLAS threads are
-pinned by the launching environment, and the retired ``FLOWCOND_THREADS``
-alias has no effect.  ``seqmodel.erf`` computes float32 in numpy and
-imports ``scipy.special`` on its first float64 call, so the float32
-``sample`` field and the commands that run no model (``synth``,
-``curate``, ``eval``) start on numpy alone, and a float64 forward loads
-it.  The test session itself has numpy and ``scipy.special`` loaded, so
-each check runs in a fresh interpreter.
+pinned by the launching environment.  ``seqmodel.erf`` computes float32
+in numpy and imports ``scipy.special`` on its first float64 call, so
+``train`` (float32 forward and backward), the float32 ``sample`` field
+and the commands that run no model (``synth``, ``curate``, ``eval``)
+run on numpy alone, and a float64 forward loads it.  The test session
+itself has numpy and ``scipy.special`` loaded, so each check runs in a
+fresh interpreter.
 """
 
 import os
@@ -42,6 +42,9 @@ print("curate", loaded())
 assert cli.main(["eval", "emo-sim", "--a", str(tmp / "c" / "mixed_00000.emo.fmat"),
                  "--b", str(tmp / "c" / "mixed_00001.emo.fmat")]) == 0
 print("eval", loaded())
+assert cli.main(["train", "--manifest", str(tmp / "c" / "manifest.jsonl"), "--steps", "2",
+                 "--batch-frames", "16", "--out", str(tmp / "run")]) == 0
+print("train", loaded())
 
 import numpy as np
 from flowcond import ModelConfig, VectorFieldModel, init_params, save_checkpoint
@@ -87,21 +90,22 @@ print("erf float64 bitwise, float32 within 5e-7")
 def test_scipy_special_loads_only_with_the_model(tmp_path):
     # The BLAS knobs start unset, so an import that pinned them would show.
     env = {k: v for k, v in os.environ.items() if k not in BLAS_KNOBS}
-    env.update(PYTHONPATH=str(SRC), FLOWCOND_THREADS="1")
+    env.update(PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     status = [line for line in done.stdout.splitlines()
-              if line.split()[0] in ("environ", "import", "synth", "curate", "eval", "sample",
-                                         "forward", "erf")]
+              if line.split()[0] in ("environ", "import", "synth", "curate", "eval", "train",
+                                         "sample", "forward", "erf")]
     assert status == [
         "environ True",
         "import False",
         "synth False",
         "curate False",
         "eval False",
+        "train False",
         "sample False",
         "forward True",
         "erf float64 bitwise, float32 within 5e-7",

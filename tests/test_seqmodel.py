@@ -539,12 +539,23 @@ def erf_calls(monkeypatch):
 
 
 def test_train_step_evaluates_erf_once_per_layer(erf_calls):
+    # A training step computes in float32 on a copy of the float64 master.
     rng = np.random.default_rng(17)
     model = VectorFieldModel(SMALL)
     params = init_params(SMALL, rng, zero_output=False)
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
+    backward, grads = model.backward_batch, []
+
+    def recording_backward(*args):
+        grads.append(backward(*args))
+        return grads[-1]
+
+    model.backward_batch = recording_backward
     train_step(model, *make_training_batch(rng, 2, 5), params, state)
-    assert erf_calls == [np.float64] * SMALL.n_layers
+    assert erf_calls == [np.float32] * SMALL.n_layers
+    assert {g.dtype for g in grads[0].values()} == {np.dtype(np.float32)}
+    assert {a.dtype for a in params.values()} == {np.dtype(np.float64)}
+    assert state.m.dtype == state.v.dtype == np.float64
 
 
 def test_field_evaluates_erf_once_per_layer(erf_calls):
@@ -578,6 +589,26 @@ def test_train_step_diverged_loss_raises():
     state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError):
         train_step(model, *batch, params, state)
+
+
+@pytest.mark.parametrize("value, message", [(1e39, "not finite in float32"),
+                                            (3e38, "non-finite loss")],
+                         ids=["overflows-float32-copy", "overflows-float32-loss"])
+def test_train_step_float32_overflow_raises(value, message):
+    # Both values are finite in the float64 master.  1e39 has no float32
+    # copy; 3e38 has one, but the float32 loss overflows.
+    rng = np.random.default_rng(19)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    params["out_b"][0] = value
+    before = {k: v.copy() for k, v in params.items()}
+    state = OptimizerState(schedule=LrSchedule(1e-3, 1, 10))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match=message):
+        train_step(model, *make_training_batch(rng, 2, 4), params, state)
+    assert state.step == 0
+    for k in params:
+        assert np.array_equal(params[k], before[k]), k
 
 
 def test_overfit_single_batch_loss_decreases():
@@ -756,6 +787,21 @@ def test_checkpoint_file_byte_stable(tmp_path):
     cfg, loaded = load_checkpoint(p1)
     save_checkpoint(p2, cfg, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_checkpoint_refuses_float32_overflow(tmp_path):
+    rng = np.random.default_rng(15)
+    params = init_params(SMALL, rng)
+    p = tmp_path / "model.fmck"
+    save_checkpoint(p, SMALL, params)
+    good = p.read_bytes()
+    params["block1.bv"][2] = -1e39  # finite in float64, not in float32
+    with pytest.raises(ValueError, match="block1.bv is not finite in float32"):
+        save_checkpoint(p, SMALL, params)
+    with pytest.raises(ValueError, match="not finite in float32"):
+        save_checkpoint(tmp_path / "new.fmck", SMALL, params)
+    assert p.read_bytes() == good
+    assert not (tmp_path / "new.fmck").exists()
 
 
 def test_committed_checkpoint_round_trips(tmp_path):

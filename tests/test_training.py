@@ -161,6 +161,32 @@ def test_divergence_retains_last_checkpoint(small_corpus, tmp_path, monkeypatch)
     assert all(np.isfinite(v).all() for v in params.values())
 
 
+@pytest.mark.parametrize("bad_step", [3, 4], ids=["between-checkpoints", "at-checkpoint"])
+def test_float32_overflow_retains_last_loadable_checkpoint(small_corpus, tmp_path,
+                                                           monkeypatch, bad_step):
+    # After step bad_step a master weight is finite in float64 but past
+    # float32's range.  At step 3 the next step's float32 copy finds it; at
+    # step 4 the checkpoint write does, before it writes anything.
+    cfg = ModelConfig(feature_dim=8)
+    ck = tmp_path / "ck.fmck"
+    real_step = training.train_step
+
+    def overflowing_step(model, inputs, u_target, params, state):
+        out = real_step(model, inputs, u_target, params, state)
+        if state.step == bad_step:
+            params["in_b"][0] = 1e39
+        return out
+
+    monkeypatch.setattr(training, "train_step", overflowing_step)
+    settings = TrainSettings(steps=10, batch_frames=60, checkpoint_every=2, seed=2)
+    with pytest.raises(TrainingDivergedError, match="not finite in float32"):
+        train_loop(cfg, [small_corpus], [1.0], settings, checkpoint_path=ck)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["ck.fmck", "ck_step000002.fmck"]
+    assert ck.read_bytes() == (tmp_path / "ck_step000002.fmck").read_bytes()
+    assert load_checkpoint(ck)[0] == cfg
+
+
 # -- the batch draw --------------------------------------------------------
 
 
