@@ -152,6 +152,14 @@ def cmd_train(args) -> int:
     model_cfg = replace(desk, feature_dim=feature_dim)
 
     out.mkdir(parents=True, exist_ok=True)
+    # Written before the first step, so that a run that diverges still
+    # records the flags and seed that made its checkpoints.
+    _write_provenance(
+        out / "provenance.json",
+        "train",
+        {"manifests": manifests, "ratios": ratios, **asdict(settings),
+         "compute_dtype": np.dtype(FIELD_DTYPE).name},
+    )
     log_path = out / "loss_log.txt"
 
     with open(log_path, "w") as log:
@@ -173,12 +181,6 @@ def cmd_train(args) -> int:
                 f"{exc}; last good checkpoint retained at {checkpoint}"
             ) from exc
 
-    _write_provenance(
-        out / "provenance.json",
-        "train",
-        {"manifests": manifests, "ratios": ratios, **asdict(settings),
-         "compute_dtype": np.dtype(FIELD_DTYPE).name},
-    )
     final_loss = history[-1][1] if history else float("nan")
     print(f"trained {settings.steps} steps; final loss {final_loss:.6f}; checkpoint {checkpoint}")
     return 0

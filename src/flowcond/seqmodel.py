@@ -10,7 +10,9 @@ Both the sampling field and training compute in ``FIELD_DTYPE``
 ``train_step`` runs the forward, loss and backward on a float32 copy of
 the float64 master weights, which Adam updates in float64 (mixed
 precision, Micikevicius et al., arXiv:1710.03740).  The gradient checks
-run the same kernels in float64.
+run the same kernels in float64.  The module needs numpy alone: the
+GELU's ``erf`` is a numpy rational approximation in float32 and libm's
+``math.erf`` in float64.
 
 Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
 per frame, projected to the model width, and sinusoidal codes of the
@@ -244,20 +246,26 @@ _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
 
 
+# Python's math.erf (libm) as an object ufunc; erf casts its results to float64.
+_ERF64 = np.frompyfunc(math.erf, 1, 1)
+
+
 def erf(x, out=None, *, scratch=None):
-    """The error function, in the dtype of ``x``.
+    """The error function, in float32 for float32 input, else in float64.
 
-    float32 arrays take an odd rational approximation in numpy (no
+    float32 input takes an odd rational approximation in numpy (no
     ``exp``; exactly odd, erf(+-inf) = +-1, NaN stays NaN).  Anything
-    else goes to ``scipy.special.erf``, which loads on the first such
-    call, so training, the sampling field and the commands that run no
-    model never load scipy.  ``scratch`` is two float32 buffers of
-    ``x``'s shape for the float32 path's temporaries; it changes no result.
+    else is converted to float64 and goes element by element through
+    libm's ``math.erf``: slow, but only the float64 gradient checks run
+    it.  ``scratch`` is two float32 buffers
+    of ``x``'s shape for the float32 path's temporaries; it changes no
+    result.
     """
-    if not (isinstance(x, np.ndarray) and x.dtype == np.float32):
-        from scipy.special import erf as scipy_erf
-
-        return scipy_erf(x, out=out)
+    if np.asarray(x).dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
+        if out is None:
+            out = np.empty_like(x)
+        return _ERF64(x, out=out, casting="unsafe")
     if out is None:
         out = np.empty_like(x)
     x2, p = scratch if scratch is not None else (np.empty_like(x), np.empty_like(x))
@@ -715,7 +723,9 @@ def train_step(
     the master arena; the forward, loss and backward run on its
     ``FIELD_DTYPE`` copy in ``opt_state``, and Adam updates the master.
     A master value that overflows that dtype ends the run like a
-    non-finite loss.
+    non-finite loss.  numpy's overflow and invalid-value warnings are
+    silenced for the step: a diverging run is reported by those two
+    checks, or at the next step or ``save_checkpoint``, as one error.
     """
     if inputs.x_t.shape[0] == 0:
         raise ValueError("batch must be nonempty")
@@ -726,20 +736,20 @@ def train_step(
         opt_state.compute = _arena({k: a.shape for k, a in params.items()}, FIELD_DTYPE)
     compute = opt_state.compute
     copy = _arena_vector(compute, "compute")
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         np.copyto(copy, master)
-    if not np.isfinite(copy).all():
-        raise TrainingDivergedError(
-            f"a parameter is not finite in {copy.dtype} at optimizer step {opt_state.step + 1}"
-        )
-    v_pred, cache = model.forward_batch(inputs, compute)
-    loss, dv = masked_batch_loss_grad(v_pred, u_target, inputs.mask_bits)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(
-            f"non-finite loss at optimizer step {opt_state.step + 1}"
-        )
-    grads = model.backward_batch(dv, cache, compute)
-    lr = adam_update(params, grads, opt_state)
+        if not np.isfinite(copy).all():
+            raise TrainingDivergedError(
+                f"a parameter is not finite in {copy.dtype} at optimizer step {opt_state.step + 1}"
+            )
+        v_pred, cache = model.forward_batch(inputs, compute)
+        loss, dv = masked_batch_loss_grad(v_pred, u_target, inputs.mask_bits)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(
+                f"non-finite loss at optimizer step {opt_state.step + 1}"
+            )
+        grads = model.backward_batch(dv, cache, compute)
+        lr = adam_update(params, grads, opt_state)
     return params, loss, lr
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import struct
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -209,13 +210,17 @@ def test_train_output_path_directory_fails_before_training(tmp_path, corpus_dir,
 
 
 def test_train_divergence_leaves_only_loadable_checkpoints(tmp_path, corpus_dir, capsys):
-    # A peak learning rate of 1e30 diverges within a few steps.  Every
-    # checkpoint the run leaves, the one its error names included, loads.
+    # A peak learning rate of 1e30 diverges within a few steps.  The run
+    # reports it in one line, with no numpy warning; every checkpoint it
+    # leaves, the one its error names included, loads; and its provenance
+    # records the flags and seed that made them.
     out = tmp_path / "run"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run_cli("train", "--manifest", corpus_dir / "manifest.jsonl", "--steps", 30,
                        "--peak-lr", "1e30", "--warmup", 0, "--checkpoint-every", 1,
                        "--out", out) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"last good checkpoint retained at {out / 'checkpoint.fmck'}" in err
@@ -223,6 +228,8 @@ def test_train_divergence_leaves_only_loadable_checkpoints(tmp_path, corpus_dir,
     assert checkpoints
     for path in checkpoints:
         load_checkpoint(path)
+    args = json.loads((out / "provenance.json").read_text())["args"]
+    assert args["peak_lr"] == 1e30 and args["seed"] == TrainSettings().seed
 
 
 def test_train_snapshot_path_directory_fails_before_training(tmp_path, corpus_dir, capsys):

@@ -1,19 +1,21 @@
-"""Importing flowcond leaves the process alone, and scipy loads only with a float64 forward.
+"""Importing flowcond leaves the process alone, and flowcond never loads scipy.
 
 ``import flowcond`` edits no environment variable: BLAS threads are
-pinned by the launching environment.  ``seqmodel.erf`` computes float32
-in numpy and imports ``scipy.special`` on its first float64 call, so
-``train`` (float32 forward and backward), the float32 ``sample`` field
-and the commands that run no model (``synth``, ``curate``, ``eval``)
-run on numpy alone, and a float64 forward loads it.  The test session
-itself has numpy and ``scipy.special`` loaded, so each check runs in a
-fresh interpreter.
+pinned by the launching environment.  numpy is the only runtime
+dependency: ``seqmodel.erf`` computes float32 in numpy and float64
+through libm's ``math.erf``.  The probe runs in a fresh interpreter
+with scipy made unimportable (``sys.modules["scipy"] = None``), so every
+command (``synth``, ``curate``, ``eval``, ``train``, ``sample``) and a
+float64 forward and backward would fail on any import of it.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -24,13 +26,15 @@ import os
 import sys
 from pathlib import Path
 
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 before = dict(os.environ)
 import flowcond
 print("environ", dict(os.environ) == before)
 from flowcond import cli
 
 def loaded():
-    return "scipy.special" in sys.modules
+    return any(name.split(".")[0] == "scipy" and module is not None
+               for name, module in sys.modules.items())
 
 tmp = Path(sys.argv[1])
 print("import", loaded())
@@ -68,26 +72,31 @@ inputs = BatchInputs(
     mask_bits=np.ones((B, T)),
     t=np.full(B, 0.5),
 )
-VectorFieldModel(cfg).forward_batch(inputs, init_params(cfg, rng))
+model = VectorFieldModel(cfg)
+params = init_params(cfg, rng, zero_output=False)
+v, cache = model.forward_batch(inputs, params)
+grads = model.backward_batch(np.ones_like(v), cache, params)
+assert v.dtype == grads["out_w"].dtype == np.float64
 print("forward", loaded())
 
-from scipy.special import erf
+import math
 from flowcond import seqmodel
 x = rng.standard_normal(4096) * 3
-got, want = seqmodel.erf(x), erf(x)
-assert got.dtype == want.dtype == np.float64
-assert got.tobytes() == want.tobytes()
+want = np.array(list(map(math.erf, x.tolist())))
+got = seqmodel.erf(x)
+assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 out = np.empty_like(x)
 assert seqmodel.erf(x, out=out) is out and out.tobytes() == want.tobytes()
+assert seqmodel.erf(0.5).tobytes() == np.float64(math.erf(0.5)).tobytes()
 x32 = x.astype(np.float32)
 got32 = seqmodel.erf(x32)
 assert got32.dtype == np.float32
-assert np.abs(got32 - erf(x32.astype(np.float64))).max() <= 5e-7
-print("erf float64 bitwise, float32 within 5e-7")
+assert np.abs(got32 - list(map(math.erf, x32.tolist()))).max() <= 5e-7
+print("erf float64 equals math.erf, float32 within 5e-7")
 """
 
 
-def test_scipy_special_loads_only_with_the_model(tmp_path):
+def test_flowcond_never_loads_scipy(tmp_path):
     # The BLAS knobs start unset, so an import that pinned them would show.
     env = {k: v for k, v in os.environ.items() if k not in BLAS_KNOBS}
     env.update(PYTHONPATH=str(SRC))
@@ -107,6 +116,14 @@ def test_scipy_special_loads_only_with_the_model(tmp_path):
         "eval False",
         "train False",
         "sample False",
-        "forward True",
-        "erf float64 bitwise, float32 within 5e-7",
+        "forward False",
+        "erf float64 equals math.erf, float32 within 5e-7",
     ]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_numpy_is_the_only_runtime_dependency():
+    import tomllib
+
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[A-Za-z0-9._-]+", d).group() for d in project["dependencies"]] == ["numpy"]
