@@ -308,6 +308,10 @@ def cmd_curate(args) -> int:
     _check_output_file(Path(args.out))
     if args.report:
         _check_output_file(Path(args.report))
+        target = Path(args.report).resolve()
+        for flag, path in (("--out", args.out), ("--in", args.inp)):
+            if Path(path).resolve() == target:
+                raise CliError(f"--report {args.report} is the same file as {flag} {path}")
     report = run_pipeline(args.inp, args.out, args.ovlr_min)
     if args.report:
         payload = {

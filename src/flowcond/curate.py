@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .features import DatasetRecord, FormatError, manifest_line, read_manifest
+from .features import DatasetRecord, FormatError, _manifest_lines
 
 # The label rules and the threshold default follow the paper's
 # pseudo-label curation recipe.
@@ -79,9 +79,13 @@ def run_pipeline(
 ) -> CurationReport:
     """Filter a manifest through the gates, streaming record by record.
 
-    Output preserves input order.  A malformed line, or a label or
-    confidence the emotion gate cannot judge, raises a FormatError that
-    names the line, and leaves no partial output behind.
+    Output preserves input order.  Each retained line is written as it
+    was read, stripped of surrounding whitespace and ended with one
+    newline: its key order, spacing and escapes are kept, so a manifest
+    in the canonical form ``write_manifest`` writes comes out unchanged.
+    A malformed line, or a label or confidence the emotion gate cannot
+    judge, raises a FormatError that names the line, and leaves no
+    partial output behind.
     """
     if not math.isfinite(ovlr_min):
         raise ValueError(f"ovlr_min must be finite, got {ovlr_min}")
@@ -90,7 +94,7 @@ def run_pipeline(
     report = CurationReport()
     try:
         with open(tmp_path, "w") as out:
-            for lineno, rec in read_manifest(manifest_in):
+            for lineno, line, rec in _manifest_lines(manifest_in):
                 try:
                     reason = first_failing_gate(rec, ovlr_min)
                 except ValueError as exc:
@@ -100,7 +104,7 @@ def run_pipeline(
                     report.retained_by_emotion[rec.emotion_label] = (
                         report.retained_by_emotion.get(rec.emotion_label, 0) + 1
                     )
-                    out.write(manifest_line(rec) + "\n")
+                    out.write(line + "\n")
                 else:
                     setattr(report, reason, getattr(report, reason) + 1)
         os.replace(tmp_path, out_path)

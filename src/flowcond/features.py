@@ -183,6 +183,16 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
     """Yield (line_number, record) pairs, validating each line as it streams."""
+    for lineno, _, rec in _manifest_lines(path):
+        yield lineno, rec
+
+
+def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, DatasetRecord]]:
+    """Yield (line_number, stripped line, record) for each non-blank line.
+
+    The line is the exact text that decoded to the record, so a caller
+    can copy it out without encoding the record again.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -215,7 +225,7 @@ def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
                         f"manifest line {lineno}: {name} must be {_TYPE_WORDS[types]}, "
                         f"got {value!r}"
                     )
-            yield lineno, rec
+            yield lineno, line, rec
 
 
 # --- synthetic oracle corpus ------------------------------------------------

@@ -867,6 +867,26 @@ def test_curate_bad_out_path_gates_nothing(tmp_path, corpus_dir, capsys, gate_ca
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("existing")]
 
 
+@pytest.mark.parametrize("clash", ["--out", "--in"])
+def test_curate_report_on_out_or_in_is_rejected(tmp_path, corpus_dir, capsys, monkeypatch,
+                                                gate_calls, clash):
+    # The report names the same file by a relative path, so the check has
+    # to compare resolved paths, not the strings given.
+    src = tmp_path / "manifest.jsonl"
+    src.write_bytes((corpus_dir / "manifest.jsonl").read_bytes())
+    before = src.read_bytes()
+    out = tmp_path / "cur.jsonl"
+    monkeypatch.chdir(tmp_path)
+    report = {"--out": "cur.jsonl", "--in": "manifest.jsonl"}[clash]
+    assert run_cli("curate", "--in", src, "--out", out, "--report", report) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"same file as {clash}" in err
+    assert gate_calls["n"] == 0
+    assert src.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("emotion_label", "bored", "unknown emotion label 'bored'"),
     ("emotion_confidence", 1.5, "confidence must be in [0, 1], got 1.5"),

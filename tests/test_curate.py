@@ -1,14 +1,24 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flowcond import (
     emotion_gate,
+    features,
     quality_gate,
     run_pipeline,
     speaker_gate,
 )
 from flowcond.curate import first_failing_gate
-from flowcond.features import DatasetRecord, FormatError, read_manifest, write_manifest
+from flowcond.features import (
+    DatasetRecord,
+    FormatError,
+    manifest_line,
+    read_manifest,
+    write_manifest,
+)
 
 OVLR_MIN = 3.0
 
@@ -111,6 +121,54 @@ def test_pipeline_matches_brute_force_oracle(tmp_path):
     assert got == expected
     assert report.retained == len(expected)
     assert report.total == len(records)  # reason-count conservation
+    # A canonical input comes out as write_manifest would write the kept records.
+    ref = tmp_path / "ref.jsonl"
+    write_manifest(expected, ref)
+    assert dst.read_bytes() == ref.read_bytes()
+
+
+def test_pipeline_copies_retained_lines_verbatim(tmp_path):
+    # Hand-written lines that json.dumps(..., sort_keys=True) would not
+    # write: retained ones come out as they were read, stripped.
+    def reordered(rec, **kwargs):
+        return json.dumps(dict(reversed(vars(rec).items())), **kwargs)
+
+    kept = [
+        reordered(make_record(0)),
+        reordered(make_record(1), separators=(",", ":")),
+        reordered(make_record(2, ovlr=5)),
+        reordered(replace(make_record(3), id="r\u00e9-\u5b57"), ensure_ascii=False),
+        "  " + reordered(make_record(4), separators=(" , ", " :  ")) + "\t",
+    ]
+    dropped = reordered(make_record(5, ovlr=1.0))
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_bytes(("\n".join(kept[:2] + [dropped] + kept[2:]) + "\n").encode())
+    run_pipeline(src, dst)
+
+    assert dst.read_bytes() == "".join(k.strip() + "\n" for k in kept).encode()
+    got = [rec for _, rec in read_manifest(dst)]
+    assert [rec.id for rec in got] == ["r0000", "r0001", "r0002", "r\u00e9-\u5b57", "r0004"]
+    assert type(got[2].ovlr) is int
+    for k, rec in zip(kept, got):
+        assert k.strip() != manifest_line(rec)
+        assert json.loads(k) == vars(rec)
+
+
+def test_pipeline_never_re_encodes_a_record(tmp_path, monkeypatch):
+    # Guards the fast path: curate writes the lines it read, so it must
+    # run to the end with the record encoder gone.
+    records = random_records(1000, seed=24)
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_manifest(records, src)
+
+    def fail(*args):
+        raise AssertionError("a retained record was encoded again")
+
+    monkeypatch.setattr(features, "manifest_line", fail)
+    monkeypatch.setattr(features, "_encode_manifest", fail)
+    report = run_pipeline(src, dst)
+    assert report.total == 1000
+    assert [rec for _, rec in read_manifest(dst)] == [r for r in records if brute_force_keep(r)]
 
 
 def test_pipeline_empty_manifest(tmp_path):
