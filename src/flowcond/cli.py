@@ -63,6 +63,20 @@ def _check_output_file(path: Path) -> None:
         raise CliError(f"output path {path} is a directory")
 
 
+def _check_not_an_input(outputs, inputs) -> None:
+    """Reject an output that resolves to the same file as an input, before any work.
+
+    ``outputs`` and ``inputs`` are (label, path) pairs; a None input is an
+    optional flag not given.  Paths are compared resolved, so a relative
+    and an absolute name for one file clash.
+    """
+    targets = {Path(path).resolve(): (label, path) for label, path in outputs}
+    for label, path in inputs:
+        if path is not None and (clash := targets.get(Path(path).resolve())):
+            out_label, out_path = clash
+            raise CliError(f"{out_label} {out_path} is the same file as {label} {path}")
+
+
 def _check_vocab(tokens: np.ndarray, path: str, n_phonemes: int) -> None:
     bad = tokens[(tokens < 0) | (tokens >= n_phonemes)]
     if bad.size:
@@ -220,6 +234,13 @@ def cmd_sample(args) -> int:
     sidecar_path = Path(str(out) + ".json")
     _check_output_file(out)
     _check_output_file(sidecar_path)
+    _check_not_an_input(
+        (("--out", out), ("--out sidecar", sidecar_path)),
+        (("--checkpoint", args.checkpoint), ("--text-phonemes", args.text_phonemes),
+         ("--spk-features", args.spk_features), ("--spk-phonemes", args.spk_phonemes),
+         ("--spk-nv", args.spk_nv), ("--spk-emo", args.spk_emo),
+         ("--nv-prompt", args.nv_prompt), ("--emo-prompt", args.emo_prompt)),
+    )
     ck_path = Path(args.checkpoint)
     ck_bytes = ck_path.read_bytes()  # read once: the sidecar hashes the bytes that were parsed
     model_cfg, params = load_checkpoint(ck_path, ck_bytes)
@@ -308,10 +329,7 @@ def cmd_curate(args) -> int:
     _check_output_file(Path(args.out))
     if args.report:
         _check_output_file(Path(args.report))
-        target = Path(args.report).resolve()
-        for flag, path in (("--out", args.out), ("--in", args.inp)):
-            if Path(path).resolve() == target:
-                raise CliError(f"--report {args.report} is the same file as {flag} {path}")
+        _check_not_an_input((("--report", args.report),), (("--out", args.out), ("--in", args.inp)))
     report = run_pipeline(args.inp, args.out, args.ovlr_min)
     if args.report:
         payload = {
@@ -342,6 +360,7 @@ def cmd_eval_pair(args) -> int:
 
 def cmd_eval_report(args) -> int:
     _check_output_file(Path(args.out))
+    _check_not_an_input((("--out", args.out),), (("--pairs", args.pairs),))
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise CliError("--seeds must name at least one seed")

@@ -4,17 +4,26 @@ External detectors deliver their outputs as files; this module reads
 and writes the binary feature-matrix format and the JSONL manifest, and
 generates the synthetic oracle corpora used for testing in place of the
 real detectors.
+
+A manifest line is accepted when it is one JSON object with exactly the
+ten ``DatasetRecord`` fields as keys, in any order: the four paths, ``id``
+and ``emotion_label`` strings, ``speaker_change`` a boolean, and
+``duration_s``, ``emotion_confidence`` and ``ovlr`` each an int or a
+float (never a boolean) within the finite float range.  Anything else is
+a ``FormatError`` that names the line and its first fault.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -74,6 +83,15 @@ _RECORD_TYPES = {
 }
 _TYPE_WORDS = {(str,): "a string", _NUMBER_TYPES: "a finite number", (bool,): "a boolean"}
 _FLOAT_MAX = sys.float_info.max
+# The accept check of _manifest_lines, built from the same table: the field
+# values in field order, every allowed tuple of their exact types (8, since
+# each of the three number fields is an int or a float), and the number
+# fields' positions.
+_record_values = operator.itemgetter(*_RECORD_TYPES)
+_RECORD_TYPE_TUPLES = frozenset(itertools.product(*_RECORD_TYPES.values()))
+_DURATION, _CONFIDENCE, _OVLR = (
+    i for i, types in enumerate(_RECORD_TYPES.values()) if types is _NUMBER_TYPES
+)
 
 
 def store_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None:
@@ -191,7 +209,12 @@ def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, DatasetRecord]
     """Yield (line_number, stripped line, record) for each non-blank line.
 
     The line is the exact text that decoded to the record, so a caller
-    can copy it out without encoding the record again.
+    can copy it out without encoding the record again.  A decoded line is
+    accepted by one check, whatever its key order: all ten field values
+    fetched at once, exactly ten keys, the tuple of their exact types one
+    of the eight allowed, and each number within the float range (NaN,
+    infinities and ints such as 10**400 are not).  Only a line that fails
+    goes on to ``_raise_manifest_error``, which words the error.
     """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -212,20 +235,39 @@ def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, DatasetRecord]
                 except RecursionError:
                     raise FormatError(f"manifest line {lineno}: invalid JSON (nested too deeply)") from None
             try:
-                rec = DatasetRecord(**obj)
-            except TypeError as exc:
-                raise FormatError(f"manifest line {lineno}: {exc}") from exc
-            for name, types in _RECORD_TYPES.items():
-                value = obj[name]
-                # NaN fails both comparisons; so do ints no float can hold.
-                if type(value) not in types or (
-                    types is _NUMBER_TYPES and not -_FLOAT_MAX <= value <= _FLOAT_MAX
-                ):
-                    raise FormatError(
-                        f"manifest line {lineno}: {name} must be {_TYPE_WORDS[types]}, "
-                        f"got {value!r}"
-                    )
-            yield lineno, line, rec
+                # A missing key, or a value that is not an object, raises.
+                values = _record_values(obj)
+            except (KeyError, TypeError):
+                _raise_manifest_error(lineno, obj)
+            # NaN fails the range comparisons; so do ints no float can hold.
+            if not (
+                len(obj) == len(values)
+                and tuple(map(type, values)) in _RECORD_TYPE_TUPLES
+                and -_FLOAT_MAX <= values[_DURATION] <= _FLOAT_MAX
+                and -_FLOAT_MAX <= values[_CONFIDENCE] <= _FLOAT_MAX
+                and -_FLOAT_MAX <= values[_OVLR] <= _FLOAT_MAX
+            ):
+                _raise_manifest_error(lineno, obj)
+            yield lineno, line, DatasetRecord(*values)
+
+
+def _raise_manifest_error(lineno: int, obj) -> NoReturn:
+    """Raise the FormatError for a decoded line the accept check rejected:
+    a missing or unexpected key first, then the first bad field in field
+    order.  It decides nothing; it only words the error."""
+    try:
+        DatasetRecord(**obj)
+    except TypeError as exc:
+        raise FormatError(f"manifest line {lineno}: {exc}") from exc
+    for name, types in _RECORD_TYPES.items():
+        value = obj[name]
+        if type(value) not in types or (
+            types is _NUMBER_TYPES and not -_FLOAT_MAX <= value <= _FLOAT_MAX
+        ):
+            raise FormatError(
+                f"manifest line {lineno}: {name} must be {_TYPE_WORDS[types]}, got {value!r}"
+            )
+    raise AssertionError(f"manifest line {lineno} failed the accept check but no field check")
 
 
 # --- synthetic oracle corpus ------------------------------------------------

@@ -993,6 +993,62 @@ def test_eval_report_bad_pair_record_is_one_line_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+# -- an output that names an input --------------------------------------------------
+
+
+# Each case copies one input into an empty working directory and names the
+# copy again, by a relative path, as an output: --out itself, or sample's
+# <out>.json sidecar.  The check has to compare resolved paths.
+@pytest.mark.parametrize("command, flag, output", [
+    ("eval", "--pairs", "--out"),
+    ("sample", "--checkpoint", "--out"),
+    ("sample", "--text-phonemes", "--out sidecar"),
+    ("sample", "--spk-features", "--out"),
+    ("sample", "--spk-phonemes", "--out sidecar"),
+    ("sample", "--spk-nv", "--out"),
+    ("sample", "--spk-emo", "--out sidecar"),
+    ("sample", "--nv-prompt", "--out sidecar"),
+    ("sample", "--emo-prompt", "--out"),
+], ids=["eval-report-pairs", "checkpoint", "text-phonemes-sidecar", "spk-features",
+        "spk-phonemes-sidecar", "spk-nv", "spk-emo-sidecar", "nv-prompt-sidecar", "emo-prompt"])
+def test_output_that_is_an_input_is_rejected(tmp_path, corpus_dir, trained_run, capsys,
+                                             monkeypatch, command, flag, output):
+    if command == "eval":
+        pairs = tmp_path / "pairs.jsonl"
+        a, b = corpus_dir / "mixed_00000.emo.fmat", corpus_dir / "mixed_00001.emo.fmat"
+        pairs.write_text(json.dumps({"a": str(a), "b": str(b)}) + "\n")
+        inputs = {"--pairs": pairs}
+        argv = ["eval", "report", "--seeds", "s1"]
+    else:
+        inputs = {
+            "--checkpoint": trained_run / "checkpoint.fmck",
+            "--text-phonemes": corpus_dir / "mixed_00001.phn",
+            "--spk-features": corpus_dir / "mixed_00000.fmat",
+            "--spk-phonemes": corpus_dir / "mixed_00000.phn",
+            "--spk-nv": corpus_dir / "mixed_00000.nv.fmat",
+            "--spk-emo": corpus_dir / "mixed_00000.emo.fmat",
+            "--nv-prompt": corpus_dir / "mixed_00001.nv.fmat",
+            "--emo-prompt": corpus_dir / "mixed_00001.emo.fmat",
+        }
+        argv = ["sample", "--nfe", 2]
+    work = tmp_path / "work"
+    work.mkdir()
+    name = "g.fmat.json" if output == "--out sidecar" else "g.fmat"
+    clashing = work / name
+    clashing.write_bytes(inputs[flag].read_bytes())
+    before = clashing.read_bytes()
+    inputs[flag] = name
+    monkeypatch.chdir(work)
+    for f, path in inputs.items():
+        argv += [f, path]
+    assert run_cli(*argv, "--out", "g.fmat") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {output} {name} is the same file as {flag} {name}\n"
+    assert sorted(p.name for p in work.iterdir()) == [name]
+    assert clashing.read_bytes() == before
+
+
 # -- malformed JSON nesting -------------------------------------------------------
 
 DEEP = "[" * 100_000

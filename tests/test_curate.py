@@ -171,6 +171,31 @@ def test_pipeline_never_re_encodes_a_record(tmp_path, monkeypatch):
     assert [rec for _, rec in read_manifest(dst)] == [r for r in records if brute_force_keep(r)]
 
 
+def test_pipeline_never_words_an_error_for_a_valid_record(tmp_path, monkeypatch):
+    # Guards the one-check accept path: valid lines, in either key order and
+    # with int-valued numbers, must never reach the error-wording helper,
+    # where the record is built from keywords and checked field by field.
+    records = random_records(1000, seed=25)
+    records[::3] = [replace(r, duration_s=1, ovlr=int(r.ovlr)) for r in records[::3]]
+    lines = [manifest_line(r) if i % 2 else json.dumps(dict(reversed(vars(r).items())))
+             for i, r in enumerate(records)]
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text("".join(line + "\n" for line in lines))
+
+    def fail(*args):
+        raise AssertionError("a manifest line left the one-check accept path")
+
+    monkeypatch.setattr(features, "_raise_manifest_error", fail)
+    report = run_pipeline(src, dst)
+    assert report.total == 1000
+    assert [rec for _, rec in read_manifest(dst)] == [r for r in records if brute_force_keep(r)]
+    # The patched helper is the one a rejected line reaches.
+    with open(src, "a") as fh:
+        fh.write(json.dumps({**vars(records[0]), "ovlr": True}) + "\n")
+    with pytest.raises(AssertionError, match="one-check accept path"):
+        run_pipeline(src, dst)
+
+
 def test_pipeline_empty_manifest(tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text("")

@@ -345,7 +345,8 @@ _json_values = st.sampled_from([None, True, False, 0, 1, -1, 0.5, -0.0, "", "sad
 @st.composite
 def mutated_manifest_lines(draw):
     """A canonical manifest line with up to two key or value changes, then
-    up to one change to its text."""
+    up to one change to its text: a repeated key, a BOM, trailing text,
+    truncation, or its keys written in a shuffled order."""
     obj = vars(make_record(draw(st.integers(0, 99))))
     raw = {}
     changes = st.tuples(st.sampled_from(_FIELD_NAMES),
@@ -360,10 +361,13 @@ def mutated_manifest_lines(draw):
         else:
             obj[name] = placeholder = f"\u0000raw{len(raw)}\u0000"
             raw[json.dumps(placeholder)] = draw(st.sampled_from(_RAW_VALUES))
-    line = json.dumps(obj, sort_keys=True)
+    edit = draw(st.sampled_from(["none", "repeat", "bom", "trailing", "truncate", "shuffle"]))
+    keys = sorted(obj)
+    if edit == "shuffle":
+        keys = draw(st.permutations(keys))
+    line = json.dumps({key: obj[key] for key in keys})
     for placeholder, value in raw.items():
         line = line.replace(placeholder, value)
-    edit = draw(st.sampled_from(["none", "repeat", "bom", "trailing", "truncate"]))
     if edit == "repeat":
         key = json.dumps(draw(st.sampled_from(_FIELD_NAMES)))
         pair = f"{key}: {json.dumps(draw(_json_values))}"
@@ -413,6 +417,36 @@ def test_read_manifest_error_messages_pinned(tmp_path, line, message):
     want = ([], f"manifest line 1: {message}")
     assert manifest_outcome(read_manifest, p) == want
     assert manifest_outcome(reference_read_manifest, p) == want
+
+
+def _with_raw(field, text):
+    """The canonical line of make_record(0) with ``field`` set to raw JSON text."""
+    return manifest_line(make_record(0, **{field: 0})).replace(f'"{field}": 0', f'"{field}": {text}')
+
+
+# One case for each way a decoded line can fail the accept check, and the
+# key order it must not depend on.
+@pytest.mark.parametrize("line, accepted", [
+    (json.dumps({k: v for k, v in vars(make_record(0)).items() if k != "ovlr"}), False),
+    (json.dumps({**vars(make_record(0)), "extra": 1}), False),
+    ("[1, 2]", False),
+    ("5", False),
+    ('"sad"', False),
+    (_with_raw("ovlr", "true"), False),
+    (_with_raw("duration_s", "NaN"), False),
+    (_with_raw("emotion_confidence", "Infinity"), False),
+    (_with_raw("ovlr", "1e400"), False),
+    (_with_raw("duration_s", str(10**400)), False),
+    (json.dumps({**vars(make_record(0)), "nv_path": 7}), False),
+    (json.dumps(dict(reversed(vars(make_record(0)).items()))), True),
+], ids=["missing-key", "extra-key", "list", "number", "string", "bool-ovlr", "nan",
+        "infinity", "1e400", "int-beyond-float", "int-in-string-field", "reversed-keys"])
+def test_manifest_accept_check_matches_reference(tmp_path, line, accepted):
+    p = tmp_path / "m.jsonl"
+    p.write_text(line + "\n")
+    read, error = manifest_outcome(read_manifest, p)
+    assert (read, error) == manifest_outcome(reference_read_manifest, p)
+    assert (error is None) == accepted
 
 
 # -- corpus generator -----------------------------------------------------------
