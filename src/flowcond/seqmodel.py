@@ -14,6 +14,15 @@ run the same kernels in float64.  The module needs numpy alone: the
 GELU's ``erf`` is a numpy rational approximation in float32 and libm's
 ``math.erf`` in float64.
 
+Reductions: a row sum (the layernorm mean and variance, the two row
+means of its backward, the softmax denominator) is one ``np.einsum`` over
+the last axis, and a column sum (the bias and gain gradients) is one GEMV
+against a cached vector of ones.  Row sums stay off BLAS: OpenBLAS sums a
+row of a GEMV in an order that depends on how many rows share the call,
+so a row's output would depend on the other rows of its batch.  With
+einsum it does not: each row of a forward is bitwise a forward of that
+row alone.
+
 Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
 per frame, projected to the model width, and sinusoidal codes of the
 path time t and of the frame position are added.
@@ -218,6 +227,20 @@ def positional_encoding(T: int, d_model: int, dtype=np.float64) -> np.ndarray:
     return pe
 
 
+@functools.lru_cache(maxsize=32)
+def _ones(n: int, dtype) -> np.ndarray:
+    """n ones in ``dtype``, cached per length and read-only: a column sum is
+    one GEMV against it."""
+    ones = np.ones(n, dtype)
+    ones.flags.writeable = False
+    return ones
+
+
+def _col_sum(a2: np.ndarray, out: np.ndarray) -> None:
+    """Column sums of the 2-D ``a2`` into ``out``, as one GEMV."""
+    np.matmul(_ones(a2.shape[0], a2.dtype), a2, out=out)
+
+
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """out = (B,T,i) @ (i,o) + (o,), as one flat GEMM; ``out`` is contiguous."""
     y = out.reshape(-1, w.shape[1])
@@ -232,7 +255,7 @@ def _linear_backward(x, dy, w, dx, dw, db) -> None:
     x2 = x.reshape(-1, i)
     dy2 = dy.reshape(-1, o)
     np.matmul(x2.T, dy2, out=dw)
-    np.add.reduce(dy2, axis=0, out=db)
+    _col_sum(dy2, db)
     np.matmul(dy2, w.T, out=dx.reshape(-1, i))
 
 
@@ -285,43 +308,42 @@ def erf(x, out=None, *, scratch=None):
     return np.divide(p, out, out=out)
 
 
-def _gelu(x, y, e, tmp) -> None:
-    """GELU(x) into ``y``, keeping e = erf(x/sqrt 2) for the gradient;
-    ``y`` and ``tmp`` are erf's scratch before they take their values, so
-    the float32 path allocates nothing."""
-    np.divide(x, _SQRT2, out=e)
-    erf(e, out=e, scratch=(y, tmp))
-    np.multiply(0.5, x, out=y)
-    np.add(1.0, e, out=tmp)
-    y *= tmp
+def _gelu(x, y, phi, tmp) -> None:
+    """GELU(x) = x * phi into ``y``, keeping the gate phi = (1 + erf(x/sqrt 2))
+    * 0.5, the normal CDF, in ``phi`` for the gradient.  ``y`` and ``tmp``
+    are erf's scratch before ``y`` takes its value, so the float32 path
+    allocates nothing.  The halving is exact, so y has the bits of
+    0.5 * x * (1 + erf)."""
+    np.divide(x, _SQRT2, out=phi)
+    erf(phi, out=phi, scratch=(y, tmp))
+    phi += 1.0
+    phi *= 0.5
+    np.multiply(x, phi, out=y)
 
 
-def _gelu_grad(x, e, g, tmp) -> None:
-    """dGELU/dx into ``g`` given the cached e = erf(x/sqrt 2); ``tmp`` is scratch."""
+def _gelu_grad(x, phi, g) -> None:
+    """dGELU/dx = x * pdf(x) + phi into ``g``, given the cached gate phi."""
     np.multiply(x, x, out=g)
     g *= -0.5
     np.exp(g, out=g)
     g *= x
     g *= _INV_SQRT_2PI
-    g += 0.5
-    np.multiply(0.5, e, out=tmp)
-    g += tmp
+    g += phi
 
 
 def _layernorm(x, g, b, y, xhat, istd) -> None:
     """y = g * xhat + b, keeping xhat and the inverse std for the backward.
 
-    A row mean is ``np.add.reduce`` and a divide by the width: bitwise
-    what ``np.mean`` gives, without its Python wrapper.  (For float32,
-    np.mean divides in float64 and rounds; a float64 quotient rounded to
-    float32 is the correctly rounded float32 quotient.)
+    A row mean is an ``np.einsum`` row sum and a divide by the width; the
+    variance sums the row's squares in the same einsum, without writing
+    them out.
     """
     width = x.shape[-1]
-    np.add.reduce(x, axis=-1, keepdims=True, out=istd)
+    rows = istd[..., 0]
+    np.einsum("...i->...", x, out=rows)
     istd /= width
     np.subtract(x, istd, out=xhat)
-    np.multiply(xhat, xhat, out=y)
-    np.add.reduce(y, axis=-1, keepdims=True, out=istd)
+    np.einsum("...i,...i->...", xhat, xhat, out=rows)
     istd /= width
     istd += _LN_EPS
     np.sqrt(istd, out=istd)
@@ -337,15 +359,15 @@ def _layernorm_backward(dy, cache, g, dx, dg, db, tmp, stat) -> None:
     xhat, istd = cache
     width = dy.shape[-1]
     dy2 = dy.reshape(-1, width)
-    np.add.reduce(dy2, axis=0, out=db)
-    np.multiply(dy, g, out=dx)
+    _col_sum(dy2, db)
     np.multiply(dy, xhat, out=tmp)
-    np.add.reduce(tmp.reshape(dy2.shape), axis=0, out=dg)
-    np.multiply(dx, xhat, out=tmp)
-    np.add.reduce(tmp, axis=-1, keepdims=True, out=stat)  # row means, as in _layernorm
+    _col_sum(tmp.reshape(dy2.shape), dg)
+    np.multiply(dy, g, out=dx)
+    rows = stat[..., 0]  # row means, as in _layernorm
+    np.einsum("...i,...i->...", dx, xhat, out=rows)
     stat /= width
     np.multiply(xhat, stat, out=tmp)
-    np.add.reduce(dx, axis=-1, keepdims=True, out=stat)
+    np.einsum("...i->...", dx, out=rows)
     stat /= width
     dx -= stat
     dx -= tmp
@@ -388,6 +410,7 @@ class _Workspace:
                  "q": q, "k": k, "v": v, "p": buf(b, h, t, t), "o": o,
                  "o_heads": o.reshape(b, t, h, dh).transpose(0, 2, 1, 3),
                  "y2": buf(b, t, d), "ln2c": (buf(b, t, d), buf(b, t, 1)),
+                 # erf1 keeps the GELU gate (1 + erf(h1/sqrt 2)) * 0.5
                  "h1": buf(b, t, f), "erf1": buf(b, t, f), "a1": buf(b, t, f)}
             )
         self.g_out, self.lnfc = buf(b, t, d), (buf(b, t, d), buf(b, t, 1))
@@ -483,10 +506,12 @@ class VectorFieldModel:
             attn_p = blk["p"]
             np.matmul(blk["q"], blk["k"].transpose(0, 1, 3, 2), out=attn_p)
             attn_p *= scale
-            np.maximum.reduce(attn_p, axis=-1, keepdims=True, out=ws.row)
+            # fmax gives max's bits on a row without NaN, faster; a NaN
+            # score still turns its whole row NaN at the exp and the sum
+            np.fmax.reduce(attn_p, axis=-1, keepdims=True, out=ws.row)
             attn_p -= ws.row
             np.exp(attn_p, out=attn_p)
-            np.add.reduce(attn_p, axis=-1, keepdims=True, out=ws.row)
+            np.einsum("...i->...", attn_p, out=ws.row[..., 0])
             attn_p /= ws.row
             np.matmul(attn_p, blk["v"], out=blk["o_heads"])
             _linear(blk["o"], params[p + "wo"], params[p + "bo"], z_attn)
@@ -543,7 +568,7 @@ class VectorFieldModel:
 
             # FFN sub-block: z_next = z_attn + ffn(ln2(z_attn))
             da1, gelu_g = ws.f1, ws.f2
-            _gelu_grad(blk["h1"], blk["erf1"], gelu_g, da1)
+            _gelu_grad(blk["h1"], blk["erf1"], gelu_g)
             _linear_backward(blk["a1"], dz, params[p + "ffn_w2"],
                              da1, grads[p + "ffn_w2"], grads[p + "ffn_b2"])
             da1 *= gelu_g
@@ -579,7 +604,7 @@ class VectorFieldModel:
         # rows feed a parameter
         u, dz2 = cache["u"], dz.reshape(-1, d)
         np.matmul(u.reshape(-1, u.shape[-1]).T, dz2, out=grads["in_w"])
-        np.add.reduce(dz2, axis=0, out=grads["in_b"])
+        _col_sum(dz2, grads["in_b"])
         emb_rows = slice(2 * cfg.feature_dim, 2 * cfg.feature_dim + cfg.d_phn)
         np.matmul(dz2, params["in_w"][emb_rows].T, out=ws.d_emb)
         grads["phn_emb"].fill(0.0)
@@ -673,7 +698,11 @@ def adam_update(params, grads, state: OptimizerState) -> float:
     ``load_checkpoint``, and from ``backward_batch``), so the update runs
     over flat vectors, a few slices per step instead of one pass per
     tensor.  The moments and the update are computed in the dtype of
-    ``params``, whatever the dtype of ``grads``.
+    ``params``, whatever the dtype of ``grads``.  The update takes Kingma &
+    Ba's efficient form (arXiv:1412.6980, section 2): the bias corrections
+    fold into the step size, lr * sqrt(1 - b2^t) / (1 - b1^t), and the
+    floor, eps * sqrt(1 - b2^t), so an element costs one sqrt and one
+    divide.  It is algebraically the same update.
     """
     p = _arena_vector(params, "params")
     g = _arena_vector(grads, "grads")
@@ -685,8 +714,9 @@ def adam_update(params, grads, state: OptimizerState) -> float:
     state.step += 1
     lr = state.schedule.at(state.step)
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
+    root_bc2 = math.sqrt(1.0 - b2**state.step)
+    alpha = lr * root_bc2 / (1.0 - b1**state.step)
+    eps_hat = _ADAM_EPS * root_bc2
     for lo in range(0, p.size, _ADAM_SLICE):
         sl = slice(lo, lo + _ADAM_SLICE)
         ps, gs, m, v = p[sl], g[sl], state.m[sl], state.v[sl]
@@ -699,11 +729,9 @@ def adam_update(params, grads, state: OptimizerState) -> float:
         np.multiply(gs, gs, out=step, dtype=step.dtype)
         step *= 1.0 - b2
         v += step
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += _ADAM_EPS
+        np.sqrt(v, out=denom)
+        denom += eps_hat
+        np.multiply(m, alpha, out=step)
         step /= denom
         ps -= step
     return lr
@@ -844,13 +872,23 @@ def load_checkpoint(path: str | Path, blob: bytes | None = None
     (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
 
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
+    for index in range(n_tensors):
         (name_len,) = struct.unpack("<I", take(4, "tensor name length"))
-        name = take(name_len, "tensor name").decode()
+        raw_name = take(name_len, "tensor name")
+        try:
+            name = raw_name.decode()
+        except UnicodeDecodeError:
+            name = None
+        if name is None or not name.isprintable():  # errors quote it on one line
+            raise FormatError(f"tensor {index} of checkpoint {path} has a name that is "
+                              "not printable UTF-8")
         (ndim,) = struct.unpack("<I", take(4, "tensor rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
         raw = take(4 * math.prod(shape), f"tensor {name} payload")  # exact: no int64 wrap
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        try:
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        except ValueError:  # no payload, but other dimensions past numpy's size limit
+            raise FormatError(f"tensor {name} of {path} has impossible shape {shape}") from None
         if not np.isfinite(arr).all():
             raise FormatError(f"non-finite values in tensor {name} of {path}")
         tensors[name] = arr

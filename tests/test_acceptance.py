@@ -354,22 +354,22 @@ def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
 T_SPK, T_TEXT = 16, 32  # prompt length stays within the trained T
 
 
-def conditioned_outputs(model, params, with_nv):
-    """Generate 50 held-out prompts under fresh oracle condition streams.
+def conditioned_outputs(model, params, with_nv, *, n=50,
+                        kinds=("step", "ramp", "sinusoid", "constant"), traj_seed=1000):
+    """Generate ``n`` held-out prompts under fresh oracle condition streams.
 
     Each prompt is a held-out speaker prefix followed by a text region
-    whose emo stream (and, ``with_nv``, nv burst) is drawn by the oracle,
-    cycling through trajectory kinds so step changes are included.
-    Returns the guided outputs (50, F, T_TEXT) and the emo (50, 2,
-    T_TEXT) and nv (50, 32, T_TEXT) streams they were conditioned on.
+    whose emo stream (and, ``with_nv``, nv burst) is drawn by the oracle
+    from seed ``traj_seed + i``, cycling through ``kinds`` so step changes
+    are included.  Returns the guided outputs (n, F, T_TEXT) and the emo
+    (n, 2, T_TEXT) and nv (n, 32, T_TEXT) streams they were conditioned on.
     """
-    held = oracle_corpus("mixed", 50, seed=400)
-    kinds = ("step", "ramp", "sinusoid", "constant")
+    held = oracle_corpus("mixed", n, seed=400)
     prompts, emos, nvs = [], [], []
     for i, (feats, phn, nv, emo) in enumerate(held):
-        traj_rng = np.random.default_rng(1000 + i)
+        traj_rng = np.random.default_rng(traj_seed + i)
         emo_t, nv_t, _ = synth_condition_oracle(
-            kinds[i % 4], T_TEXT, traj_rng, feature_dim=F_DIM, with_nv=with_nv
+            kinds[i % len(kinds)], T_TEXT, traj_rng, feature_dim=F_DIM, with_nv=with_nv
         )
         prompts.append(
             assemble_prompt(
@@ -415,19 +415,25 @@ def test_criterion_5_amplitude_tracks_arousal(mixed_model):
 # -- criterion 10: nonverbal faithfulness ----------------------------------------------
 
 
+def carrier_pattern_coefs(outs):
+    """Each generated text frame split onto its carrier column and the nv
+    pattern: (n, T_TEXT, 2), carrier coefficient first.
+
+    The oracle writes each column as (1 + arousal) * carrier + gate *
+    pattern.  The carrier and the pattern overlap, so a projection onto
+    the pattern alone mixes in arousal; least squares on both splits them.
+    """
+    carrier = carrier_matrix(F_DIM, T_SPK + T_TEXT)[:, T_SPK:]
+    basis = np.stack([carrier.T, np.broadcast_to(pattern_vector(F_DIM), (T_TEXT, F_DIM))],
+                     axis=2)  # (T_TEXT, F, 2): one basis per text frame
+    return (np.linalg.pinv(basis) @ outs.transpose(0, 2, 1)[..., None])[..., 0]
+
+
 def test_criterion_10_pattern_tracks_nv_gate(mixed_model):
     model, params, train_time = mixed_model
     t0 = time.perf_counter()
     outs, _, nvs = conditioned_outputs(model, params, with_nv=True)
-
-    # The oracle writes each column as (1 + arousal) * carrier + gate *
-    # pattern.  The carrier and the pattern overlap, so a projection onto
-    # the pattern alone mixes in arousal; least squares on both splits them.
-    carrier = carrier_matrix(F_DIM, T_SPK + T_TEXT)[:, T_SPK:]
-    basis = np.stack([carrier.T, np.broadcast_to(pattern_vector(F_DIM), (T_TEXT, F_DIM))],
-                     axis=2)  # (T_TEXT, F, 2): one basis per text frame
-    coef = np.linalg.pinv(basis) @ outs.transpose(0, 2, 1)[..., None]  # (50, T_TEXT, 2, 1)
-    pattern_coef = coef[:, :, 1, 0].ravel()
+    pattern_coef = carrier_pattern_coefs(outs)[:, :, 1].ravel()
     gate = np.linalg.norm(nvs, axis=1).ravel()
     r = float(np.corrcoef(pattern_coef, gate)[0, 1])
     rmse = float(np.sqrt(np.mean((pattern_coef - gate) ** 2)))
@@ -439,6 +445,33 @@ def test_criterion_10_pattern_tracks_nv_gate(mixed_model):
         10,
         f"generated pattern coefficient vs conditioned nv gate: Pearson r {r:.4f} > 0.9, "
         f"RMSE {rmse:.4f} < 0.1 over 50 prompts with nv bursts ({elapsed:.0f}s)",
+    )
+
+
+# -- criterion 11: emotion changes land on their frame ------------------------------------
+
+
+def test_criterion_11_carrier_jump_lands_on_the_step_frame(mixed_model):
+    # Every text region holds one arousal step.  Where the step is large
+    # (above 0.2), the largest frame-to-frame jump of the generated carrier
+    # coefficient must fall within one frame of it.
+    model, params, train_time = mixed_model
+    t0 = time.perf_counter()
+    outs, emos, _ = conditioned_outputs(model, params, with_nv=False, n=100, kinds=("step",),
+                                        traj_seed=5000)
+    carrier_jumps = np.abs(np.diff(carrier_pattern_coefs(outs)[:, :, 0], axis=1))
+    arousal_jumps = np.abs(np.diff(emos[:, 0], axis=1))
+    large = arousal_jumps.max(axis=1) > 0.2
+    offsets = carrier_jumps.argmax(axis=1) - arousal_jumps.argmax(axis=1)
+    exact, within = int(np.sum(offsets[large] == 0)), int(np.sum(np.abs(offsets[large]) <= 1))
+    elapsed = train_time + time.perf_counter() - t0
+    assert large.sum() >= 50, f"only {large.sum()} of 100 prompts have an arousal jump > 0.2"
+    assert within == large.sum(), f"offsets {offsets[large].tolist()}"
+    assert elapsed < 600.0
+    report(
+        11,
+        f"largest carrier jump within 1 frame of the arousal step on {within} of "
+        f"{large.sum()} prompts with a jump > 0.2 ({exact} on the exact frame) ({elapsed:.0f}s)",
     )
 
 

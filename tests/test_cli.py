@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -1125,6 +1126,58 @@ def test_sample_checkpoint_config_block_boundary(tmp_path, capsys, block, detail
     assert captured.out == ""
     assert captured.err == f"format error: bad config block in checkpoint {ck}: {detail}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.phn", "tiny.fmck"]
+
+
+def fmck_field_bytes(blob):
+    """The offset of every byte of a checkpoint that is not tensor payload:
+    the header, the config block and each tensor's name, rank and shape."""
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    offsets, off = list(range(16 + cfg_len)), 16 + cfg_len
+    while off < len(blob):
+        (name_len,) = struct.unpack("<I", blob[off : off + 4])
+        (ndim,) = struct.unpack("<I", blob[off + 4 + name_len : off + 8 + name_len])
+        head = 8 + name_len + 4 * ndim
+        shape = struct.unpack(f"<{ndim}I", blob[off + 8 + name_len : off + head])
+        offsets += range(off, off + head)
+        off += head + 4 * math.prod(shape)
+    return offsets
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sample_checkpoint_corruption_fuzz(tmp_path_factory, capsys, data):
+    # FMCK has no checksum: a truncated or bit-flipped checkpoint either
+    # samples, or fails with one line that names it and writes nothing.
+    work = tmp_path_factory.mktemp("fmck")
+    ck = work / "tiny.fmck"
+    save_checkpoint(ck, FUZZ_CFG, init_params(FUZZ_CFG, np.random.default_rng(0),
+                                              zero_output=False))
+    blob = bytearray(ck.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # Payload is most of the file, so half the flips land in the fields around it.
+        fields = st.sampled_from(fmck_field_bytes(blob))
+        byte = st.one_of(st.integers(0, len(blob) - 1), fields)
+        for i, bit in data.draw(st.lists(st.tuples(byte, st.integers(0, 7)), min_size=1,
+                                         max_size=3), label="flips"):
+            blob[i] ^= 1 << bit
+    ck.write_bytes(bytes(blob))
+    (work / "t.phn").write_text("1 2 3\n")
+    code = run_cli("sample", "--checkpoint", ck, "--text-phonemes", work / "t.phn",
+                   "--zero-nv", "--zero-emo", "--nfe", 1, "--out", work / "gen.fmat")
+    event(f"exit {code}")
+    err = capsys.readouterr().err
+    written = {p.name for p in work.iterdir()} - {"tiny.fmck", "t.phn"}
+    if code == 0:
+        assert err == "" and written == {"gen.fmat", "gen.fmat.json"}
+    else:
+        assert code == 1
+        assert err.startswith("format error:") and err.count("\n") == 1, err
+        assert str(ck) in err, err
+        assert written == set(), written
 
 
 # -- one parser per process -------------------------------------------------------

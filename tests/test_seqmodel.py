@@ -328,6 +328,21 @@ def test_forward_returns_fresh_velocities():
 # -- precision -----------------------------------------------------------------
 
 
+def row_sums(x):
+    """Sums over the last axis, kept as a length-1 axis, in the kernels' order."""
+    return np.einsum("...i->...", x)[..., None]
+
+
+def row_dots(x, y):
+    """Row-wise dot products over the last axis, kept as a length-1 axis."""
+    return np.einsum("...i,...i->...", x, y)[..., None]
+
+
+def column_sums(x2):
+    """Sums over the rows of a 2-D array, in the kernels' order (one GEMV)."""
+    return np.ones(x2.shape[0], x2.dtype) @ x2
+
+
 def reference_forward(cfg, inputs, params):
     """The float64 forward pass written out op by op, with numpy float64
     constants, as a reference the model must match bit for bit."""
@@ -340,8 +355,9 @@ def reference_forward(cfg, inputs, params):
         return (y + bias).reshape(*x.shape[:-1], w.shape[1])
 
     def layernorm(x, g, bias):
-        xc = x - x.mean(axis=-1, keepdims=True)
-        xhat = xc * (1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-6))
+        width = x.shape[-1]
+        xc = x - row_sums(x) / width
+        xhat = xc * (1.0 / np.sqrt(row_dots(xc, xc) / width + 1e-6))
         return g * xhat + bias
 
     u = np.concatenate(
@@ -361,10 +377,10 @@ def reference_forward(cfg, inputs, params):
         q, k, v = (qkv.reshape(b, T, 3, heads, dh)[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
         s = (q @ k.transpose(0, 1, 3, 2)) * (np.float64(1.0) / np.sqrt(np.float64(dh)))
         e = np.exp(s - s.max(axis=-1, keepdims=True))
-        o = (e / e.sum(axis=-1, keepdims=True)) @ v
+        o = (e / row_sums(e)) @ v
         z = z + linear(o.transpose(0, 2, 1, 3).reshape(b, T, d), p["wo"], p["bo"])
         h = linear(layernorm(z, p["ln2_g"], p["ln2_b"]), p["ffn_w1"], p["ffn_b1"])
-        a = 0.5 * h * (1.0 + libm_erf(h / np.sqrt(np.float64(2.0))))
+        a = h * ((1.0 + libm_erf(h / np.sqrt(np.float64(2.0)))) * 0.5)
         z = z + linear(a, p["ffn_w2"], p["ffn_b2"])
     g = layernorm(z, params["out_ln_g"], params["out_ln_b"])
     return linear(g, params["out_w"], params["out_b"]).transpose(0, 2, 1)
@@ -381,11 +397,31 @@ def test_float64_forward_matches_reference_bitwise(cfg, B, T):
     np.testing.assert_array_equal(out, reference_forward(cfg, inputs, params))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("T", [7, 13, 97])
+def test_row_output_does_not_depend_on_its_batch(dtype, T):
+    # Each row's velocities are the bytes of a B=1 forward of that row
+    # alone, so the guided pair could run as one B=2 forward.  A row sum
+    # taken as one GEMV over all rows breaks this: BLAS sums a row in an
+    # order that depends on how many rows share the call.
+    cfg = ModelConfig()
+    rng = np.random.default_rng(T)
+    params = {k: a.astype(dtype) for k, a in init_params(cfg, rng, zero_output=False).items()}
+    model = VectorFieldModel(cfg)
+    for B in (2, 3, 5):
+        inputs, _ = make_batch(B, T, cfg, rng)
+        out = model.forward_batch(inputs, params)[0].copy()
+        for i in range(B):
+            row = BatchInputs(**{k: v[i : i + 1] for k, v in vars(inputs).items()})
+            np.testing.assert_array_equal(model.forward_batch(row, params)[0][0], out[i],
+                                          err_msg=f"B={B}, row {i}")
+
+
 def reference_layernorm(x, g, b):
-    """The layernorm kernel as written with np.mean: (y, xhat, istd)."""
-    istd = np.mean(x, axis=-1, keepdims=True)
-    xhat = x - istd
-    istd = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    """The layernorm kernel as written with allocating ops: (y, xhat, istd)."""
+    width = x.shape[-1]
+    xhat = x - row_sums(x) / width
+    istd = row_dots(xhat, xhat) / width
     istd += 1e-6
     istd = np.divide(1.0, np.sqrt(istd))
     xhat *= istd
@@ -393,13 +429,14 @@ def reference_layernorm(x, g, b):
 
 
 def reference_layernorm_backward(dy, xhat, istd, g):
-    """The layernorm backward as written with np.mean and np.sum: (dx, dg, db)."""
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    db = np.sum(dy2, axis=0)
-    dg = np.sum((dy * xhat).reshape(dy2.shape), axis=0)
+    """The layernorm backward as written with allocating ops: (dx, dg, db)."""
+    width = dy.shape[-1]
+    dy2 = dy.reshape(-1, width)
+    db = column_sums(dy2)
+    dg = column_sums((dy * xhat).reshape(dy2.shape))
     dx = dy * g
-    tmp = xhat * np.mean(dx * xhat, axis=-1, keepdims=True)
-    dx -= np.mean(dx, axis=-1, keepdims=True)
+    tmp = xhat * (row_dots(dx, xhat) / width)
+    dx -= row_sums(dx) / width
     dx -= tmp
     dx *= istd
     return dx, dg, db
@@ -407,8 +444,9 @@ def reference_layernorm_backward(dy, xhat, istd, g):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("width", [7, 48, 64, 96])
-def test_layernorm_reductions_match_np_mean_bitwise(dtype, width):
-    # The kernels take row means as np.add.reduce and a divide by the width.
+def test_layernorm_reductions_match_einsum_rows_and_gemv_columns_bitwise(dtype, width):
+    # The kernels take row sums with np.einsum, divided by the width for a
+    # mean, and the gain and offset gradients' column sums as one GEMV.
     rng = np.random.default_rng(width)
     x = (rng.standard_normal((2, 13, width)) * 3.0 + 0.7).astype(dtype)
     g = rng.uniform(0.5, 1.5, width).astype(dtype)
@@ -630,11 +668,13 @@ def test_overfit_single_batch_loss_decreases():
 
 
 def reference_adam(params, grads, state):
-    """Adam as written per tensor, the elementwise order the flat update keeps."""
+    """Adam as written per tensor, in Kingma & Ba's efficient form: the
+    elementwise order the flat update keeps."""
     state.step += 1
     lr = state.schedule.at(state.step)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    bc1, bc2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    root_bc2 = math.sqrt(1.0 - b2**state.step)
+    alpha, eps_hat = lr * root_bc2 / (1.0 - b1**state.step), eps * root_bc2
     for name, g in grads.items():
         m = state.m.setdefault(name, np.zeros_like(g))
         v = state.v.setdefault(name, np.zeros_like(g))
@@ -642,7 +682,7 @@ def reference_adam(params, grads, state):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        params[name] -= (m / bc1 * lr) / (np.sqrt(v / bc2) + eps)
+        params[name] -= (m * alpha) / (np.sqrt(v) + eps_hat)
 
 
 @pytest.mark.parametrize("adam_slice", [1 << 14, 500], ids=["one-slice", "slices-cross-tensors"])
@@ -845,6 +885,28 @@ def test_checkpoint_truncation(tmp_path):
         with pytest.raises(FormatError, match="truncated") as info:
             load_checkpoint(p)
         assert str(p) in str(info.value)
+
+
+def test_checkpoint_non_utf8_tensor_name(tmp_path):
+    p = tmp_path / "x.fmck"
+    save_checkpoint(p, SMALL, init_params(SMALL, np.random.default_rng(15)))
+    blob = bytearray(p.read_bytes())
+    # Step over the config block and tensor 0 to tensor 1's name ("in_w").
+    (cfg_len,) = struct.unpack("<I", blob[8:12])
+    off = 16 + cfg_len
+    (name_len,) = struct.unpack("<I", blob[off : off + 4])
+    off += 4 + name_len
+    (ndim,) = struct.unpack("<I", blob[off : off + 4])
+    shape = struct.unpack(f"<{ndim}I", blob[off + 4 : off + 4 + 4 * ndim])
+    off += 4 + 4 * ndim + 4 * math.prod(shape) + 4
+    assert blob[off : off + 4] == b"in_w"
+    blob[off + 3] = 0xDF  # a UTF-8 lead byte with no continuation byte after it
+    p.write_bytes(bytes(blob))
+    from flowcond import FormatError
+
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(p)
+    assert str(info.value) == f"tensor 1 of checkpoint {p} has a name that is not printable UTF-8"
 
 
 def with_config_block(blob, block):
