@@ -25,6 +25,7 @@ from .features import (
     generate_corpus,
     load_feature_matrix,
     load_phonemes,
+    non_utf8_line,
     store_feature_matrix,
     SYNTH_KINDS,
 )
@@ -368,23 +369,27 @@ def cmd_eval_report(args) -> int:
     if repeated:
         raise CliError(f"--seeds names {', '.join(repeated)} more than once")
     pairs = []
-    with open(args.pairs) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{args.pairs}:{lineno}: bad pair record ({exc})") from exc
-            except RecursionError:
-                raise CliError(f"{args.pairs}:{lineno}: bad pair record (nested too deeply)") from None
-            if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "ab")):
-                raise CliError(
-                    f"{args.pairs}:{lineno}: bad pair record "
-                    "(expected an object with string fields a and b)"
-                )
-            pairs.append((obj["a"], obj["b"]))
+    try:
+        with open(args.pairs, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CliError(f"{args.pairs}:{lineno}: bad pair record ({exc})") from exc
+                except RecursionError:
+                    raise CliError(f"{args.pairs}:{lineno}: bad pair record (nested too deeply)") from None
+                if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "ab")):
+                    raise CliError(
+                        f"{args.pairs}:{lineno}: bad pair record "
+                        "(expected an object with string fields a and b)"
+                    )
+                pairs.append((obj["a"], obj["b"]))
+    except UnicodeDecodeError:
+        lineno, fault = non_utf8_line(args.pairs)
+        raise CliError(f"{args.pairs}:{lineno}: {fault}") from None
     if not pairs:
         raise CliError(f"no pairs in {args.pairs}")
 

@@ -93,7 +93,7 @@ def run_pipeline(
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     report = CurationReport()
     try:
-        with open(tmp_path, "w") as out:
+        with open(tmp_path, "w", encoding="utf-8") as out:
             for lineno, line, rec in _manifest_lines(manifest_in):
                 try:
                     reason = first_failing_gate(rec, ovlr_min)

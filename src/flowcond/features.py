@@ -140,8 +140,33 @@ def store_phonemes(tokens: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(" ".join(str(int(t)) for t in tokens) + "\n")
 
 
+def non_utf8_line(path: str | Path) -> tuple[int, str]:
+    """(line number, fault) of the first line of ``path`` that is not UTF-8.
+
+    For the error of a text read that raised ``UnicodeDecodeError``: the
+    decoder reads ahead, so the lines read so far do not tell which line
+    failed.  This reads the file again as bytes and counts lines as a
+    text-mode read does (\\n, \\r and \\r\\n each end one); a UTF-8
+    character never spans a line end.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return lineno, (f"not UTF-8 text (byte {exc.start + 1} of the line is "
+                            f"{raw[exc.start]:#04x}: {exc.reason})")
+    raise FormatError(f"{path} is not UTF-8 text")  # it changed since the failed read
+
+
 def load_phonemes(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text().strip()
+    """Token ids from a file of whitespace-separated integers, in UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError:
+        lineno, fault = non_utf8_line(path)
+        raise FormatError(f"phoneme file {path} line {lineno}: {fault}") from None
     if not text:
         return np.zeros(0, dtype=np.int64)
     try:
@@ -214,41 +239,46 @@ def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, DatasetRecord]
     fetched at once, exactly ten keys, the tuple of their exact types one
     of the eight allowed, and each number within the float range (NaN,
     infinities and ints such as 10**400 are not).  Only a line that fails
-    goes on to ``_raise_manifest_error``, which words the error.
+    goes on to ``_raise_manifest_error``, which words the error.  A file
+    that is not UTF-8 raises a ``FormatError`` naming it and the line.
     """
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _raw_decode(line)
-            except (json.JSONDecodeError, RecursionError):
-                end = -1
-            if end != len(line):
-                # Not one whole JSON value: json.loads raises the error, so
-                # a BOM or extra data is reported as json.loads reports it.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
-                except RecursionError:
-                    raise FormatError(f"manifest line {lineno}: invalid JSON (nested too deeply)") from None
-            try:
-                # A missing key, or a value that is not an object, raises.
-                values = _record_values(obj)
-            except (KeyError, TypeError):
-                _raise_manifest_error(lineno, obj)
-            # NaN fails the range comparisons; so do ints no float can hold.
-            if not (
-                len(obj) == len(values)
-                and tuple(map(type, values)) in _RECORD_TYPE_TUPLES
-                and -_FLOAT_MAX <= values[_DURATION] <= _FLOAT_MAX
-                and -_FLOAT_MAX <= values[_CONFIDENCE] <= _FLOAT_MAX
-                and -_FLOAT_MAX <= values[_OVLR] <= _FLOAT_MAX
-            ):
-                _raise_manifest_error(lineno, obj)
-            yield lineno, line, DatasetRecord(*values)
+                    obj, end = _raw_decode(line)
+                except (json.JSONDecodeError, RecursionError):
+                    end = -1
+                if end != len(line):
+                    # Not one whole JSON value: json.loads raises the error, so
+                    # a BOM or extra data is reported as json.loads reports it.
+                    try:
+                        json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
+                    except RecursionError:
+                        raise FormatError(f"manifest line {lineno}: invalid JSON (nested too deeply)") from None
+                try:
+                    # A missing key, or a value that is not an object, raises.
+                    values = _record_values(obj)
+                except (KeyError, TypeError):
+                    _raise_manifest_error(lineno, obj)
+                # NaN fails the range comparisons; so do ints no float can hold.
+                if not (
+                    len(obj) == len(values)
+                    and tuple(map(type, values)) in _RECORD_TYPE_TUPLES
+                    and -_FLOAT_MAX <= values[_DURATION] <= _FLOAT_MAX
+                    and -_FLOAT_MAX <= values[_CONFIDENCE] <= _FLOAT_MAX
+                    and -_FLOAT_MAX <= values[_OVLR] <= _FLOAT_MAX
+                ):
+                    _raise_manifest_error(lineno, obj)
+                yield lineno, line, DatasetRecord(*values)
+    except UnicodeDecodeError:
+        lineno, fault = non_utf8_line(path)
+        raise FormatError(f"manifest {path} line {lineno}: {fault}") from None
 
 
 def _raise_manifest_error(lineno: int, obj) -> NoReturn:

@@ -10,6 +10,7 @@ under classifier-free guidance; only the masked frames are returned.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -28,13 +29,18 @@ class GuidanceConfig:
     """ODE integration budget and guidance strength.
 
     ``nfe`` is the number of Euler steps, which is the number of field
-    evaluations per branch: a guided request makes 2 * nfe.
+    evaluations per branch: a guided request makes 2 * nfe.  ``strength``
+    must be a real number and ``nfe`` an integer; a bool is neither.
     """
 
     strength: float = 1.0
     nfe: int = 32
 
     def __post_init__(self):
+        if isinstance(self.strength, bool) or not isinstance(self.strength, numbers.Real):
+            raise ValueError(f"guidance strength must be a real number, got {self.strength!r}")
+        if isinstance(self.nfe, bool) or not isinstance(self.nfe, numbers.Integral):
+            raise ValueError(f"nfe must be an integer, got {self.nfe!r}")
         if not 0.0 <= self.strength < math.inf:
             raise ValueError(f"guidance strength must be finite and >= 0, got {self.strength}")
         if self.nfe < 1:

@@ -27,7 +27,8 @@ Input fusion: [x_t; context; phoneme-embedding; nv; emo] are concatenated
 per frame, projected to the model width, and sinusoidal codes of the
 path time t and of the frame position are added.
 
-Memory layout: a training step allocates no large array.
+Memory layout: a training step allocates no large array, and a sampling
+request prepares its prompt once.
 - Arena: ``init_params`` and ``load_checkpoint`` return a name -> array
   dict whose arrays are views of one contiguous float64 vector, in
   ``param_names`` (checkpoint) order.  ``backward_batch`` writes the
@@ -36,6 +37,15 @@ Memory layout: a training step allocates no large array.
   flat vectors of that layout too, so refreshing the copy is one
   ``np.copyto`` and ``adam_update`` runs over the whole model in a few
   slices instead of once per tensor.
+- Input stage: a forward pass reads a prepared prompt (``_Prompt``):
+  the input matrix ``u`` with every column but x_t's filled (context,
+  phoneme embedding, nv, emo, each checked finite) and each block's fused
+  q|k|v weights.  The pass itself checks x_t, writes its columns of
+  ``u`` and adds the time code.  Training prepares every batch inline,
+  into the workspace.  ``make_field_fn``'s field prepares each batch it
+  is handed once, into buffers of its own, so a guided request prepares
+  two prompts, not one per evaluation.  ``u`` and the input GEMM are the
+  same either way, and so are the output bytes.
 - Workspace: a ``VectorFieldModel`` keeps one workspace for the
   (B, T, dtype) of its latest forward pass; a pass at another shape
   replaces it.  It holds the forward cache and, once a backward pass has
@@ -379,10 +389,60 @@ def _split_heads(x, n_heads):
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
+def _prompt_buffers(cfg: ModelConfig, b: int, t: int, dtype):
+    """The input matrix ``u`` and the per-block fused (w_qkv, b_qkv) a
+    ``_Prompt`` fills, for B rows of T frames in ``dtype``."""
+    d = cfg.d_model
+    u = np.empty((b, t, cfg.input_dim), dtype)
+    return u, [(np.empty((d, 3 * d), dtype), np.empty(3 * d, dtype)) for _ in range(cfg.n_layers)]
+
+
+class _Prompt:
+    """The input stage of a forward pass, run once for a batch and a parameter dict.
+
+    It checks the batch's context, nv and emo for non-finite values, looks
+    up its phonemes, fills every column of the input matrix ``u``
+    (B, T, input_dim) but x_t's, and fuses each block's q|k|v weights and
+    biases into ``qkv`` (one (d, 3d) GEMM; the checkpoint keeps three
+    tensors).  ``forward_batch`` reads ``x_t`` and ``t`` from it, checks
+    x_t and writes its columns of ``u``; a caller that evaluates the same
+    conditions again sets only those two.
+    """
+
+    __slots__ = ("x_t", "t", "tokens", "u", "qkv", "params")
+
+    def __init__(self, cfg: ModelConfig, inputs: BatchInputs, params, u, qkv):
+        b, f, t_len = inputs.context.shape
+        if f != cfg.feature_dim:
+            raise ValueError(f"feature dim {f} != configured {cfg.feature_dim}")
+        for arr in (inputs.nv, inputs.emo, inputs.context):
+            if not np.isfinite(arr).all():
+                raise FloatingPointError("non-finite value in model input")
+        emb = embed_phonemes(inputs.tokens.reshape(-1), params["phn_emb"])
+        np.concatenate(
+            [
+                inputs.context.transpose(0, 2, 1),
+                emb.T.reshape(b, t_len, cfg.d_phn),
+                inputs.nv.transpose(0, 2, 1),
+                inputs.emo.transpose(0, 2, 1),
+            ],
+            axis=2,
+            out=u[:, :, f:],
+        )
+        for i, (w_qkv, b_qkv) in enumerate(qkv):
+            p = f"block{i}."
+            np.concatenate([params[p + "wq"], params[p + "wk"], params[p + "wv"]], axis=1,
+                           out=w_qkv)
+            np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]], out=b_qkv)
+        self.x_t, self.t, self.tokens = inputs.x_t, inputs.t, inputs.tokens
+        self.u, self.qkv, self.params = u, qkv, params
+
+
 class _Workspace:
     """Every array a forward and backward pass at one (B, T, dtype) writes.
 
-    The forward cache has one set of buffers per block.  The backward
+    The forward cache has one set of buffers per block, and the input
+    buffers of the ``_Prompt`` a training forward prepares.  The backward
     temporaries are one set shared by all blocks, and the two residual
     stream buffers of the forward, which the backward never reads, carry
     the residual gradients there; so a backward leaves the cache intact.
@@ -398,7 +458,7 @@ class _Workspace:
         self.cfg, self.key = cfg, (b, t, np.dtype(dtype))
         self.generation = 0
         buf = self._buf
-        self.u = buf(b, t, cfg.input_dim)
+        self.u, self.qkv = _prompt_buffers(cfg, b, t, dtype)
         self.z, self.z_attn = buf(b, t, d), buf(b, t, d)
         self.blocks = []
         for _ in range(cfg.n_layers):
@@ -406,7 +466,7 @@ class _Workspace:
             q, k, v = (qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
             self.blocks.append(
                 {"y1": buf(b, t, d), "ln1c": (buf(b, t, d), buf(b, t, 1)),
-                 "w_qkv": buf(d, 3 * d), "b_qkv": buf(3 * d), "qkv": qkv,
+                 "qkv": qkv,
                  "q": q, "k": k, "v": v, "p": buf(b, h, t, t), "o": o,
                  "o_heads": o.reshape(b, t, h, dh).transpose(0, 2, 1, 3),
                  "y2": buf(b, t, d), "ln2c": (buf(b, t, d), buf(b, t, 1)),
@@ -452,13 +512,16 @@ class VectorFieldModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, inputs: BatchInputs, params):
+    def forward_batch(self, inputs: BatchInputs | _Prompt, params):
         """``(velocities, cache)``: velocities (B, F, T) in the dtype of ``params``.
 
-        The inputs are checked for non-finite values as given and then
-        cast to the parameter dtype.  The velocities are a fresh array on
-        every call.  The cache refers to the model's workspace and is valid
-        until the next forward_batch call.
+        ``inputs`` is a ``BatchInputs``, whose input stage runs here into
+        the workspace, or a ``_Prompt`` prepared for this ``params`` dict,
+        of which the pass reads x_t and t.  The inputs are checked for
+        non-finite values as given and then cast to the parameter dtype.
+        The velocities are a fresh array on every call.  The cache refers
+        to the model's workspace and the prompt's input buffers, and is
+        valid until the next forward_batch call.
         """
         cfg = self.config
         dtype = params["in_w"].dtype
@@ -466,43 +529,36 @@ class VectorFieldModel:
         b, f, t_len = x_t.shape
         if f != cfg.feature_dim:
             raise ValueError(f"feature dim {f} != configured {cfg.feature_dim}")
-        for arr in (inputs.x_t, inputs.nv, inputs.emo, inputs.context):
-            if not np.isfinite(arr).all():
-                raise FloatingPointError("non-finite value in model input")
+        if not np.isfinite(x_t).all():
+            raise FloatingPointError("non-finite value in model input")
 
         ws = self._ws
         if ws is None or ws.key != (b, t_len, dtype):
-            ws = self._ws = _Workspace(cfg, b, t_len, dtype)
-        ws.generation += 1
+            ws = _Workspace(cfg, b, t_len, dtype)
 
-        emb = embed_phonemes(inputs.tokens.reshape(-1), params["phn_emb"])
-        emb = emb.T.reshape(b, t_len, cfg.d_phn)
-        np.concatenate(
-            [
-                x_t.transpose(0, 2, 1),
-                inputs.context.transpose(0, 2, 1),
-                emb,
-                inputs.nv.transpose(0, 2, 1),
-                inputs.emo.transpose(0, 2, 1),
-            ],
-            axis=2,
-            out=ws.u,
-        )
+        if isinstance(inputs, _Prompt):
+            prompt = inputs
+            if prompt.params is not params:
+                raise ValueError("the prompt was prepared for another parameter dict")
+            if prompt.u.shape[:2] != (b, t_len):
+                raise ValueError(f"x_t shape {x_t.shape} does not match the prompt's "
+                                 f"{prompt.u.shape[0]} rows of {prompt.u.shape[1]} frames")
+        else:
+            prompt = _Prompt(cfg, inputs, params, ws.u, ws.qkv)
+        # Inputs that fail a check leave the previous forward's cache valid.
+        self._ws = ws
+        ws.generation += 1
+        prompt.u[:, :, :f] = x_t.transpose(0, 2, 1)
         z, z_attn = ws.z, ws.z_attn
-        _linear(ws.u, params["in_w"], params["in_b"], z)
-        z += time_embedding(inputs.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
+        _linear(prompt.u, params["in_w"], params["in_b"], z)
+        z += time_embedding(prompt.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
         z += positional_encoding(t_len, cfg.d_model, dtype)[None, :, :]
 
         scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
         for i, blk in enumerate(ws.blocks):
             p = f"block{i}."
             _layernorm(z, params[p + "ln1_g"], params[p + "ln1_b"], blk["y1"], *blk["ln1c"])
-            # one (d, 3d) GEMM for q|k|v; the checkpoint keeps three tensors
-            np.concatenate([params[p + "wq"], params[p + "wk"], params[p + "wv"]], axis=1,
-                           out=blk["w_qkv"])
-            np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]],
-                           out=blk["b_qkv"])
-            _linear(blk["y1"], blk["w_qkv"], blk["b_qkv"], blk["qkv"])
+            _linear(blk["y1"], *prompt.qkv[i], blk["qkv"])
             attn_p = blk["p"]
             np.matmul(blk["q"], blk["k"].transpose(0, 1, 3, 2), out=attn_p)
             attn_p *= scale
@@ -527,9 +583,9 @@ class VectorFieldModel:
         # fresh: callers hold velocities across calls (guidance)
         v_out = np.empty((b, t_len, cfg.feature_dim), dtype)
         _linear(ws.g_out, params["out_w"], params["out_b"], v_out)
-        cache = {"workspace": ws, "generation": ws.generation, "u": ws.u,
-                 "tokens": inputs.tokens, "blocks": ws.blocks, "g_out": ws.g_out,
-                 "lnfc": ws.lnfc, "scale": scale}
+        cache = {"workspace": ws, "generation": ws.generation, "u": prompt.u,
+                 "tokens": prompt.tokens, "qkv": prompt.qkv, "blocks": ws.blocks,
+                 "g_out": ws.g_out, "lnfc": ws.lnfc, "scale": scale}
         return v_out.transpose(0, 2, 1), cache
 
     # -- backward ----------------------------------------------------------
@@ -592,7 +648,7 @@ class VectorFieldModel:
             ds *= scale
             np.matmul(ds, blk["k"], out=ws.dq)
             np.matmul(ds.transpose(0, 1, 3, 2), blk["q"], out=ws.dk)
-            _linear_backward(blk["y1"], ws.d_qkv, blk["w_qkv"], dy, ws.dw_qkv, ws.db_qkv)
+            _linear_backward(blk["y1"], ws.d_qkv, cache["qkv"][i][0], dy, ws.dw_qkv, ws.db_qkv)
             for j, name in enumerate("qkv"):
                 grads[p + "w" + name][...] = ws.dw_qkv[:, j * d : (j + 1) * d]
                 grads[p + "b" + name][...] = ws.db_qkv[j * d : (j + 1) * d]
@@ -787,11 +843,38 @@ def make_field_fn(model: VectorFieldModel, params):
     The parameters are cast to ``FIELD_DTYPE`` once, here, so every field
     evaluation runs a float32 forward and returns float32 velocities;
     the caller's parameters are left as they are.
+
+    The field runs the input stage (``_Prompt``) once for each batch it is
+    handed; each evaluation after that checks and writes only x_t and the
+    time code, in one ``forward_batch`` call.  It holds the two batches it
+    saw last (a guided request's conditional and blanked batch) by
+    reference, so a recycled ``id()`` cannot match a stale prompt, and it
+    prepares again for any other batch object, or for a batch whose
+    tokens, nv, emo or context array was replaced.
+
+    Contract: a batch's condition streams (tokens, nv, emo, context)
+    must not be written in place after the field first sees that batch,
+    since the field would go on using the values it prepared.
+    ``integrate_batch`` blanks its unconditional batch before the first
+    call and never writes a stream after.
     """
     params = {name: arr.astype(FIELD_DTYPE) for name, arr in params.items()}
+    cfg = model.config
+    prepared: list[tuple[BatchInputs, tuple, _Prompt]] = []  # the latest last
 
     def field(inputs: BatchInputs) -> np.ndarray:
-        return model.forward_batch(inputs, params)[0]
+        streams = (inputs.tokens, inputs.nv, inputs.emo, inputs.context)
+        for batch, held, prompt in prepared:
+            if batch is inputs and all(a is b for a, b in zip(held, streams)):
+                break
+        else:
+            b, _, t_len = inputs.context.shape
+            buffers = _prompt_buffers(cfg, b, t_len, FIELD_DTYPE)
+            prompt = _Prompt(cfg, inputs, params, *buffers)
+            prepared.append((inputs, streams, prompt))
+            del prepared[:-2]
+        prompt.x_t, prompt.t = inputs.x_t, inputs.t
+        return model.forward_batch(prompt, params)[0]
 
     return field
 

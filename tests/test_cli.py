@@ -1082,6 +1082,87 @@ def test_eval_report_deeply_nested_pair_is_one_line_error(tmp_path, capsys, scor
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl"]
 
 
+# -- text inputs that are not UTF-8 -----------------------------------------------
+
+# The bad byte is on line 4, after two records and a blank line.  A text read
+# decodes a whole chunk ahead of the lines it hands out, so it fails before
+# line 1 is handed out: the error must name the line the byte is on.
+NOT_UTF8 = "not UTF-8 text (byte 8 of the line is 0xff: invalid start byte)"
+
+
+def not_utf8_lines(good: str) -> bytes:
+    return (good + "\n\n" + good + "\n").encode() + b'{"id": \xff}\n' + (good + "\n").encode()
+
+
+def only_files(root, names):
+    """No output, no .tmp file and no output directory beside the inputs."""
+    assert sorted(p.name for p in root.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("command", ["curate", "train"])
+def test_non_utf8_manifest_is_one_line_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(not_utf8_lines(json.dumps(GOOD_RECORD)))
+    flags = {"curate": ("--in", bad, "--out", tmp_path / "o.jsonl"),
+             "train": ("--manifest", bad, "--steps", 1, "--out", tmp_path / "o")}[command]
+    assert run_cli(command, *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"format error: manifest {bad} line 4: {NOT_UTF8}\n"
+    only_files(tmp_path, ["bad.jsonl"])
+
+
+def test_non_utf8_phoneme_file_in_a_corpus_is_one_line_error(tmp_path, capsys):
+    corpus = small_corpus(tmp_path, "a")
+    bad = corpus / "mixed_00001.phn"
+    bad.write_bytes(b"1 2\n3 \xfe 4\n")
+    capsys.readouterr()  # synth's own line
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", corpus / "manifest.jsonl", "--steps", 1,
+                   "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("format error: phoneme file "
+                            f"{bad} line 2: not UTF-8 text (byte 3 of the line is 0xfe: "
+                            "invalid start byte)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--text-phonemes", "--spk-phonemes"])
+def test_non_utf8_sample_phonemes_is_one_line_error(tmp_path, corpus_dir, trained_run, capsys,
+                                                    flag):
+    bad = tmp_path / "bad.phn"
+    bad.write_bytes(b"1 2 \xc3\n")
+    phonemes = {"--text-phonemes": corpus_dir / "mixed_00001.phn",
+                "--spk-phonemes": corpus_dir / "mixed_00000.phn", flag: bad}
+    out = tmp_path / "g.fmat"
+    assert run_cli(
+        "sample", "--checkpoint", trained_run / "checkpoint.fmck",
+        *(a for pair in phonemes.items() for a in pair),
+        "--spk-features", corpus_dir / "mixed_00000.fmat",
+        "--spk-nv", corpus_dir / "mixed_00000.nv.fmat",
+        "--spk-emo", corpus_dir / "mixed_00000.emo.fmat",
+        "--zero-nv", "--zero-emo", "--out", out,
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"format error: phoneme file {bad} line 1: not UTF-8 text "
+                            "(byte 5 of the line is 0xc3: unexpected end of data)\n")
+    only_files(tmp_path, ["bad.phn"])
+
+
+def test_non_utf8_pairs_file_is_one_line_error(tmp_path, capsys, score_calls):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_bytes(not_utf8_lines(json.dumps({"a": "x", "b": "y"})))
+    out = tmp_path / "report.json"
+    assert run_cli("eval", "report", "--pairs", pairs, "--seeds", "s1", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {pairs}:4: {NOT_UTF8}\n"
+    assert score_calls["n"] == 0
+    only_files(tmp_path, ["pairs.jsonl"])
+
+
 def test_sample_deeply_nested_checkpoint_config_is_one_line_error(tmp_path, capsys):
     ck = tmp_path / "deep.fmck"
     block = DEEP.encode()

@@ -13,6 +13,7 @@ from flowcond import (
     integrate_batch,
     interpolate_stream,
     make_field_fn,
+    seqmodel,
 )
 
 
@@ -430,3 +431,96 @@ def test_guidance_config_validation():
         GuidanceConfig(nfe=0)
     with pytest.raises(TypeError):  # Euler is the only integrator
         GuidanceConfig(solver="euler")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nfe", 2.5), ("nfe", True), ("nfe", "32"), ("nfe", None),
+    ("strength", "1"), ("strength", True), ("strength", None), ("strength", 1j),
+])
+def test_guidance_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        GuidanceConfig(**{field: value})
+
+
+def test_guidance_config_takes_numpy_scalars():
+    cfg = GuidanceConfig(strength=np.float32(0.5), nfe=np.int64(2))
+    out = integrate_batch(zero_field, make_prompt(seed=3), cfg, np.random.default_rng(0))
+    assert out.shape == (1, 3, 6)
+
+
+# -- the prepared field ----------------------------------------------------------
+
+
+def small_model(seed=0):
+    cfg = ModelConfig(n_layers=2, d_model=8, d_ffn=8, d_phn=2, n_phonemes=5, feature_dim=3)
+    params = init_params(cfg, np.random.default_rng(seed), zero_output=False)
+    return VectorFieldModel(cfg), params
+
+
+def test_prepared_field_is_the_forward_bitwise():
+    # Alternating conditional and blanked batches, as a guided request
+    # hands them over, then a batch whose nv array was replaced.
+    model, params = small_model()
+    params32 = {k: v.astype(np.float32) for k, v in params.items()}
+    field = make_field_fn(model, params)
+    cond = stack([make_prompt(seed=s) for s in (30, 31)])
+    blank = BatchInputs(**{k: v.copy() for k, v in vars(cond).items()})
+    blank.blank(slice(None))
+    rng = np.random.default_rng(1)
+    for step in range(4):
+        for batch in (cond, blank):
+            batch.x_t, batch.t = rng.standard_normal(batch.x_t.shape), np.full(2, step / 4)
+            want = model.forward_batch(batch, params32)[0]
+            assert field(batch).tobytes() == want.tobytes(), step
+    cond.nv = rng.standard_normal(cond.nv.shape)
+    want = model.forward_batch(cond, params32)[0]
+    assert field(cond).tobytes() == want.tobytes()
+
+
+def test_reused_field_gives_a_fresh_fields_bytes():
+    model, params = small_model(1)
+    reused = make_field_fn(model, params)
+    for seed, strength in ((40, 1.0), (41, 1.0), (42, 0.0)):
+        prompt = make_prompt(seed=seed)
+        cfg = GuidanceConfig(strength=strength, nfe=4)
+        got = integrate_batch(reused, prompt, cfg, np.random.default_rng(seed))
+        want = integrate_batch(make_field_fn(model, params), prompt, cfg,
+                               np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("strength, batches", [(1.0, 2), (0.0, 1)], ids=["guided", "unguided"])
+def test_request_prepares_each_batch_once(monkeypatch, strength, batches):
+    # One phoneme lookup per prepared batch, whatever the NFE.
+    model, params = small_model()
+    field = make_field_fn(model, params)
+    lookup = seqmodel.embed_phonemes
+    calls = {"n": 0}
+
+    def counting(tokens, table):
+        calls["n"] += 1
+        return lookup(tokens, table)
+
+    monkeypatch.setattr(seqmodel, "embed_phonemes", counting)
+    for nfe in (1, 16):
+        calls["n"] = 0
+        integrate_batch(field, make_prompt(seed=nfe), GuidanceConfig(strength=strength, nfe=nfe),
+                        np.random.default_rng(0))
+        assert calls["n"] == batches, nfe
+
+
+@pytest.mark.parametrize("stream", ["nv", "emo", "context"])
+def test_prepared_field_rejects_non_finite_conditions(stream):
+    model, params = small_model()
+    prompt = make_prompt(seed=7)
+    getattr(prompt, stream)[0, 0, 0] = np.nan  # a frame the mask leaves visible
+    calls = {"n": 0}
+    field = make_field_fn(model, params)
+
+    def counting(inputs):
+        calls["n"] += 1
+        return field(inputs)
+
+    with pytest.raises(FloatingPointError, match="^non-finite value in model input$"):
+        integrate_batch(counting, prompt, GuidanceConfig(nfe=4), np.random.default_rng(0))
+    assert calls["n"] == 1

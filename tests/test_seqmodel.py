@@ -309,6 +309,22 @@ def test_backward_rejects_cache_overwritten_by_later_forward():
         model.backward_batch(np.ones((2, 3, 4)), cache, params)
 
 
+@pytest.mark.parametrize("b", [2, 3], ids=["same-shape", "new-shape"])
+def test_forward_that_fails_a_check_keeps_the_cache(b):
+    rng = np.random.default_rng(31)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    inputs, _ = make_batch(2, 4, SMALL, rng)
+    v, cache = model.forward_batch(inputs, params)
+    want = {k: g.copy() for k, g in model.backward_batch(np.ones_like(v), cache, params).items()}
+    bad, _ = make_batch(b, 4, SMALL, rng)
+    bad.emo[0, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        model.forward_batch(bad, params)
+    got = model.backward_batch(np.ones_like(v), cache, params)
+    assert all(np.array_equal(want[k], got[k]) for k in want)
+
+
 def test_forward_returns_fresh_velocities():
     # Guidance holds the conditional field while it evaluates the
     # unconditional one at the same shape, so a returned array must
