@@ -22,6 +22,7 @@ from . import __version__
 from .curate import OVLR_MIN, run_pipeline
 from .features import (
     FormatError,
+    _read_file,
     generate_corpus,
     load_feature_matrix,
     load_phonemes,
@@ -243,7 +244,7 @@ def cmd_sample(args) -> int:
          ("--nv-prompt", args.nv_prompt), ("--emo-prompt", args.emo_prompt)),
     )
     ck_path = Path(args.checkpoint)
-    ck_bytes = ck_path.read_bytes()  # read once: the sidecar hashes the bytes that were parsed
+    ck_bytes = _read_file(ck_path)  # read once: the sidecar hashes the bytes that were parsed
     model_cfg, params = load_checkpoint(ck_path, ck_bytes)
     model = VectorFieldModel(model_cfg)
 

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import struct
 import sys
 from dataclasses import dataclass, fields
@@ -33,6 +34,8 @@ FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
 # Element cap keeps rows*cols*4 comfortably inside 32-bit file offsets.
 _MAX_ELEMENTS = 2**31
+# version, rows, cols, frame rate: the 16 bytes after the magic.
+_FMAT_HEADER = struct.Struct("<IIIf")
 # Frames per second of every feature stream.
 FRAME_RATE = 100.0
 
@@ -99,22 +102,47 @@ def store_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) -
     if not isinstance(matrix, FeatureMatrix):
         matrix = FeatureMatrix(values=matrix)
     rows, cols = matrix.values.shape
-    header = FMAT_MAGIC + struct.pack("<IIIf", FMAT_VERSION, rows, cols, matrix.frame_rate)
+    header = FMAT_MAGIC + _FMAT_HEADER.pack(FMAT_VERSION, rows, cols, matrix.frame_rate)
     payload = np.ascontiguousarray(matrix.values, dtype="<f4").tobytes()
     Path(path).write_bytes(header + payload)
 
 
-def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    """Read an FMAT file back, validating every header field and the payload."""
-    # open() rather than Path.read_bytes(): a few µs less per call, which
-    # pays for the payload check when a corpus load reads hundreds of files.
-    with open(path, "rb") as fh:
-        blob = fh.read()
+# os.open/os.read/os.close: a whole-file read in four system calls, without
+# the buffered file object open() builds around them.  _READ_CHUNK is one
+# read's buffer: os.read allocates it before it reads, then shrinks it, so
+# a small file never pays for a megabyte.
+_O_RDONLY = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 1 << 16
+
+
+def _read_file(path: str | Path) -> bytes:
+    """The bytes of the file at ``path``, read to EOF.
+
+    Raises ``OSError`` as ``open()`` does: ``os.read`` errors (a directory
+    opens, then fails the read) are raised again with the path attached,
+    so they name the file.
+    """
+    fd = os.open(path, _O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)  # one chunk is returned as it is, not copied
+
+
+def _read_fmat(path: str | Path) -> tuple[np.ndarray, float]:
+    """(values, frame rate) of an FMAT file, validating every header field
+    and the payload; ``values`` is a read-only float32 view of the bytes."""
+    blob = _read_file(path)
     if len(blob) < 4 or blob[:4] != FMAT_MAGIC:
         raise FormatError(f"bad magic in {path}: expected {FMAT_MAGIC!r}")
     if len(blob) < 20:
         raise FormatError(f"truncated header in {path}")
-    version, rows, cols, frame_rate = struct.unpack("<IIIf", blob[4:20])
+    version, rows, cols, frame_rate = _FMAT_HEADER.unpack_from(blob, 4)
     if version != FMAT_VERSION:
         raise FormatError(f"unsupported version {version} in {path}")
     if not (math.isfinite(frame_rate) and frame_rate > 0):
@@ -132,6 +160,12 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     values = np.frombuffer(blob, dtype="<f4", offset=20).reshape(rows, cols)
     if not np.isfinite(values).all():
         raise FormatError(f"non-finite values in payload of {path}")
+    return values, frame_rate
+
+
+def load_feature_matrix(path: str | Path) -> FeatureMatrix:
+    """Read an FMAT file back, validating every header field and the payload."""
+    values, frame_rate = _read_fmat(path)
     return FeatureMatrix(values=values.copy(), frame_rate=frame_rate)
 
 
@@ -149,8 +183,7 @@ def non_utf8_line(path: str | Path) -> tuple[int, str]:
     text-mode read does (\\n, \\r and \\r\\n each end one); a UTF-8
     character never spans a line end.
     """
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_file(path).splitlines()
     for lineno, raw in enumerate(lines, start=1):
         try:
             raw.decode("utf-8")
@@ -163,7 +196,7 @@ def non_utf8_line(path: str | Path) -> tuple[int, str]:
 def load_phonemes(path: str | Path) -> np.ndarray:
     """Token ids from a file of whitespace-separated integers, in UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8").strip()
+        text = _read_file(path).decode("utf-8").strip()
     except UnicodeDecodeError:
         lineno, fault = non_utf8_line(path)
         raise FormatError(f"phoneme file {path} line {lineno}: {fault}") from None

@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .infill import BatchInputs, NV_DIM, EMO_DIM
-from .features import FRAME_RATE, FormatError
+from .features import FRAME_RATE, FormatError, _read_file
 
 CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 1
@@ -733,7 +733,7 @@ class OptimizerState:
     """Adam moments plus the step counter driving the schedule.
 
     ``m`` and ``v`` are flat vectors in parameter-arena order, made on
-    the first update; ``scratch`` holds the update's two temporaries.
+    the first update; ``scratch`` holds the update's three temporaries.
     ``compute`` is ``train_step``'s ``FIELD_DTYPE`` copy of the parameter
     arena, made on its first step and refreshed from the master before
     every step.
@@ -766,7 +766,7 @@ def adam_update(params, grads, state: OptimizerState) -> float:
         raise ValueError("params and grads must hold the same tensors in the same order")
     if state.m is None:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-        state.scratch = np.empty((2, min(p.size, _ADAM_SLICE)), p.dtype)
+        state.scratch = np.empty((3, min(p.size, _ADAM_SLICE)), p.dtype)
     state.step += 1
     lr = state.schedule.at(state.step)
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
@@ -776,15 +776,17 @@ def adam_update(params, grads, state: OptimizerState) -> float:
     for lo in range(0, p.size, _ADAM_SLICE):
         sl = slice(lo, lo + _ADAM_SLICE)
         ps, gs, m, v = p[sl], g[sl], state.m[sl], state.v[sl]
-        step, denom = state.scratch[:, : ps.size]
+        wide, step, denom = state.scratch[:, : ps.size]
+        # A float32 gradient is widened once, and every product below is
+        # one of float64 operands.
+        np.copyto(wide, gs)
         m *= b1
-        # dtype=: a float32 gradient is widened before the multiply, not after
-        np.multiply(1.0 - b1, gs, out=step, dtype=step.dtype)
+        np.multiply(wide, 1.0 - b1, out=step)
         m += step
         v *= b2
-        np.multiply(gs, gs, out=step, dtype=step.dtype)
-        step *= 1.0 - b2
-        v += step
+        wide *= wide
+        wide *= 1.0 - b2
+        v += wide
         np.sqrt(v, out=denom)
         denom += eps_hat
         np.multiply(m, alpha, out=step)
@@ -920,7 +922,7 @@ def load_checkpoint(path: str | Path, blob: bytes | None = None
     file's bytes as the caller already read them; ``path`` then only names
     the file in errors."""
     if blob is None:
-        blob = Path(path).read_bytes()
+        blob = _read_file(path)
     off = 0
 
     def take(n: int, what: str) -> bytes:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -17,6 +18,7 @@ from flowcond.cli import main
 from flowcond.features import (
     FeatureMatrix,
     FormatError,
+    generate_corpus,
     load_feature_matrix,
     read_manifest,
     store_feature_matrix,
@@ -462,14 +464,20 @@ def test_sample_reads_checkpoint_once_and_hashes_those_bytes(tmp_path, corpus_di
                                                              monkeypatch):
     ck = trained_run / "checkpoint.fmck"
     reads = []
-    real_read_bytes = Path.read_bytes
+    real_read_bytes, real_os_open = Path.read_bytes, os.open
 
     def counting_read_bytes(self):
         if self == ck:
             reads.append(self)
         return real_read_bytes(self)
 
+    def counting_os_open(path, *args, **kwargs):  # features._read_file opens here
+        if Path(path) == ck:
+            reads.append(path)
+        return real_os_open(path, *args, **kwargs)
+
     monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(os, "open", counting_os_open)
     out = tmp_path / "gen.fmat"
     assert run_cli("sample", "--checkpoint", ck, "--text-phonemes", corpus_dir / "mixed_00001.phn",
                    "--zero-nv", "--zero-emo", "--nfe", 2, "--out", out) == 0
@@ -1163,6 +1171,41 @@ def test_non_utf8_pairs_file_is_one_line_error(tmp_path, capsys, score_calls):
     only_files(tmp_path, ["pairs.jsonl"])
 
 
+@pytest.mark.parametrize("flag", ["--checkpoint", "--spk-features", "--text-phonemes"])
+def test_directory_sample_input_is_one_line_error(tmp_path, corpus_dir, trained_run, capsys,
+                                                  flag):
+    # A directory opens and then fails the read; the error still names it.
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    inputs = {"--checkpoint": trained_run / "checkpoint.fmck",
+              "--text-phonemes": corpus_dir / "mixed_00001.phn",
+              "--spk-features": corpus_dir / "mixed_00000.fmat",
+              "--spk-phonemes": corpus_dir / "mixed_00000.phn",
+              "--spk-nv": corpus_dir / "mixed_00000.nv.fmat",
+              "--spk-emo": corpus_dir / "mixed_00000.emo.fmat", flag: adir}
+    assert run_cli("sample", *(a for pair in inputs.items() for a in pair),
+                   "--zero-nv", "--zero-emo", "--out", tmp_path / "g.fmat") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{adir}'\n"
+    only_files(tmp_path, ["adir"])
+
+
+def test_directory_in_a_corpus_is_one_line_error(tmp_path, capsys):
+    corpus = small_corpus(tmp_path, "a")
+    bad = corpus / "mixed_00001.nv.fmat"
+    bad.unlink()
+    bad.mkdir()
+    capsys.readouterr()  # synth's own line
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", corpus / "manifest.jsonl", "--steps", 0,
+                   "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{bad}'\n"
+    assert not out.exists()
+
+
 def test_sample_deeply_nested_checkpoint_config_is_one_line_error(tmp_path, capsys):
     ck = tmp_path / "deep.fmck"
     block = DEEP.encode()
@@ -1259,6 +1302,57 @@ def test_sample_checkpoint_corruption_fuzz(tmp_path_factory, capsys, data):
         assert err.startswith("format error:") and err.count("\n") == 1, err
         assert str(ck) in err, err
         assert written == set(), written
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """The files of a 2-record, 6-frame corpus, by name."""
+    out = tmp_path_factory.mktemp("fuzz_corpus")
+    generate_corpus(out, "mixed", 2, 6, seed=8, feature_dim=3)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+CORPUS_FILES = [f"mixed_0000{k}{ext}" for k in (0, 1) for ext in (".fmat", ".phn", ".nv.fmat",
+                                                                   ".emo.fmat")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=250, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_train_corpus_corruption_fuzz(tmp_path_factory, capsys, fuzz_corpus, data):
+    # A truncated or bit-flipped corpus file either loads, or fails with one
+    # line that names the file or its record, and creates no --out.
+    work = tmp_path_factory.mktemp("corpus")
+    for name, blob in fuzz_corpus.items():
+        (work / name).write_bytes(blob)
+    name = data.draw(st.sampled_from(CORPUS_FILES), label="file")
+    target = work / name
+    blob = bytearray(fuzz_corpus[name])
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # An FMAT header is 20 of a few hundred bytes; half the flips land in it.
+        byte = st.integers(0, len(blob) - 1)
+        if name.endswith(".fmat"):
+            byte = st.one_of(byte, st.integers(0, 19))
+        for i, bit in data.draw(st.lists(st.tuples(byte, st.integers(0, 7)), min_size=1,
+                                         max_size=3), label="flips"):
+            blob[i] ^= 1 << bit
+    target.write_bytes(bytes(blob))
+    manifest, out = work / "manifest.jsonl", work / "run"
+    code = run_cli("train", "--manifest", manifest, "--steps", 0, "--out", out)
+    event(f"exit {code}")
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and (out / "checkpoint.fmck").is_file()
+    else:
+        assert code == 1
+        assert err.startswith(("error:", "format error:")) and err.count("\n") == 1, err
+        record = name.split(".")[0]
+        assert any(mark in err for mark in (str(target), f"record {record!r}",
+                                            f"{manifest} record {int(record[-1]) + 1} ")), err
+        assert not out.exists()
 
 
 # -- one parser per process -------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -14,6 +15,7 @@ from flowcond import (
     store_feature_matrix,
     synth_condition_oracle,
 )
+from flowcond import features
 from flowcond.features import (
     FRAME_RATE,
     carrier_matrix,
@@ -33,6 +35,47 @@ def test_time_frame_conversions(tmp_path):
     manifest = generate_corpus(tmp_path / "c", "sinusoid", 2, 64, seed=0)
     assert [rec.duration_s for _, rec in read_manifest(manifest)] == [64 / FRAME_RATE] * 2
     assert 64 / FRAME_RATE == 0.64
+
+
+# -- whole-file reads ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [0, 1, 1500, features._READ_CHUNK, 3 * features._READ_CHUNK + 5],
+                         ids=["empty", "one-byte", "small", "one-read", "several-reads"])
+def test_read_file_returns_the_whole_file(tmp_path, monkeypatch, size):
+    blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    p = tmp_path / "f.bin"
+    p.write_bytes(blob)
+    asked = []
+    real_read = os.read
+
+    def recording_read(fd, n):
+        asked.append(n)
+        return real_read(fd, n)
+
+    monkeypatch.setattr(os, "read", recording_read)
+    assert features._read_file(p) == blob
+    assert features._read_file(str(p)) == blob
+    # No read, of a small file or a large one, asks for a megabyte buffer.
+    assert max(asked) < 1 << 20
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("as_path", [False, True], ids=["str", "Path"])
+def test_read_file_errors_name_the_path_as_open_does(tmp_path, kind, as_path):
+    p = tmp_path / "x"
+    if kind == "directory":
+        p.mkdir()
+    arg = p if as_path else str(p)
+    with pytest.raises(OSError) as reference:
+        with open(arg, "rb") as fh:
+            fh.read()
+    with pytest.raises(OSError) as got:
+        features._read_file(arg)
+    # A directory opens, and fails the read: the path is attached there.
+    assert type(got.value) is type(reference.value)
+    assert str(got.value) == str(reference.value)
+    assert str(got.value).endswith(f": '{p}'")
 
 
 # -- feature matrix file format -----------------------------------------------
@@ -74,6 +117,31 @@ def test_fmat_trailing_bytes(tmp_path):
     p.write_bytes(p.read_bytes() + b"xx")
     with pytest.raises(FormatError, match="trailing"):
         load_feature_matrix(p)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda b: b"FMAX" + b[4:], "bad magic in {}: expected b'FMAT'"),
+    (lambda b: b[:3], "bad magic in {}: expected b'FMAT'"),
+    (lambda b: b[:19], "truncated header in {}"),
+    (lambda b: b[:-1], "truncated payload in {}: declared 2 x 3, got 23 of 24 bytes"),
+    (lambda b: b[:20], "truncated payload in {}: declared 2 x 3, got 0 of 24 bytes"),
+    (lambda b: b + b"\0", "trailing bytes after payload in {}"),
+], ids=["magic", "short-magic", "header", "payload-byte", "no-payload", "trailing"])
+def test_fmat_error_messages_pinned(tmp_path, damage, message):
+    p = tmp_path / "m.fmat"
+    store_feature_matrix(FeatureMatrix(np.ones((2, 3), dtype=np.float32)), p)
+    p.write_bytes(damage(p.read_bytes()))
+    with pytest.raises(FormatError) as exc:
+        load_feature_matrix(str(p))
+    assert str(exc.value) == message.format(p)
+
+
+def test_fmat_load_returns_a_writable_copy(tmp_path):
+    p = tmp_path / "m.fmat"
+    store_feature_matrix(FeatureMatrix(np.ones((2, 3), dtype=np.float32)), p)
+    values = load_feature_matrix(p).values
+    values[0, 0] = 5.0  # not the read-only view of the file's bytes
+    assert values.dtype == np.float32 and values.flags.owndata
 
 
 def test_fmat_dimension_overflow(tmp_path):

@@ -3,7 +3,14 @@ import pytest
 
 import flowcond.training as training
 from flowcond import TrainingDivergedError, load_checkpoint
-from flowcond.features import FormatError, generate_corpus, store_feature_matrix
+from flowcond.features import (
+    FormatError,
+    generate_corpus,
+    load_feature_matrix,
+    load_phonemes,
+    read_manifest,
+    store_feature_matrix,
+)
 from flowcond.fm_core import SIGMA_MIN, conditional_vector_field
 from flowcond.seqmodel import ModelConfig
 from flowcond.training import (
@@ -86,6 +93,53 @@ def test_load_corpus_rejects_a_record_of_another_shape(tmp_path):
         load_corpus(tmp_path / "manifest.jsonl")
     assert str(exc.value).startswith("manifest line 3: record 'mixed_00002' has ")
     assert "shapes ((4, 20), (20,), (32, 20), (2, 20)), want ((8, 20), " in str(exc.value)
+
+
+def test_load_corpus_stacks_are_the_per_record_loads(tmp_path):
+    # The corpus reads each file once, as a view copied into its stack; the
+    # reference loads each record through the public loaders and stacks them.
+    manifest = generate_corpus(tmp_path, "mixed", 5, 17, seed=3, feature_dim=6)
+    records = [rec for _, rec in read_manifest(manifest)]
+    corpus = load_corpus(manifest)
+    for name in ("features", "phonemes", "nv", "emo"):
+        load = load_phonemes if name == "phonemes" else (lambda p: load_feature_matrix(p).values)
+        want = np.stack([load(tmp_path / getattr(rec, f"{name}_path")) for rec in records])
+        got = getattr(corpus, name)
+        assert got.dtype == (np.int64 if name == "phonemes" else np.float64)
+        assert got.tobytes() == want.astype(got.dtype).tobytes(), name
+
+
+def test_load_corpus_names_a_file_as_pathlib_spells_it(tmp_path, monkeypatch):
+    # Record paths are joined as strings; an error still names the file as
+    # the pathlib join did, whatever "./" or "//" the paths hold.
+    monkeypatch.chdir(tmp_path)
+    manifest = generate_corpus("c", "mixed", 2, 9, seed=4)
+    text = manifest.read_text()
+    manifest.write_text(text.replace('"mixed_00000.fmat"', '"./mixed_00000.fmat"'))
+    odd = "./c//manifest.jsonl"
+    assert load_corpus(odd).features.tobytes() == load_corpus(manifest).features.tobytes()
+    manifest.write_text(text.replace('"mixed_00001.nv.fmat"', '"sub//./mixed_00001.nv.fmat"'))
+    with pytest.raises(FileNotFoundError) as exc:
+        load_corpus(odd)
+    assert str(exc.value) == "[Errno 2] No such file or directory: 'c/sub/mixed_00001.nv.fmat'"
+    (tmp_path / "c" / "sub").mkdir()
+    (tmp_path / "c" / "sub" / "mixed_00001.nv.fmat").write_bytes(b"FMAT")
+    with pytest.raises(FormatError) as exc:
+        load_corpus(odd)
+    assert str(exc.value) == "truncated header in c/sub/mixed_00001.nv.fmat"
+
+
+def test_load_corpus_reads_a_record_path_as_pathlib_resolves_it(tmp_path):
+    # pathlib drops a trailing "/" or "/.", so such a record path names the
+    # file, though opening its string spelling fails with ENOTDIR.
+    manifest = generate_corpus(tmp_path, "mixed", 2, 9, seed=5)
+    want = load_corpus(manifest)
+    text = manifest.read_text()
+    manifest.write_text(text.replace('"mixed_00000.fmat"', '"mixed_00000.fmat/"')
+                        .replace('"mixed_00001.emo.fmat"', '"mixed_00001.emo.fmat/."'))
+    got = load_corpus(manifest)
+    for name in ("features", "phonemes", "nv", "emo"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_train_loop_history_and_determinism(small_corpus):
