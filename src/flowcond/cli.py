@@ -23,10 +23,12 @@ from .curate import OVLR_MIN, run_pipeline
 from .features import (
     FormatError,
     _read_file,
+    _write_file,
     generate_corpus,
     load_feature_matrix,
     load_phonemes,
     non_utf8_line,
+    read_manifest,
     store_feature_matrix,
     SYNTH_KINDS,
 )
@@ -48,13 +50,19 @@ class CliError(Exception):
     """User-facing command error; printed without a traceback."""
 
 
+def _write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as one line of key-sorted JSON (ASCII, since
+    json.dumps escapes everything else)."""
+    _write_file(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
+
+
 def _write_provenance(path: Path, command: str, args: dict) -> None:
     record = {
         "command": command,
         "args": {k: v for k, v in sorted(args.items())},
         "package_version": __version__,
     }
-    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    _write_json(path, record)
 
 
 def _check_output_file(path: Path) -> None:
@@ -163,8 +171,12 @@ def cmd_train(args) -> int:
     feature_dim, _ = check_corpora(corpora, ratios)
     for manifest, corpus in zip(manifests, corpora):
         if corpus.phonemes.min() < 0 or corpus.phonemes.max() >= desk.n_phonemes:
-            for i, row in enumerate(corpus.phonemes, start=1):  # the first bad record raises
-                _check_vocab(row, f"{manifest} record {i}", desk.n_phonemes)
+            # The corpus holds no ids or paths: read them again to name the
+            # first bad record's phoneme file, joined as load_corpus joins it.
+            root = os.path.dirname(Path(manifest))
+            for row, (_, rec) in zip(corpus.phonemes, read_manifest(manifest)):
+                _check_vocab(row, f"{os.path.join(root, rec.phonemes_path)} (record {rec.id!r})",
+                             desk.n_phonemes)
     model_cfg = replace(desk, feature_dim=feature_dim)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -319,7 +331,7 @@ def cmd_sample(args) -> int:
         "field_dtype": np.dtype(FIELD_DTYPE).name,
         "package_version": __version__,
     }
-    sidecar_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    _write_json(sidecar_path, sidecar)
     print(f"wrote {generated.shape[1]} generated frames to {out}")
     return 0
 
@@ -340,7 +352,7 @@ def cmd_curate(args) -> int:
             "args": {"in": str(args.inp), "out": str(args.out), "ovlr_min": args.ovlr_min},
             "package_version": __version__,
         }
-        Path(args.report).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(args.report, payload)
     print(
         f"retained {report.retained}/{report.total} "
         f"(emotion {report.emotion_gate}, quality {report.quality_gate}, "
@@ -409,7 +421,7 @@ def cmd_eval_report(args) -> int:
         "pairs_file": str(args.pairs),
         "package_version": __version__,
     }
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    _write_json(args.out, payload)
     print(f"mean {report.mean:.6f} std {report.std:.6f} over {len(seeds)} seeds")
     return 0
 

@@ -8,8 +8,9 @@ the manifest itself; no detector models run here.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .features import DatasetRecord, FormatError, _manifest_lines
@@ -61,15 +62,26 @@ def speaker_gate(speaker_change: bool) -> bool:
     return not speaker_change
 
 
-def first_failing_gate(rec: DatasetRecord, ovlr_min: float) -> str | None:
-    """Name of the first gate the record fails, or None if it is retained."""
-    if not emotion_gate(rec.emotion_label, rec.emotion_confidence):
+def first_failing_gate(label: str, confidence: float, ovlr: float, speaker_change: bool,
+                       ovlr_min: float) -> str | None:
+    """Name of the first gate a record with these scores fails, or None if
+    it is retained."""
+    if not emotion_gate(label, confidence):
         return "emotion_gate"
-    if not quality_gate(rec.ovlr, ovlr_min):
+    if not quality_gate(ovlr, ovlr_min):
         return "quality_gate"
-    if not speaker_gate(rec.speaker_change):
+    if not speaker_gate(speaker_change):
         return "speaker_gate"
     return None
+
+
+# The values first_failing_gate takes, picked from a manifest line's field
+# values, so that curation builds no DatasetRecord per line.
+_FIELD_NAMES = [f.name for f in fields(DatasetRecord)]
+_gate_values = operator.itemgetter(*(
+    _FIELD_NAMES.index(name)
+    for name in ("emotion_label", "emotion_confidence", "ovlr", "speaker_change")
+))
 
 
 def run_pipeline(
@@ -91,24 +103,24 @@ def run_pipeline(
         raise ValueError(f"ovlr_min must be finite, got {ovlr_min}")
     out_path = Path(manifest_out)
     tmp_path = out_path.with_name(out_path.name + ".tmp")
-    report = CurationReport()
+    # Records per first-failing gate; None counts the retained ones.
+    tally = {"emotion_gate": 0, "quality_gate": 0, "speaker_gate": 0, None: 0}
+    retained_by_emotion = {}
     try:
         with open(tmp_path, "w", encoding="utf-8") as out:
-            for lineno, line, rec in _manifest_lines(manifest_in):
+            for lineno, line, values in _manifest_lines(manifest_in):
+                label, confidence, ovlr, speaker_change = _gate_values(values)
                 try:
-                    reason = first_failing_gate(rec, ovlr_min)
+                    reason = first_failing_gate(label, confidence, ovlr, speaker_change, ovlr_min)
                 except ValueError as exc:
                     raise FormatError(f"manifest line {lineno}: {exc}") from exc
+                tally[reason] += 1
                 if reason is None:
-                    report.retained += 1
-                    report.retained_by_emotion[rec.emotion_label] = (
-                        report.retained_by_emotion.get(rec.emotion_label, 0) + 1
-                    )
+                    retained_by_emotion[label] = retained_by_emotion.get(label, 0) + 1
                     out.write(line + "\n")
-                else:
-                    setattr(report, reason, getattr(report, reason) + 1)
         os.replace(tmp_path, out_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)
         raise
-    return report
+    return CurationReport(retained=tally.pop(None), retained_by_emotion=retained_by_emotion,
+                          **tally)

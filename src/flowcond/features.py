@@ -15,6 +15,7 @@ a ``FormatError`` that names the line and its first fault.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -104,15 +105,38 @@ def store_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) -
     rows, cols = matrix.values.shape
     header = FMAT_MAGIC + _FMAT_HEADER.pack(FMAT_VERSION, rows, cols, matrix.frame_rate)
     payload = np.ascontiguousarray(matrix.values, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write_file(path, header + payload)
 
 
 # os.open/os.read/os.close: a whole-file read in four system calls, without
 # the buffered file object open() builds around them.  _READ_CHUNK is one
 # read's buffer: os.read allocates it before it reads, then shrinks it, so
-# a small file never pays for a megabyte.
-_O_RDONLY = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# a small file never pays for a megabyte.  A write opens as open(path, "wb")
+# does, and a new file gets the mode open() would give it.
+_O_BINARY = getattr(os, "O_BINARY", 0)
+_O_RDONLY = os.O_RDONLY | _O_BINARY
+_O_WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY
 _READ_CHUNK = 1 << 16
+
+
+def _write_file(path: str | Path, data: bytes) -> None:
+    """Make ``data`` the whole content of the file at ``path``, creating it
+    or truncating it first.
+
+    Raises ``OSError`` as ``open()`` does, and ``os.write`` errors (a full
+    disk, say) are raised again with the path attached, so they name the
+    file.  ``os.write`` may write only part of what it is given, so it is
+    called until every byte is written.
+    """
+    fd = os.open(path, _O_WRITE, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
 
 
 def _read_file(path: str | Path) -> bytes:
@@ -171,7 +195,7 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
 
 def store_phonemes(tokens: np.ndarray, path: str | Path) -> None:
     """Write token ids as one line of space-separated integers."""
-    Path(path).write_text(" ".join(str(int(t)) for t in tokens) + "\n")
+    _write_file(path, (" ".join(str(int(t)) for t in tokens) + "\n").encode())
 
 
 def non_utf8_line(path: str | Path) -> tuple[int, str]:
@@ -259,15 +283,18 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def read_manifest(path: str | Path) -> Iterator[tuple[int, DatasetRecord]]:
     """Yield (line_number, record) pairs, validating each line as it streams."""
-    for lineno, _, rec in _manifest_lines(path):
-        yield lineno, rec
+    for lineno, _, values in _manifest_lines(path):
+        yield lineno, DatasetRecord(*values)
 
 
-def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, DatasetRecord]]:
-    """Yield (line_number, stripped line, record) for each non-blank line.
+def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, tuple]]:
+    """Yield (line_number, stripped line, field values) for each non-blank line.
 
-    The line is the exact text that decoded to the record, so a caller
-    can copy it out without encoding the record again.  A decoded line is
+    The values are the line's ten accepted field values in
+    ``DatasetRecord`` field order, so ``DatasetRecord(*values)`` is its
+    record; a caller that reads only some fields builds no record.  The
+    line is the exact text that decoded to them, so a caller can copy it
+    out without encoding it again.  A decoded line is
     accepted by one check, whatever its key order: all ten field values
     fetched at once, exactly ten keys, the tuple of their exact types one
     of the eight allowed, and each number within the float range (NaN,
@@ -308,7 +335,7 @@ def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, DatasetRecord]
                     and -_FLOAT_MAX <= values[_OVLR] <= _FLOAT_MAX
                 ):
                     _raise_manifest_error(lineno, obj)
-                yield lineno, line, DatasetRecord(*values)
+                yield lineno, line, values
     except UnicodeDecodeError:
         lineno, fault = non_utf8_line(path)
         raise FormatError(f"manifest {path} line {lineno}: {fault}") from None
@@ -344,14 +371,21 @@ def _raise_manifest_error(lineno: int, obj) -> NoReturn:
 _CARRIER_PERIOD = 64.0
 
 
+@functools.lru_cache(maxsize=32)
 def carrier_matrix(feature_dim: int, T: int) -> np.ndarray:
     """Deterministic unit-norm carrier columns; row 0 is constant so the
-    pre-normalization norm never vanishes."""
+    pre-normalization norm never vanishes.
+
+    Cached per shape, since every record of a corpus asks for the same
+    matrix; it is read-only because callers share it.
+    """
     f = np.arange(feature_dim, dtype=np.float64)[:, None]
     tau = np.arange(T, dtype=np.float64)[None, :]
     raw = np.cos(2.0 * np.pi * (f + 1.0) * tau / _CARRIER_PERIOD + 2.0 * np.pi * f / max(feature_dim, 1))
     raw[0, :] = 1.0
-    return raw / np.linalg.norm(raw, axis=0, keepdims=True)
+    carrier = raw / np.linalg.norm(raw, axis=0, keepdims=True)
+    carrier.flags.writeable = False
+    return carrier
 
 
 def pattern_vector(feature_dim: int) -> np.ndarray:
@@ -463,6 +497,9 @@ def generate_corpus(
             raise ValueError(f"{name} must be >= {least}, got {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # Record files are named by joining strings onto the directory, with
+    # no Path object per file.
+    root = os.fspath(out)
 
     records = []
     streams = np.random.SeedSequence(seed).spawn(count)
@@ -473,24 +510,19 @@ def generate_corpus(
         tokens = synth_phonemes(T, rng, n_phonemes=n_phonemes)
 
         rec_id = f"{kind}_{i:05d}"
-        paths = {
-            "features": out / f"{rec_id}.fmat",
-            "phonemes": out / f"{rec_id}.phn",
-            "nv": out / f"{rec_id}.nv.fmat",
-            "emo": out / f"{rec_id}.emo.fmat",
-        }
-        store_feature_matrix(FeatureMatrix(feats), paths["features"])
-        store_phonemes(tokens, paths["phonemes"])
-        store_feature_matrix(FeatureMatrix(nv), paths["nv"])
-        store_feature_matrix(FeatureMatrix(emo), paths["emo"])
+        names = (f"{rec_id}.fmat", f"{rec_id}.phn", f"{rec_id}.nv.fmat", f"{rec_id}.emo.fmat")
+        store_feature_matrix(feats, os.path.join(root, names[0]))
+        store_phonemes(tokens, os.path.join(root, names[1]))
+        store_feature_matrix(nv, os.path.join(root, names[2]))
+        store_feature_matrix(emo, os.path.join(root, names[3]))
 
         records.append(
             DatasetRecord(
                 id=rec_id,
-                features_path=paths["features"].name,
-                phonemes_path=paths["phonemes"].name,
-                nv_path=paths["nv"].name,
-                emo_path=paths["emo"].name,
+                features_path=names[0],
+                phonemes_path=names[1],
+                nv_path=names[2],
+                emo_path=names[3],
                 duration_s=T / FRAME_RATE,
                 emotion_label=_EMOTION_LABELS[int(rng.integers(len(_EMOTION_LABELS)))],
                 emotion_confidence=round(float(rng.uniform()), 4),

@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .infill import BatchInputs, NV_DIM, EMO_DIM
-from .features import FRAME_RATE, FormatError, _read_file
+from .features import FRAME_RATE, FormatError, _read_file, _write_file
 
 CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 1
@@ -912,7 +912,7 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig, params) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write_file(path, b"".join(parts))
 
 
 def load_checkpoint(path: str | Path, blob: bytes | None = None

@@ -3,14 +3,17 @@
 perfbench traces ``flowcond`` by wrapping the functions that
 ``perfbench.tracer.TARGETS`` names, and its ``sample`` workload counts one
 traced ``VectorFieldModel.forward_batch`` call per field evaluation of a
-request (``perfbench/bench.py``, ``expected_field_evals``).  A change that
-renames a traced function, or that evaluates the field in fewer or more
-forward calls, fails here instead of leaving the benchmark to read zeros
-or count failed requests.  Nothing here changes a file under
-``perfbench/``.
+request (``perfbench/bench.py``, ``expected_field_evals``).  Its
+``features.store_feature_matrix`` rows count the FMAT files that
+``generate_corpus`` writes through that module binding.  A change that
+renames a traced function, that evaluates the field in fewer or more
+forward calls, or that writes an FMAT file past the traced function,
+fails here instead of leaving the benchmark to read zeros or count
+failed requests.  Nothing here changes a file under ``perfbench/``.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from flowcond import (
     integrate_batch,
     make_field_fn,
 )
+from flowcond import features
 
 # Traced names whose functions are gone and that the benchmark has not yet
 # been re-pinned for (ROADMAP item 2).  The re-pin empties this list.
@@ -75,3 +79,23 @@ def test_one_forward_call_per_field_evaluation(monkeypatch, strength, per_step):
         calls["n"] = 0
         integrate_batch(field, prompt, GuidanceConfig(strength=strength, nfe=nfe), rng)
         assert calls["n"] == per_step * nfe
+
+
+def test_generate_corpus_writes_every_fmat_through_the_module_binding(tmp_path, monkeypatch):
+    # perfbench's store_feature_matrix.calls and fmat_bytes_computed rows
+    # wrap features.store_feature_matrix; a local alias or an inlined write
+    # would leave them reading 0.
+    store = features.store_feature_matrix
+    calls = []
+
+    def counting(matrix, path):
+        calls.append((str(path), np.shape(getattr(matrix, "values", matrix))))
+        return store(matrix, path)
+
+    monkeypatch.setattr(features, "store_feature_matrix", counting)
+    features.generate_corpus(tmp_path, "mixed", 4, 10, seed=0, feature_dim=3)
+    assert len(calls) == 3 * 4
+    fmats = sorted(str(p) for p in tmp_path.glob("*.fmat"))
+    assert sorted(path for path, _ in calls) == fmats
+    # The shape the tracer reads off the first argument sizes each file.
+    assert all(os.path.getsize(path) == 20 + 4 * rows * cols for path, (rows, cols) in calls)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
 
 from flowcond import (
     emotion_gate,
@@ -11,6 +12,7 @@ from flowcond import (
     run_pipeline,
     speaker_gate,
 )
+from flowcond.cli import main
 from flowcond.curate import first_failing_gate
 from flowcond.features import (
     DatasetRecord,
@@ -19,6 +21,7 @@ from flowcond.features import (
     read_manifest,
     write_manifest,
 )
+from test_features import mutated_manifest_lines, reference_read_manifest
 
 OVLR_MIN = 3.0
 
@@ -216,12 +219,10 @@ def test_pipeline_first_failure_attribution(tmp_path):
 
 
 def test_pipeline_gate_order():
-    rec = make_record(0, label="neutral", conf=0.2, ovlr=1.0, change=True)
-    assert first_failing_gate(rec, OVLR_MIN) == "emotion_gate"
-    rec = make_record(0, label="sad", ovlr=1.0, change=True)
-    assert first_failing_gate(rec, OVLR_MIN) == "quality_gate"
-    rec = make_record(0, label="sad", ovlr=4.0, change=True)
-    assert first_failing_gate(rec, OVLR_MIN) == "speaker_gate"
+    assert first_failing_gate("neutral", 0.2, 1.0, True, OVLR_MIN) == "emotion_gate"
+    assert first_failing_gate("sad", 0.5, 1.0, True, OVLR_MIN) == "quality_gate"
+    assert first_failing_gate("sad", 0.5, 4.0, True, OVLR_MIN) == "speaker_gate"
+    assert first_failing_gate("sad", 0.5, 4.0, False, OVLR_MIN) is None
 
 
 def test_pipeline_malformed_aborts_without_output(tmp_path):
@@ -276,3 +277,63 @@ def test_pipeline_preserves_order(tmp_path):
     kept_ids = [rec.id for _, rec in read_manifest(dst)]
     expected = [r.id for r in records if brute_force_keep(r)]
     assert kept_ids == expected
+
+
+# -- curate through the CLI on mutated manifests ---------------------------------
+
+
+def reference_curate(path, ovlr_min=OVLR_MIN):
+    """(kept lines, report counts) or the error message, restated from the
+    reference reader and the retention rules.  The emotion gate judges the
+    confidence range first, then the label."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    kept, counts = [], {"emotion_gate": 0, "quality_gate": 0, "speaker_gate": 0, "retained": 0}
+    try:
+        for lineno, rec in reference_read_manifest(path):
+            label, conf = rec.emotion_label, rec.emotion_confidence
+            if not 0.0 <= conf <= 1.0:
+                return f"manifest line {lineno}: confidence must be in [0, 1], got {conf}"
+            if label not in {"angry", "disgusted", "fearful", "sad", "surprised", "neutral",
+                             "happy"}:
+                return f"manifest line {lineno}: unknown emotion label {label!r}"
+            if label in {"neutral", "happy"} and conf < 1.0:
+                counts["emotion_gate"] += 1
+            elif not rec.ovlr > ovlr_min:
+                counts["quality_gate"] += 1
+            elif rec.speaker_change:
+                counts["speaker_gate"] += 1
+            else:
+                counts["retained"] += 1
+                kept.append(lines[lineno - 1])
+    except FormatError as exc:
+        return str(exc)
+    return kept, counts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=mutated_manifest_lines())
+def test_curate_cli_matches_reference_on_mutated_manifests(tmp_path_factory, capsys, line):
+    # Exit 0 with the reference filter's lines and counts, or exit 1 with one
+    # format error naming the line, and no --out, --report or .tmp left.
+    work = tmp_path_factory.mktemp("curate")
+    src = work / "in.jsonl"
+    src.write_text(manifest_line(make_record(3)) + "\n" + line + "\n", encoding="utf-8")
+    out, report = work / "out.jsonl", work / "report.json"
+    code = main(["curate", "--in", str(src), "--out", str(out), "--report", str(report)])
+    event(f"exit {code}")
+    captured = capsys.readouterr()
+    want = reference_curate(src)
+    if isinstance(want, str):
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"format error: {want}\n"
+        assert sorted(p.name for p in work.iterdir()) == ["in.jsonl"]
+    else:
+        kept, counts = want
+        assert code == 0 and captured.err == ""
+        assert out.read_text(encoding="utf-8") == "".join(k + "\n" for k in kept)
+        got = json.loads(report.read_text())
+        assert {k: got[k] for k in counts} == counts
+        assert sorted(p.name for p in work.iterdir()) == ["in.jsonl", "out.jsonl",
+                                                         "report.json"]

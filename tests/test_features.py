@@ -78,6 +78,80 @@ def test_read_file_errors_name_the_path_as_open_does(tmp_path, kind, as_path):
     assert str(got.value).endswith(f": '{p}'")
 
 
+# -- whole-file writes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 1_500, 70_001])
+def test_write_file_writes_every_byte_when_os_write_writes_part(tmp_path, monkeypatch, size):
+    blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    real_write = os.write
+    calls = []
+
+    def short_write(fd, data):  # a partial write, as a pipe or a signal can cause
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    for arg in (tmp_path / "f.bin", str(tmp_path / "g.bin")):
+        features._write_file(arg, blob)
+        with open(arg, "rb") as fh:
+            assert fh.read() == blob
+    assert len(calls) == 2 * -(-size // 7)
+
+
+def test_write_file_truncates_a_longer_file(tmp_path):
+    p = tmp_path / "f.bin"
+    p.write_bytes(b"x" * 4096)
+    features._write_file(p, b"short")
+    assert p.read_bytes() == b"short"
+    features._write_file(p, b"")
+    assert p.read_bytes() == b""
+
+
+@pytest.mark.parametrize("kind", ["missing-parent", "directory"])
+@pytest.mark.parametrize("as_path", [False, True], ids=["str", "Path"])
+def test_write_file_errors_name_the_path_as_open_does(tmp_path, kind, as_path):
+    p = tmp_path / "nodir" / "x" if kind == "missing-parent" else tmp_path
+    arg = p if as_path else str(p)
+    with pytest.raises(OSError) as reference:
+        with open(arg, "wb") as fh:
+            fh.write(b"data")
+    with pytest.raises(OSError) as got:
+        features._write_file(arg, b"data")
+    assert type(got.value) is type(reference.value)
+    assert str(got.value) == str(reference.value)
+    assert str(got.value).endswith(f": '{p}'")
+
+
+def test_write_file_write_errors_name_the_path(tmp_path, monkeypatch):
+    closed = []
+    real_close = os.close
+
+    def full_disk(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full_disk)
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+    p = tmp_path / "f.bin"
+    with pytest.raises(OSError) as got:
+        features._write_file(p, b"data")
+    assert str(got.value) == f"[Errno 28] No space left on device: '{p}'"
+    assert len(closed) == 1  # the file is closed on the way out
+
+
+@pytest.mark.parametrize("umask", [None, 0o077, 0o002])
+def test_write_file_gives_a_new_file_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask) if umask is not None else None
+    try:
+        with open(tmp_path / "by_open", "wb") as fh:
+            fh.write(b"a")
+        features._write_file(tmp_path / "by_write_file", b"a")
+    finally:
+        if old is not None:
+            os.umask(old)
+    assert (tmp_path / "by_write_file").stat().st_mode == (tmp_path / "by_open").stat().st_mode
+
+
 # -- feature matrix file format -----------------------------------------------
 
 
@@ -243,6 +317,14 @@ def test_oracle_emo_in_range_all_kinds():
 def test_carrier_columns_unit_norm():
     c = carrier_matrix(8, 200)
     assert np.allclose(np.linalg.norm(c, axis=0), 1.0, atol=1e-12)
+
+
+def test_carrier_matrix_is_cached_read_only():
+    # Every record of a corpus shares it, so no caller may write into it.
+    carrier = carrier_matrix(8, 16)
+    assert carrier_matrix(8, 16) is carrier and not carrier.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        carrier[0, 0] = 2.0
 
 
 def test_synth_phonemes_reserved_blank():
