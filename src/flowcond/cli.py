@@ -390,7 +390,7 @@ def cmd_eval_report(args) -> int:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad JSON, or an int too long to convert
                     raise CliError(f"{args.pairs}:{lineno}: bad pair record ({exc})") from exc
                 except RecursionError:
                     raise CliError(f"{args.pairs}:{lineno}: bad pair record (nested too deeply)") from None
@@ -399,7 +399,7 @@ def cmd_eval_report(args) -> int:
                         f"{args.pairs}:{lineno}: bad pair record "
                         "(expected an object with string fields a and b)"
                     )
-                pairs.append((obj["a"], obj["b"]))
+                pairs.append((lineno, obj["a"], obj["b"]))
     except UnicodeDecodeError:
         lineno, fault = non_utf8_line(args.pairs)
         raise CliError(f"{args.pairs}:{lineno}: {fault}") from None
@@ -409,10 +409,13 @@ def cmd_eval_report(args) -> int:
     scores_by_seed = {}
     for seed in seeds:
         scores = []
-        for a_tpl, b_tpl in pairs:
+        for lineno, a_tpl, b_tpl in pairs:
             a = _load_trajectory(a_tpl.replace("{seed}", seed))
             b = _load_trajectory(b_tpl.replace("{seed}", seed))
-            scores.append(frame_cosine_sim(a, b))
+            try:
+                scores.append(frame_cosine_sim(a, b))
+            except ValueError as exc:  # two trajectories that cannot be compared
+                raise CliError(f"{args.pairs}:{lineno}: seed {seed}: {exc}") from exc
         scores_by_seed[seed] = scores
     report = aggregate_seeds(scores_by_seed)
     payload = {

@@ -109,10 +109,12 @@ def store_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) -
 
 
 # os.open/os.read/os.close: a whole-file read in four system calls, without
-# the buffered file object open() builds around them.  _READ_CHUNK is one
-# read's buffer: os.read allocates it before it reads, then shrinks it, so
-# a small file never pays for a megabyte.  A write opens as open(path, "wb")
-# does, and a new file gets the mode open() would give it.
+# the buffered file object open() builds around them.  _READ_CHUNK is the
+# first read's buffer: os.read allocates it before it reads, then shrinks
+# it, so a small file never pays for a megabyte.  A file that fills it
+# has the rest asked for in one read, of the size fstat gives.  A write
+# opens as open(path, "wb") does, and a new file gets the mode open()
+# would give it.
 _O_BINARY = getattr(os, "O_BINARY", 0)
 _O_RDONLY = os.O_RDONLY | _O_BINARY
 _O_WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY
@@ -149,7 +151,10 @@ def _read_file(path: str | Path) -> bytes:
     fd = os.open(path, _O_RDONLY)
     try:
         chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
+        size = _READ_CHUNK
+        while chunk := os.read(fd, size):
+            if not chunks and len(chunk) == size:  # a full first read
+                size = max(os.fstat(fd).st_size - size, size)
             chunks.append(chunk)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
@@ -194,8 +199,14 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
 
 
 def store_phonemes(tokens: np.ndarray, path: str | Path) -> None:
-    """Write token ids as one line of space-separated integers."""
-    _write_file(path, (" ".join(str(int(t)) for t in tokens) + "\n").encode())
+    """Write token ids as one line of space-separated integers; a float id
+    is truncated toward zero, as ``int()`` does."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim == 1 and tokens.dtype.kind in "iu":  # tolist() gives Python ints
+        text = " ".join(map(str, tokens.tolist()))
+    else:
+        text = " ".join(str(int(t)) for t in tokens)
+    _write_file(path, (text + "\n").encode())
 
 
 def non_utf8_line(path: str | Path) -> tuple[int, str]:
@@ -310,14 +321,14 @@ def _manifest_lines(path: str | Path) -> Iterator[tuple[int, str, tuple]]:
                     continue
                 try:
                     obj, end = _raw_decode(line)
-                except (json.JSONDecodeError, RecursionError):
+                except (ValueError, RecursionError):  # ValueError: an int too long to convert
                     end = -1
                 if end != len(line):
                     # Not one whole JSON value: json.loads raises the error, so
                     # a BOM or extra data is reported as json.loads reports it.
                     try:
                         json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except ValueError as exc:
                         raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
                     except RecursionError:
                         raise FormatError(f"manifest line {lineno}: invalid JSON (nested too deeply)") from None
@@ -348,7 +359,10 @@ def _raise_manifest_error(lineno: int, obj) -> NoReturn:
     try:
         DatasetRecord(**obj)
     except TypeError as exc:
-        raise FormatError(f"manifest line {lineno}: {exc}") from exc
+        # The message quotes an unexpected key as it is: escape, as repr
+        # would, what would break the error's one line.
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        raise FormatError(f"manifest line {lineno}: {text}") from exc
     for name, types in _RECORD_TYPES.items():
         value = obj[name]
         if type(value) not in types or (

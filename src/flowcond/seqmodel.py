@@ -39,18 +39,27 @@ request prepares its prompt once.
   slices instead of once per tensor.
 - Input stage: a forward pass reads a prepared prompt (``_Prompt``):
   the input matrix ``u`` with every column but x_t's filled (context,
-  phoneme embedding, nv, emo, each checked finite) and each block's fused
-  q|k|v weights.  The pass itself checks x_t, writes its columns of
-  ``u`` and adds the time code.  Training prepares every batch inline,
-  into the workspace.  ``make_field_fn``'s field prepares each batch it
-  is handed once, into buffers of its own, so a guided request prepares
-  two prompts, not one per evaluation.  ``u`` and the input GEMM are the
-  same either way, and so are the output bytes.
+  phoneme embedding, nv, emo, each checked finite), its 2-D view and the
+  view of x_t's columns, each block's fused q|k|v weights, and the
+  tensors the pass reads, taken from the parameter dict once as tuples
+  (the head's six, and per block the fused pair and ten more).  The pass
+  itself checks x_t, writes its columns of ``u`` and adds the time code.
+  Training prepares every batch inline, into the workspace, so a tensor
+  replaced in its dict is read at the next step.  ``make_field_fn``'s
+  field prepares each batch it is handed once, into buffers of its own,
+  so a guided request prepares two prompts, not one per evaluation.
+  ``u`` and the input GEMM are the same either way, and so are the output
+  bytes.
 - Workspace: a ``VectorFieldModel`` keeps one workspace for the
   (B, T, dtype) of its latest forward pass; a pass at another shape
-  replaces it.  It holds the forward cache and, once a backward pass has
-  run, the backward temporaries and the gradient arena; the kernels write
-  into it with ``out=``.
+  replaces it.  It holds the forward cache, every view the pass reads
+  (the 2-D view of each GEMM operand and output, each layernorm's row-sum
+  view, the transposed k), the time code's buffers and the positional
+  code, and, once a backward pass has run, the backward temporaries and
+  the gradient arena; the kernels write into it with ``out=``.  So the
+  body of a forward pass runs ufunc and matmul calls on views made before
+  it, and of arrays it makes only the velocities it returns.  It never
+  holds parameters: the dict a pass is given can change between passes.
 - Aliasing: the velocities ``forward_batch`` returns are a fresh array on
   every call, so callers may hold them across calls.  A forward cache is
   valid until the next ``forward_batch`` call on the model, and
@@ -74,8 +83,19 @@ from .features import FRAME_RATE, FormatError, _read_file, _write_file
 
 CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 1
+_U32 = struct.Struct("<I")
+_F32 = np.dtype("<f4")
 
 _LN_EPS = 1e-6
+# The row sums call einsum's C function and erf's clamp the clip ufunc:
+# np.einsum and np.clip are Python wrappers (array-function dispatch, then
+# argument checks) that pass the same arguments to these, and cost about
+# as much as a B=1 row sum or clamp itself.
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum as _einsum
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    _einsum, _clip = np.einsum, np.clip
 # Python floats, not numpy scalars: under NEP 50 a float64 scalar would
 # promote a float32 forward to float64.
 _SQRT2 = math.sqrt(2.0)
@@ -206,14 +226,40 @@ def _time_freqs(half: int) -> np.ndarray:
     return freqs
 
 
+class _TimeCode:
+    """Buffers for the sinusoidal codes of B path times at one width.
+
+    ``write`` fills ``emb`` (B, d_model) with sin(1000 t f) then
+    cos(1000 t f) over the frequencies f of ``_time_freqs``; an odd width's
+    last column stays zero.  The code is computed in float64 and rounded
+    once to ``dtype`` as it is stored.  The buffers are made once, so a
+    forward pass that holds one writes the code without allocating.
+    """
+
+    __slots__ = ("t", "t_col", "freqs", "ang", "emb", "sin", "cos")
+
+    def __init__(self, b: int, d_model: int, dtype=np.float64):
+        half = d_model // 2
+        self.t = np.empty(b)
+        self.t_col = self.t[:, None]
+        self.freqs = _time_freqs(half)
+        self.ang = np.empty((b, half))
+        self.emb = np.zeros((b, d_model), dtype)
+        self.sin, self.cos = self.emb[:, :half], self.emb[:, half : 2 * half]
+
+    def write(self, t) -> np.ndarray:
+        np.copyto(self.t, t)  # in float64 whatever the dtype of t
+        self.t *= 1000.0
+        np.multiply(self.t_col, self.freqs, out=self.ang)
+        np.sin(self.ang, out=self.sin)
+        np.cos(self.ang, out=self.cos)
+        return self.emb
+
+
 def time_embedding(t: np.ndarray, d_model: int) -> np.ndarray:
     """Sinusoidal embedding of path time, one row per batch element."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    ang = 1000.0 * t[:, None] * _time_freqs(d_model // 2)[None, :]
-    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-    if emb.shape[1] < d_model:  # odd width: pad the leftover column
-        emb = np.concatenate([emb, np.zeros((emb.shape[0], 1))], axis=1)
-    return emb
+    return _TimeCode(len(t), d_model).write(t)
 
 
 @functools.lru_cache(maxsize=32)
@@ -251,11 +297,11 @@ def _col_sum(a2: np.ndarray, out: np.ndarray) -> None:
     np.matmul(_ones(a2.shape[0], a2.dtype), a2, out=out)
 
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = (B,T,i) @ (i,o) + (o,), as one flat GEMM; ``out`` is contiguous."""
-    y = out.reshape(-1, w.shape[1])
-    np.matmul(x.reshape(-1, x.shape[-1]), w, out=y)
-    y += b
+def _linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray, y2: np.ndarray) -> None:
+    """y2 = x2 @ w + b, as one GEMM over the 2-D (B*T, i) view ``x2`` into
+    the 2-D (B*T, o) view ``y2``."""
+    np.matmul(x2, w, out=y2)
+    y2 += b
 
 
 def _linear_backward(x, dy, w, dx, dw, db) -> None:
@@ -302,7 +348,7 @@ def erf(x, out=None, *, scratch=None):
     if out is None:
         out = np.empty_like(x)
     x2, p = scratch if scratch is not None else (np.empty_like(x), np.empty_like(x))
-    np.clip(x, -4.0, 4.0, out=out)
+    _clip(x, -4.0, 4.0, out=out)
     np.multiply(out, out, out=x2)
     np.multiply(x2, _ERF32_P[0], out=p)
     p += _ERF32_P[1]
@@ -341,19 +387,18 @@ def _gelu_grad(x, phi, g) -> None:
     g += phi
 
 
-def _layernorm(x, g, b, y, xhat, istd) -> None:
+def _layernorm(x, g, b, y, xhat, istd, rows) -> None:
     """y = g * xhat + b, keeping xhat and the inverse std for the backward.
 
-    A row mean is an ``np.einsum`` row sum and a divide by the width; the
-    variance sums the row's squares in the same einsum, without writing
-    them out.
+    ``rows`` is ``istd[..., 0]``, the view the row sums are written to.  A
+    row mean is an einsum row sum and a divide by the width; the variance
+    sums the row's squares in the same einsum, without writing them out.
     """
     width = x.shape[-1]
-    rows = istd[..., 0]
-    np.einsum("...i->...", x, out=rows)
+    _einsum("...i->...", x, out=rows)
     istd /= width
     np.subtract(x, istd, out=xhat)
-    np.einsum("...i,...i->...", xhat, xhat, out=rows)
+    _einsum("...i,...i->...", xhat, xhat, out=rows)
     istd /= width
     istd += _LN_EPS
     np.sqrt(istd, out=istd)
@@ -374,10 +419,10 @@ def _layernorm_backward(dy, cache, g, dx, dg, db, tmp, stat) -> None:
     _col_sum(tmp.reshape(dy2.shape), dg)
     np.multiply(dy, g, out=dx)
     rows = stat[..., 0]  # row means, as in _layernorm
-    np.einsum("...i,...i->...", dx, xhat, out=rows)
+    _einsum("...i,...i->...", dx, xhat, out=rows)
     stat /= width
     np.multiply(xhat, stat, out=tmp)
-    np.einsum("...i->...", dx, out=rows)
+    _einsum("...i->...", dx, out=rows)
     stat /= width
     dx -= stat
     dx -= tmp
@@ -397,6 +442,12 @@ def _prompt_buffers(cfg: ModelConfig, b: int, t: int, dtype):
     return u, [(np.empty((d, 3 * d), dtype), np.empty(3 * d, dtype)) for _ in range(cfg.n_layers)]
 
 
+# Each block's tensors as a _Prompt holds them, after its fused q|k|v pair.
+_BLOCK_TENSORS = ("ln1_g", "ln1_b", "wo", "bo", "ln2_g", "ln2_b",
+                  "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
+_HEAD_TENSORS = ("in_w", "in_b", "out_ln_g", "out_ln_b", "out_w", "out_b")
+
+
 class _Prompt:
     """The input stage of a forward pass, run once for a batch and a parameter dict.
 
@@ -404,12 +455,16 @@ class _Prompt:
     up its phonemes, fills every column of the input matrix ``u``
     (B, T, input_dim) but x_t's, and fuses each block's q|k|v weights and
     biases into ``qkv`` (one (d, 3d) GEMM; the checkpoint keeps three
-    tensors).  ``forward_batch`` reads ``x_t`` and ``t`` from it, checks
-    x_t and writes its columns of ``u``; a caller that evaluates the same
-    conditions again sets only those two.
+    tensors).  It takes the tensors a pass reads from ``params`` once, as
+    tuples: ``head`` (``_HEAD_TENSORS``) and, per block, ``blocks`` (the
+    fused pair, then ``_BLOCK_TENSORS``); it reads the tensors the dict
+    holds now, so a tensor replaced in the dict later needs a new prompt.
+    ``forward_batch`` reads ``x_t`` and ``t`` from it, checks x_t and
+    writes its columns of ``u`` through ``x_cols``; a caller that
+    evaluates the same conditions again sets only those two.
     """
 
-    __slots__ = ("x_t", "t", "tokens", "u", "qkv", "params")
+    __slots__ = ("x_t", "t", "tokens", "u", "u_2d", "x_cols", "qkv", "params", "head", "blocks")
 
     def __init__(self, cfg: ModelConfig, inputs: BatchInputs, params, u, qkv):
         b, f, t_len = inputs.context.shape
@@ -429,52 +484,80 @@ class _Prompt:
             axis=2,
             out=u[:, :, f:],
         )
+        blocks = []
         for i, (w_qkv, b_qkv) in enumerate(qkv):
             p = f"block{i}."
             np.concatenate([params[p + "wq"], params[p + "wk"], params[p + "wv"]], axis=1,
                            out=w_qkv)
             np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]], out=b_qkv)
+            blocks.append((w_qkv, b_qkv, *(params[p + name] for name in _BLOCK_TENSORS)))
         self.x_t, self.t, self.tokens = inputs.x_t, inputs.t, inputs.tokens
         self.u, self.qkv, self.params = u, qkv, params
+        self.u_2d, self.x_cols = u.reshape(b * t_len, -1), u[:, :, :f]
+        self.head = tuple(params[name] for name in _HEAD_TENSORS)
+        self.blocks = tuple(blocks)
+
+
+def _layernorm_buffers(buf, b: int, t: int, d: int) -> tuple:
+    """A layernorm's output, xhat and inverse std, and the row-sum view of
+    the inverse std: ``_layernorm``'s last four arguments."""
+    istd = buf(b, t, 1)
+    return buf(b, t, d), buf(b, t, d), istd, istd[..., 0]
 
 
 class _Workspace:
     """Every array a forward and backward pass at one (B, T, dtype) writes.
 
     The forward cache has one set of buffers per block, and the input
-    buffers of the ``_Prompt`` a training forward prepares.  The backward
-    temporaries are one set shared by all blocks, and the two residual
-    stream buffers of the forward, which the backward never reads, carry
-    the residual gradients there; so a backward leaves the cache intact.
-    The backward half, with the gradient arena ``grads``, is made by the
-    first backward pass, so the sampler never holds it.  ``generation``
-    counts the forward passes run here, so a backward can tell a stale
-    cache.
+    buffers of the ``_Prompt`` a training forward prepares.  Every view the
+    forward pass reads is made here too, once: the 2-D (B*T, width) view
+    of each GEMM input and output (suffix ``_2d``), each layernorm's
+    row-sum view, the transposed k and the softmax row sum.  So are the
+    time code's buffers (``time``) and the positional code ``pe``.  The backward temporaries are
+    one set shared by all blocks, and the two residual stream buffers of
+    the forward, which the backward never reads, carry the residual
+    gradients there; so a backward leaves the cache intact.  The backward
+    half, with the gradient arena ``grads``, is made by the first backward
+    pass, so the sampler never holds it.  ``generation`` counts the
+    forward passes run here, so a backward can tell a stale cache.
     """
 
     def __init__(self, cfg: ModelConfig, b: int, t: int, dtype):
         d, f, h = cfg.d_model, cfg.d_ffn, cfg.n_heads
         dh = d // h
+        bt = b * t
         self.cfg, self.key = cfg, (b, t, np.dtype(dtype))
         self.generation = 0
         buf = self._buf
         self.u, self.qkv = _prompt_buffers(cfg, b, t, dtype)
         self.z, self.z_attn = buf(b, t, d), buf(b, t, d)
+        self.z_2d, self.z_attn_2d = self.z.reshape(bt, d), self.z_attn.reshape(bt, d)
+        self.time = _TimeCode(b, d, dtype)
+        self.tcode_rows = self.time.emb[:, None, :]  # broadcasts over the frames
+        self.pe = positional_encoding(t, d, dtype)
+        self.scale = 1.0 / math.sqrt(dh)
         self.blocks = []
         for _ in range(cfg.n_layers):
             qkv, o = buf(b, t, 3, h, dh), buf(b, t, d)
             q, k, v = (qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
+            ln1, ln2 = _layernorm_buffers(buf, b, t, d), _layernorm_buffers(buf, b, t, d)
+            h1, a1 = buf(b, t, f), buf(b, t, f)
             self.blocks.append(
-                {"y1": buf(b, t, d), "ln1c": (buf(b, t, d), buf(b, t, 1)),
-                 "qkv": qkv,
-                 "q": q, "k": k, "v": v, "p": buf(b, h, t, t), "o": o,
+                {"y1": ln1[0], "ln1": ln1, "ln1c": ln1[1:3], "y1_2d": ln1[0].reshape(bt, d),
+                 "qkv": qkv, "qkv_2d": qkv.reshape(bt, 3 * d),
+                 "q": q, "k": k, "kT": k.transpose(0, 1, 3, 2), "v": v,
+                 "p": buf(b, h, t, t), "o": o, "o_2d": o.reshape(bt, d),
                  "o_heads": o.reshape(b, t, h, dh).transpose(0, 2, 1, 3),
-                 "y2": buf(b, t, d), "ln2c": (buf(b, t, d), buf(b, t, 1)),
+                 "y2": ln2[0], "ln2": ln2, "ln2c": ln2[1:3], "y2_2d": ln2[0].reshape(bt, d),
                  # erf1 keeps the GELU gate (1 + erf(h1/sqrt 2)) * 0.5
-                 "h1": buf(b, t, f), "erf1": buf(b, t, f), "a1": buf(b, t, f)}
+                 "h1": h1, "h1_2d": h1.reshape(bt, f), "erf1": buf(b, t, f),
+                 "a1": a1, "a1_2d": a1.reshape(bt, f)}
             )
-        self.g_out, self.lnfc = buf(b, t, d), (buf(b, t, d), buf(b, t, 1))
+        self.lnf = _layernorm_buffers(buf, b, t, d)
+        self.g_out, self.lnfc = self.lnf[0], self.lnf[1:3]
+        self.g_out_2d = self.g_out.reshape(bt, d)
         self.row = buf(b, h, t, 1)  # softmax row max, sum and dot
+        self.row_sum = self.row[..., 0]
         self.f1 = buf(b, t, f)
         self.grads: dict[str, np.ndarray] | None = None
 
@@ -548,45 +631,47 @@ class VectorFieldModel:
         # Inputs that fail a check leave the previous forward's cache valid.
         self._ws = ws
         ws.generation += 1
-        prompt.u[:, :, :f] = x_t.transpose(0, 2, 1)
-        z, z_attn = ws.z, ws.z_attn
-        _linear(prompt.u, params["in_w"], params["in_b"], z)
-        z += time_embedding(prompt.t, cfg.d_model).astype(dtype, copy=False)[:, None, :]
-        z += positional_encoding(t_len, cfg.d_model, dtype)[None, :, :]
+        in_w, in_b, out_ln_g, out_ln_b, out_w, out_b = prompt.head
+        z, z_attn, z_2d, z_attn_2d = ws.z, ws.z_attn, ws.z_2d, ws.z_attn_2d
+        row, row_sum, scale = ws.row, ws.row_sum, ws.scale
+        prompt.x_cols[...] = x_t.transpose(0, 2, 1)
+        _linear(prompt.u_2d, in_w, in_b, z_2d)
+        ws.time.write(prompt.t)
+        z += ws.tcode_rows
+        z += ws.pe
 
-        scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-        for i, blk in enumerate(ws.blocks):
-            p = f"block{i}."
-            _layernorm(z, params[p + "ln1_g"], params[p + "ln1_b"], blk["y1"], *blk["ln1c"])
-            _linear(blk["y1"], *prompt.qkv[i], blk["qkv"])
+        for (w_qkv, b_qkv, ln1_g, ln1_b, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2), blk in zip(
+                prompt.blocks, ws.blocks):
+            _layernorm(z, ln1_g, ln1_b, *blk["ln1"])
+            _linear(blk["y1_2d"], w_qkv, b_qkv, blk["qkv_2d"])
             attn_p = blk["p"]
-            np.matmul(blk["q"], blk["k"].transpose(0, 1, 3, 2), out=attn_p)
+            np.matmul(blk["q"], blk["kT"], out=attn_p)
             attn_p *= scale
             # fmax gives max's bits on a row without NaN, faster; a NaN
             # score still turns its whole row NaN at the exp and the sum
-            np.fmax.reduce(attn_p, axis=-1, keepdims=True, out=ws.row)
-            attn_p -= ws.row
+            np.fmax.reduce(attn_p, axis=-1, keepdims=True, out=row)
+            attn_p -= row
             np.exp(attn_p, out=attn_p)
-            np.einsum("...i->...", attn_p, out=ws.row[..., 0])
-            attn_p /= ws.row
+            _einsum("...i->...", attn_p, out=row_sum)
+            attn_p /= row
             np.matmul(attn_p, blk["v"], out=blk["o_heads"])
-            _linear(blk["o"], params[p + "wo"], params[p + "bo"], z_attn)
+            _linear(blk["o_2d"], wo, bo, z_attn_2d)
             z_attn += z
 
-            _layernorm(z_attn, params[p + "ln2_g"], params[p + "ln2_b"], blk["y2"], *blk["ln2c"])
-            _linear(blk["y2"], params[p + "ffn_w1"], params[p + "ffn_b1"], blk["h1"])
+            _layernorm(z_attn, ln2_g, ln2_b, *blk["ln2"])
+            _linear(blk["y2_2d"], w1, b1, blk["h1_2d"])
             _gelu(blk["h1"], blk["a1"], blk["erf1"], ws.f1)
-            _linear(blk["a1"], params[p + "ffn_w2"], params[p + "ffn_b2"], z)
+            _linear(blk["a1_2d"], w2, b2, z_2d)
             z += z_attn
 
-        _layernorm(z, params["out_ln_g"], params["out_ln_b"], ws.g_out, *ws.lnfc)
+        _layernorm(z, out_ln_g, out_ln_b, *ws.lnf)
         # fresh: callers hold velocities across calls (guidance)
-        v_out = np.empty((b, t_len, cfg.feature_dim), dtype)
-        _linear(ws.g_out, params["out_w"], params["out_b"], v_out)
+        v_out = np.empty((b * t_len, f), dtype)
+        _linear(ws.g_out_2d, out_w, out_b, v_out)
         cache = {"workspace": ws, "generation": ws.generation, "u": prompt.u,
                  "tokens": prompt.tokens, "qkv": prompt.qkv, "blocks": ws.blocks,
                  "g_out": ws.g_out, "lnfc": ws.lnfc, "scale": scale}
-        return v_out.transpose(0, 2, 1), cache
+        return v_out.reshape(b, t_len, f).transpose(0, 2, 1), cache
 
     # -- backward ----------------------------------------------------------
 
@@ -642,7 +727,7 @@ class VectorFieldModel:
             np.matmul(do_heads, blk["v"].transpose(0, 1, 3, 2), out=ds)  # dL/dp
             np.matmul(attn_p.transpose(0, 1, 3, 2), do_heads, out=ws.dv)
             # softmax backward: ds = p * (dp - rowdot(dp, p)), with scale folded in
-            np.einsum("...i,...i->...", ds, attn_p, out=ws.row[..., 0])
+            _einsum("...i,...i->...", ds, attn_p, out=ws.row_sum)
             ds -= ws.row
             ds *= attn_p
             ds *= scale
@@ -920,28 +1005,37 @@ def load_checkpoint(path: str | Path, blob: bytes | None = None
     """Read a checkpoint back; tensors are returned as views of one
     float64 arena, in ``param_names`` order.  ``blob``, when given, is the
     file's bytes as the caller already read them; ``path`` then only names
-    the file in errors."""
+    the file in errors.
+
+    Fields are unpacked in place with ``struct.unpack_from`` and payloads
+    read with ``np.frombuffer`` at their offset, so only the config block
+    and the tensor names are copied out of the file's bytes.
+    """
     if blob is None:
         blob = _read_file(path)
-    off = 0
+    end, off = len(blob), 0
 
-    def take(n: int, what: str) -> bytes:
+    def skip(n: int, what: str) -> int:
+        """The offset of the next ``n`` bytes, which the file must hold; moves past them."""
         nonlocal off
-        if off + n > len(blob):
+        if off + n > end:
             raise FormatError(f"truncated checkpoint {path}: while reading {what}")
-        chunk = blob[off : off + n]
         off += n
-        return chunk
+        return off - n
 
-    if take(4, "magic") != CHECKPOINT_MAGIC:
+    def u32(what: str) -> int:
+        return _U32.unpack_from(blob, skip(4, what))[0]
+
+    skip(4, "magic")
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic in {path}: expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    version = u32("version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version} in {path}")
-    (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg_block = take(cfg_len, "config block")
+    cfg_len = u32("config length")
+    at = skip(cfg_len, "config block")
     try:
-        raw = json.loads(cfg_block)
+        raw = json.loads(blob[at : at + cfg_len])
         if not isinstance(raw, dict):
             raise ValueError("not a JSON object")
         for f in fields(ModelConfig):
@@ -954,30 +1048,31 @@ def load_checkpoint(path: str | Path, blob: bytes | None = None
         raise FormatError(f"bad config block in checkpoint {path}: {exc}") from exc
     except RecursionError:
         raise FormatError(f"bad config block in checkpoint {path}: nested too deeply") from None
-    (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
+    n_tensors = u32("tensor count")
 
     tensors: dict[str, np.ndarray] = {}
     for index in range(n_tensors):
-        (name_len,) = struct.unpack("<I", take(4, "tensor name length"))
-        raw_name = take(name_len, "tensor name")
+        name_len = u32("tensor name length")
+        at = skip(name_len, "tensor name")
         try:
-            name = raw_name.decode()
+            name = blob[at : at + name_len].decode()
         except UnicodeDecodeError:
             name = None
         if name is None or not name.isprintable():  # errors quote it on one line
             raise FormatError(f"tensor {index} of checkpoint {path} has a name that is "
                               "not printable UTF-8")
-        (ndim,) = struct.unpack("<I", take(4, "tensor rank"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
-        raw = take(4 * math.prod(shape), f"tensor {name} payload")  # exact: no int64 wrap
+        ndim = u32("tensor rank")
+        shape = struct.unpack_from(f"<{ndim}I", blob, skip(4 * ndim, "tensor shape"))
+        count = math.prod(shape)  # exact: no int64 wrap
+        at = skip(4 * count, f"tensor {name} payload")
         try:
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            arr = np.frombuffer(blob, _F32, count, at).reshape(shape)
         except ValueError:  # no payload, but other dimensions past numpy's size limit
             raise FormatError(f"tensor {name} of {path} has impossible shape {shape}") from None
         if not np.isfinite(arr).all():
             raise FormatError(f"non-finite values in tensor {name} of {path}")
         tensors[name] = arr
-    if off != len(blob):
+    if off != end:
         raise FormatError(f"trailing bytes after tensors in {path}")
 
     shapes = _param_shapes(cfg)

@@ -3,7 +3,9 @@
 Each test prints a single PASS line with its measured quantities (run
 with ``-s`` to see them live).  Criteria 3-5 train small models from
 scratch, so this module takes a few minutes of CPU; everything else is
-sub-second.
+sub-second.  The tests that train a model or read one trained here
+(criteria 3, 4, 5, 10 and 11) are marked ``slow``; ``pytest -m "not
+slow"`` leaves them out.
 """
 
 import json
@@ -238,6 +240,7 @@ def test_criterion_2_gradient_correctness():
 # -- criterion 3: Gaussian recovery ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_3_gaussian_recovery():
     t0 = time.perf_counter()
     mu = np.array([1.0, -1.0])
@@ -296,6 +299,7 @@ def test_criterion_3_gaussian_recovery():
 # -- criterion 4: infilling skill ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_infilling_beats_mean_baseline(sinusoid_model):
     model, params, train_time = sinusoid_model
     t0 = time.perf_counter()
@@ -395,6 +399,7 @@ def conditioned_outputs(model, params, with_nv, *, n=50,
     return outs, np.stack(emos), np.stack(nvs)
 
 
+@pytest.mark.slow
 def test_criterion_5_amplitude_tracks_arousal(mixed_model):
     model, params, train_time = mixed_model
     t0 = time.perf_counter()
@@ -429,6 +434,7 @@ def carrier_pattern_coefs(outs):
     return (np.linalg.pinv(basis) @ outs.transpose(0, 2, 1)[..., None])[..., 0]
 
 
+@pytest.mark.slow
 def test_criterion_10_pattern_tracks_nv_gate(mixed_model):
     model, params, train_time = mixed_model
     t0 = time.perf_counter()
@@ -451,6 +457,7 @@ def test_criterion_10_pattern_tracks_nv_gate(mixed_model):
 # -- criterion 11: emotion changes land on their frame ------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_11_carrier_jump_lands_on_the_step_frame(mixed_model):
     # Every text region holds one arousal step.  Where the step is large
     # (above 0.2), the largest frame-to-frame jump of the generated carrier

@@ -25,6 +25,7 @@ from flowcond.features import (
 )
 from flowcond.training import TrainSettings, load_corpus, train_loop
 from flowcond.seqmodel import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from test_features import _json_values, mutated_manifest_lines
 
 
 def run_cli(*argv):
@@ -1036,6 +1037,26 @@ def test_eval_report_bad_pair_record_is_one_line_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("second, message", [
+    ("wide", "pairs.jsonl:2: seed s1: embedding dims differ: 3 vs 4"),
+    ("long-int", "pairs.jsonl:2: bad pair record (Exceeds the limit (4300 digits)"),
+], ids=["incomparable-pair", "long-int"])
+def test_eval_report_pair_errors_name_the_pairs_line(tmp_path, capsys, second, message):
+    # Both used to print numpy's or json's message alone, naming no file.
+    a, wide = tmp_path / "a.fmat", tmp_path / "wide.fmat"
+    store_feature_matrix(FeatureMatrix(np.ones((3, 4))), a)
+    store_feature_matrix(FeatureMatrix(np.ones((4, 4))), wide)
+    lines = [json.dumps({"a": str(a), "b": str(a)}),
+             json.dumps({"a": str(a), "b": str(wide)}) if second == "wide"
+             else '{"a": ' + "9" * 5000 + ', "b": "x"}']
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "report.json"
+    pairs.write_text("\n".join(lines) + "\n")
+    assert run_cli("eval", "report", "--pairs", pairs, "--seeds", "s1", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # -- an output that names an input --------------------------------------------------
 
 
@@ -1385,6 +1406,144 @@ def test_train_corpus_corruption_fuzz(tmp_path_factory, capsys, fuzz_corpus, dat
         assert err.startswith(("error:", "format error:")) and err.count("\n") == 1, err
         assert str(target) in err or f"record {name.split('.')[0]!r}" in err, err
         assert not out.exists()
+
+
+# Path fields of a manifest record, and the names a fuzzed path may take.
+PATH_FIELDS = ["features_path", "phonemes_path", "nv_path", "emo_path"]
+
+
+def corpus_records(fuzz_corpus):
+    """Field dicts of the fuzz corpus's manifest, with at most one path
+    pointed at another file of the corpus (or at the manifest itself)."""
+    records = [json.loads(line) for line in fuzz_corpus["manifest.jsonl"].decode().splitlines()]
+    swap = st.sampled_from([None, *PATH_FIELDS])
+    return st.tuples(st.sampled_from(records), swap, st.sampled_from(sorted(fuzz_corpus))).map(
+        lambda drawn: {**drawn[0], **({drawn[1]: drawn[2]} if drawn[1] else {})})
+
+
+def damaged(data, blob: bytes) -> bytes:
+    """``blob`` as it is, truncated, or with one to three bits flipped.
+    Positions are drawn modulo the length, so that what is drawn does not
+    depend on the length of a temporary directory's name."""
+    edit = data.draw(st.sampled_from(["none", "truncate", "flip"]), label="edit")
+    position = st.integers(0, 1 << 16)
+    if edit == "truncate" and blob:
+        return blob[: data.draw(position, label="length") % len(blob)]
+    if edit == "flip" and blob:
+        out = bytearray(blob)
+        for i, bit in data.draw(st.lists(st.tuples(position, st.integers(0, 7)), min_size=1,
+                                         max_size=3), label="flips"):
+            out[i % len(blob)] ^= 1 << bit
+        return bytes(out)
+    return blob
+
+
+def assert_one_line_failure_or_success(code, captured, work, outputs):
+    """Exit 0, or exit 1 with one error line, nothing on stdout and none of
+    ``outputs`` (nor any .tmp file) left in ``work``."""
+    leftovers = [p.name for p in work.iterdir() if p.name.endswith(".tmp")]
+    assert leftovers == [], leftovers
+    if code == 0:
+        assert captured.err == "", captured.err
+        return
+    assert code == 1
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith(("error:", "format error:")) and err.count("\n") == 1, err
+    assert not any(p.exists() for p in outputs), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_train_manifest_fuzz(tmp_path_factory, capsys, fuzz_corpus, data):
+    # A manifest with one mutated line (a path may name another corpus
+    # file), then maybe truncated or bit-flipped, either trains or fails
+    # with one line and creates no --out.
+    work = tmp_path_factory.mktemp("manifest")
+    for name, blob in fuzz_corpus.items():
+        (work / name).write_bytes(blob)
+    lines = fuzz_corpus["manifest.jsonl"].decode().splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[k] = data.draw(mutated_manifest_lines(corpus_records(fuzz_corpus)), label="mutated")
+    manifest, out = work / "manifest.jsonl", work / "run"
+    manifest.write_bytes(damaged(data, "".join(line + "\n" for line in lines).encode()))
+    code = run_cli("train", "--manifest", manifest, "--steps", 0, "--out", out)
+    event(f"exit {code}")
+    captured = capsys.readouterr()
+    assert_one_line_failure_or_success(code, captured, work, [out])
+    if code == 0:
+        assert (out / "checkpoint.fmck").is_file()
+
+
+# Trajectory files a pairs file can name: (rows, frames) of each, or None
+# for a file that is not FMAT.
+TRAJECTORIES = {"s1_a.fmat": (3, 6), "s1_b.fmat": (3, 6), "s2_a.fmat": (3, 4),
+                "s2_b.fmat": (3, 6), "wide.fmat": (4, 6), "one.fmat": (3, 1),
+                "none.fmat": (3, 0), "zero.fmat": (3, 6), "notes.txt": None}
+PAIR_NAMES = ["{seed}_a.fmat", "{seed}_b.fmat", *TRAJECTORIES, "missing.fmat", "", "{seed}",
+              "sub", "pairs.jsonl", "report.json"]
+
+
+@st.composite
+def pairs_lines(draw, root):
+    """One line of a pairs file: a good pair, one with a key changed,
+    another JSON value, a blank line or raw text."""
+    path = st.sampled_from(PAIR_NAMES).map(lambda name: str(root / name))
+    kind = draw(st.sampled_from(["good", "good", "extra", "drop", "swap", "value", "blank",
+                                 "text", "long-int"]))
+    obj = {"a": draw(path), "b": draw(path)}
+    if kind == "extra":
+        obj[draw(st.text(max_size=4))] = draw(_json_values)
+    elif kind == "drop":
+        del obj[draw(st.sampled_from("ab"))]
+    elif kind == "swap":
+        obj[draw(st.sampled_from("ab"))] = draw(_json_values)
+    elif kind == "value":
+        return json.dumps(draw(_json_values))
+    elif kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    elif kind == "text":
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    elif kind == "long-int":
+        return '{"a": ' + "9" * 5000 + ', "b": "x"}'
+    return json.dumps(obj)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_report_pairs_fuzz(tmp_path_factory, capsys, data):
+    # A pairs file of good, mutated and raw lines naming trajectories of
+    # several shapes, missing files and non-FMAT files, then maybe
+    # truncated or bit-flipped, either scores or fails with one line and
+    # writes no --out.
+    work = tmp_path_factory.mktemp("pairs")
+    rng = np.random.default_rng(0)
+    for name, shape in TRAJECTORIES.items():
+        if shape is None:
+            (work / name).write_text("not a trajectory\n")
+        else:
+            values = np.zeros(shape) if name == "zero.fmat" else rng.standard_normal(shape)
+            store_feature_matrix(FeatureMatrix(values), work / name)
+    (work / "sub").mkdir()
+    lines = data.draw(st.lists(pairs_lines(work), min_size=0, max_size=3), label="lines")
+    pairs, out = work / "pairs.jsonl", work / "report.json"
+    pairs.write_bytes(damaged(data, "".join(line + "\n" for line in lines).encode()))
+    seeds = data.draw(st.sampled_from(["s1", "s1,s2"]), label="seeds")
+    code = run_cli("eval", "report", "--pairs", pairs, "--seeds", seeds, "--out", out)
+    event(f"exit {code}")
+    captured = capsys.readouterr()
+    assert_one_line_failure_or_success(code, captured, work, [out])
+    if code == 0:
+        def strict(constant):
+            raise ValueError(f"{constant} in the report")
+
+        report = json.loads(out.read_text(), parse_constant=strict)
+        assert report["seeds"] == seeds.split(",")
+        assert captured.out.startswith("mean ") and captured.out.count("\n") == 1
 
 
 # -- one parser per process -------------------------------------------------------

@@ -60,6 +60,29 @@ def test_read_file_returns_the_whole_file(tmp_path, monkeypatch, size):
     assert max(asked) < 1 << 20
 
 
+@pytest.mark.parametrize("size, reads", [
+    (1500, [features._READ_CHUNK, features._READ_CHUNK]),
+    (features._READ_CHUNK, [features._READ_CHUNK, features._READ_CHUNK]),
+    (3 * features._READ_CHUNK + 5, [features._READ_CHUNK, 2 * features._READ_CHUNK + 5,
+                                    2 * features._READ_CHUNK + 5]),
+], ids=["small", "one-read", "several-reads"])
+def test_read_file_asks_for_the_rest_of_a_large_file_at_once(tmp_path, monkeypatch, size, reads):
+    # A full first read is followed by one read of the rest and the read
+    # that finds the end, not by one read per chunk.
+    p = tmp_path / "f.bin"
+    p.write_bytes(bytes(range(256)) * (size // 256) + bytes(size % 256))
+    asked = []
+    real_read = os.read
+
+    def recording_read(fd, n):
+        asked.append(n)
+        return real_read(fd, n)
+
+    monkeypatch.setattr(os, "read", recording_read)
+    assert features._read_file(p) == p.read_bytes()
+    assert asked == reads
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("as_path", [False, True], ids=["str", "Path"])
 def test_read_file_errors_name_the_path_as_open_does(tmp_path, kind, as_path):
@@ -252,6 +275,21 @@ def test_phoneme_file_round_trip(tmp_path):
     assert np.array_equal(load_phonemes(p), tokens)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64, np.float32])
+def test_store_phonemes_writes_integer_and_truncated_float_ids(tmp_path, dtype):
+    # Integer ids print as Python ints; float ids truncate toward zero, as int() does.
+    values = [0, 3, 15, 7, 2] if np.dtype(dtype).kind in "iu" else [0.0, 3.9, 15.5, 7.2, 2.99]
+    p = tmp_path / "t.phn"
+    store_phonemes(np.array(values, dtype=dtype), p)
+    assert p.read_bytes() == b"0 3 15 7 2\n"
+    store_phonemes(np.array([-2**63, 2**63 - 1], dtype=np.int64), p)
+    assert p.read_bytes() == f"{-2**63} {2**63 - 1}\n".encode()
+    store_phonemes(np.array([-1.7, -0.5]), p)
+    assert p.read_bytes() == b"-1 0\n"
+    store_phonemes(np.zeros(0, dtype=np.int64), p)
+    assert p.read_bytes() == b"\n"
+
+
 @pytest.mark.parametrize("token, match", [
     ("x1", "non-integer"),
     (str(2**63), "64-bit integer range"),
@@ -442,12 +480,13 @@ def reference_read_manifest(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
             try:
                 rec = DatasetRecord(**obj)
             except TypeError as exc:
-                raise FormatError(f"manifest line {lineno}: {exc}") from exc
+                text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+                raise FormatError(f"manifest line {lineno}: {text}") from exc
             for name, kind in _REF_TYPES.items():
                 value = getattr(rec, name)
                 if kind is float:
@@ -479,8 +518,9 @@ def manifest_outcome(reader, path):
 
 
 # Raw JSON number and literal spellings a value can be swapped for.
-_RAW_VALUES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", str(10**400), "-0", "7",
-               "0.5", "true", "null", '"x"', "[]", "{}"]
+# "9" * 5000 is past the digit limit of Python's int conversion.
+_RAW_VALUES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", str(10**400), "9" * 5000, "-0",
+               "7", "0.5", "true", "null", '"x"', "[]", "{}"]
 _FIELD_NAMES = [f.name for f in fields(DatasetRecord)]
 _json_values = st.sampled_from([None, True, False, 0, 1, -1, 0.5, -0.0, "", "sad", [], {}]) | (
     st.recursive(
@@ -493,11 +533,16 @@ _json_values = st.sampled_from([None, True, False, 0, 1, -1, 0.5, -0.0, "", "sad
 
 
 @st.composite
-def mutated_manifest_lines(draw):
+def mutated_manifest_lines(draw, records=None):
     """A canonical manifest line with up to two key or value changes, then
     up to one change to its text: a repeated key, a BOM, trailing text,
-    truncation, or its keys written in a shuffled order."""
-    obj = vars(make_record(draw(st.integers(0, 99))))
+    truncation, or its keys written in a shuffled order.  ``records``, a
+    strategy of field dicts, gives the line before its changes; by
+    default it is a ``make_record`` record."""
+    if records is None:
+        obj = vars(make_record(draw(st.integers(0, 99))))
+    else:
+        obj = dict(draw(records))
     raw = {}
     changes = st.tuples(st.sampled_from(_FIELD_NAMES),
                         st.sampled_from(["drop", "add", "swap", "raw"]))
@@ -560,7 +605,13 @@ _CANONICAL = manifest_line(make_record(0))
      f"invalid JSON (Extra data: line 1 column {len(_CANONICAL) + 1} (char {len(_CANONICAL)}))"),
     ("{} {}", "invalid JSON (Extra data: line 1 column 4 (char 3))"),
     (manifest_line(make_record(0, duration_s="1", id=7)), "id must be a string, got 7"),
-], ids=["bom", "trailing-after-space", "trailing", "two-objects", "two-bad-fields"])
+    (json.dumps({"a\nb\x00": 1, **vars(make_record(0))}),
+     "DatasetRecord.__init__() got an unexpected keyword argument 'a\\nb\\x00'"),
+    (_CANONICAL.replace('"ovlr": 3.5', '"ovlr": ' + "9" * 5000),
+     "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: value has "
+     "5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
+], ids=["bom", "trailing-after-space", "trailing", "two-objects", "two-bad-fields",
+        "unprintable-key", "long-int"])
 def test_read_manifest_error_messages_pinned(tmp_path, line, message):
     p = tmp_path / "m.jsonl"
     p.write_text(line + "\n")

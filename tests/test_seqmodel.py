@@ -341,6 +341,38 @@ def test_forward_returns_fresh_velocities():
     np.testing.assert_array_equal(a, kept)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_after_a_shape_change_is_a_fresh_models_forward(dtype):
+    # The workspace holds views, the time code and the positional code of
+    # one (B, T, dtype); a pass at another shape and back must not read
+    # any of them from the other shape.
+    rng = np.random.default_rng(35)
+    params = {k: a.astype(dtype) for k, a in init_params(SMALL, rng, zero_output=False).items()}
+    model = VectorFieldModel(SMALL)
+    for b, t_len in ((2, 5), (3, 7), (2, 5), (1, 1), (2, 5)):
+        inputs, _ = make_batch(b, t_len, SMALL, rng)
+        got = model.forward_batch(inputs, params)[0]
+        want = VectorFieldModel(SMALL).forward_batch(inputs, params)[0]
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), (b, t_len)
+
+
+@pytest.mark.parametrize("name", ["in_w", "block0.wk", "block1.ln2_g", "block1.ffn_b2", "out_w"])
+def test_forward_reads_a_tensor_replaced_in_the_params_dict(name):
+    # The parameter tuples a pass reads are taken from the dict on every
+    # BatchInputs call, never kept from an earlier call on the same dict.
+    rng = np.random.default_rng(36)
+    params = init_params(SMALL, rng, zero_output=False)
+    model = VectorFieldModel(SMALL)
+    inputs, _ = make_batch(2, 5, SMALL, rng)
+    before = model.forward_batch(inputs, params)[0].copy()
+    params[name] = params[name] + rng.standard_normal(params[name].shape)
+    got = model.forward_batch(inputs, params)[0]
+    want = VectorFieldModel(SMALL).forward_batch(inputs, params)[0]
+    assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(got, before)
+
+
 # -- precision -----------------------------------------------------------------
 
 
@@ -468,7 +500,7 @@ def test_layernorm_reductions_match_einsum_rows_and_gemv_columns_bitwise(dtype, 
     g = rng.uniform(0.5, 1.5, width).astype(dtype)
     b = rng.standard_normal(width).astype(dtype)
     y, xhat, istd = np.empty_like(x), np.empty_like(x), np.empty((2, 13, 1), dtype)
-    seqmodel._layernorm(x, g, b, y, xhat, istd)
+    seqmodel._layernorm(x, g, b, y, xhat, istd, istd[..., 0])
     for got, want in zip((y, xhat, istd), reference_layernorm(x, g, b)):
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
