@@ -49,17 +49,25 @@ request prepares its prompt once.
   field prepares each batch it is handed once, into buffers of its own,
   so a guided request prepares two prompts, not one per evaluation.
   ``u`` and the input GEMM are the same either way, and so are the output
-  bytes.
+  bytes.  The forward cache carries the prompt, and ``backward_batch``
+  reads the head and block tuples (the fused q|k|v weights among them)
+  from it, so it needs the parameter dict its forward was given.
 - Workspace: a ``VectorFieldModel`` keeps one workspace for the
   (B, T, dtype) of its latest forward pass; a pass at another shape
   replaces it.  It holds the forward cache, every view the pass reads
   (the 2-D view of each GEMM operand and output, each layernorm's row-sum
   view, the transposed k), the time code's buffers and the positional
-  code, and, once a backward pass has run, the backward temporaries and
-  the gradient arena; the kernels write into it with ``out=``.  So the
-  body of a forward pass runs ufunc and matmul calls on views made before
-  it, and of arrays it makes only the velocities it returns.  It never
-  holds parameters: the dict a pass is given can change between passes.
+  code, and, once a backward pass has run, the backward half: its
+  temporaries, the gradient arena, each block's tuple of gradient views,
+  the (gradient, fused column slice) pairs that split the q|k|v gradient,
+  and every view the backward reads (the transposed 2-D inputs of the
+  weight-gradient GEMMs, vᵀ, pᵀ, dsᵀ, the split-heads view of dy, the
+  layernorm backward's scratch views).  The kernels write into it with
+  ``out=``.  So the body of either pass runs ufunc and matmul calls on
+  views made before it: a forward makes only the velocities it returns,
+  and a backward only the 2-D view of its output gradient and the
+  weights' transposes.  It never holds parameters: the dict a pass is
+  given can change between passes.
 - Aliasing: the velocities ``forward_batch`` returns are a fresh array on
   every call, so callers may hold them across calls.  A forward cache is
   valid until the next ``forward_batch`` call on the model, and
@@ -77,6 +85,12 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+# The row sums call einsum's C function and erf's clamp the clip ufunc:
+# np.einsum and np.clip are Python wrappers (array-function dispatch, then
+# argument checks) that pass the same arguments to these, and cost about
+# as much as a B=1 row sum or clamp itself.
+from numpy._core.multiarray import c_einsum as _einsum
+from numpy._core.umath import clip as _clip
 
 from .infill import BatchInputs, NV_DIM, EMO_DIM
 from .features import FRAME_RATE, FormatError, _read_file, _write_file
@@ -87,15 +101,6 @@ _U32 = struct.Struct("<I")
 _F32 = np.dtype("<f4")
 
 _LN_EPS = 1e-6
-# The row sums call einsum's C function and erf's clamp the clip ufunc:
-# np.einsum and np.clip are Python wrappers (array-function dispatch, then
-# argument checks) that pass the same arguments to these, and cost about
-# as much as a B=1 row sum or clamp itself.
-try:  # numpy >= 2
-    from numpy._core.multiarray import c_einsum as _einsum
-    from numpy._core.umath import clip as _clip
-except ImportError:
-    _einsum, _clip = np.einsum, np.clip
 # Python floats, not numpy scalars: under NEP 50 a float64 scalar would
 # promote a float32 forward to float64.
 _SQRT2 = math.sqrt(2.0)
@@ -220,7 +225,7 @@ def embed_phonemes(tokens: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _time_freqs(half: int) -> np.ndarray:
-    """The frequencies of ``time_embedding``, cached per width and read-only."""
+    """The frequencies of ``_TimeCode``, cached per width and read-only."""
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
     freqs.flags.writeable = False
     return freqs
@@ -256,12 +261,6 @@ class _TimeCode:
         return self.emb
 
 
-def time_embedding(t: np.ndarray, d_model: int) -> np.ndarray:
-    """Sinusoidal embedding of path time, one row per batch element."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return _TimeCode(len(t), d_model).write(t)
-
-
 @functools.lru_cache(maxsize=32)
 def positional_encoding(T: int, d_model: int, dtype=np.float64) -> np.ndarray:
     """Standard sinusoidal position code, (T, d_model), computed in float64
@@ -285,16 +284,11 @@ def positional_encoding(T: int, d_model: int, dtype=np.float64) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _ones(n: int, dtype) -> np.ndarray:
-    """n ones in ``dtype``, cached per length and read-only: a column sum is
-    one GEMV against it."""
+    """n ones in ``dtype``, cached per length and read-only: a column sum
+    over n rows is one GEMV against it."""
     ones = np.ones(n, dtype)
     ones.flags.writeable = False
     return ones
-
-
-def _col_sum(a2: np.ndarray, out: np.ndarray) -> None:
-    """Column sums of the 2-D ``a2`` into ``out``, as one GEMV."""
-    np.matmul(_ones(a2.shape[0], a2.dtype), a2, out=out)
 
 
 def _linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray, y2: np.ndarray) -> None:
@@ -304,25 +298,37 @@ def _linear(x2: np.ndarray, w: np.ndarray, b: np.ndarray, y2: np.ndarray) -> Non
     y2 += b
 
 
-def _linear_backward(x, dy, w, dx, dw, db) -> None:
-    """For y = x @ w + b, writes dL/dx into ``dx``, dL/dw into ``dw`` and
-    dL/db into ``db``."""
-    i, o = w.shape
-    x2 = x.reshape(-1, i)
-    dy2 = dy.reshape(-1, o)
-    np.matmul(x2.T, dy2, out=dw)
-    _col_sum(dy2, db)
-    np.matmul(dy2, w.T, out=dx.reshape(-1, i))
+def _linear_backward(x_T, dy_2d, w, dx_2d, dw, db, ones) -> None:
+    """For y = x @ w + b over 2-D (B*T, width) views, writes dL/dx into
+    ``dx_2d``, dL/dw into ``dw`` and dL/db into ``db``, given x's transposed
+    view ``x_T`` and dL/dy as ``dy_2d``.  The bias gradient is a column
+    sum: one GEMV against ``ones``, one per row."""
+    np.matmul(x_T, dy_2d, out=dw)
+    np.matmul(ones, dy_2d, out=db)
+    np.matmul(dy_2d, w.T, out=dx_2d)
+
+
+def _const(value, dtype) -> np.ndarray:
+    """``value`` as a read-only 0-d array of ``dtype``.  An in-place ufunc
+    with a Python scalar operand first converts it to the array's dtype,
+    which costs about as much as the op itself at B=1; a 0-d array of that
+    dtype holds the same converted value, so it gives the same bits."""
+    c = np.array(value, dtype)
+    c.flags.writeable = False
+    return c
 
 
 # erf(x) = x P(x^2) / Q(x^2) for float32 on x clamped to [-4, 4], where
 # float32 erf has rounded to +-1.  The coefficients are Eigen's and XLA's
 # float32 erf (highest degree first); max abs error 4.5e-7 over [-6, 6].
-_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-            -1.60960333262415e-02)
-_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-            -7.37332916720468e-03, -1.42647390514189e-02)
+_ERF32_P = tuple(_const(c, np.float32) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF32_Q = tuple(_const(c, np.float32) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+_ERF32_CLAMP = (_const(-4.0, np.float32), _const(4.0, np.float32))
 
 
 # Python's math.erf (libm) as an object ufunc; erf casts its results to float64.
@@ -348,7 +354,7 @@ def erf(x, out=None, *, scratch=None):
     if out is None:
         out = np.empty_like(x)
     x2, p = scratch if scratch is not None else (np.empty_like(x), np.empty_like(x))
-    _clip(x, -4.0, 4.0, out=out)
+    _clip(x, *_ERF32_CLAMP, out=out)
     np.multiply(out, out, out=x2)
     np.multiply(x2, _ERF32_P[0], out=p)
     p += _ERF32_P[1]
@@ -408,17 +414,28 @@ def _layernorm(x, g, b, y, xhat, istd, rows) -> None:
     y += b
 
 
-def _layernorm_backward(dy, cache, g, dx, dg, db, tmp, stat) -> None:
-    """Writes dL/dx into ``dx`` and the gain and offset gradients into
-    ``dg`` and ``db``; ``tmp`` (like dy) and ``stat`` (one per row) are scratch."""
-    xhat, istd = cache
+def _layernorm_scratch(dy, tmp, stat) -> tuple:
+    """``_layernorm_backward``'s last argument: the gradient ``dy`` it
+    reads, its scratch ``tmp`` (like dy) and ``stat`` (one per row), their
+    2-D and row-sum views, the width, and the ones its column sums run
+    against."""
     width = dy.shape[-1]
-    dy2 = dy.reshape(-1, width)
-    _col_sum(dy2, db)
+    rows = dy.size // width
+    return (dy, dy.reshape(rows, width), tmp, tmp.reshape(rows, width), stat, stat[..., 0],
+            _const(width, dy.dtype), _ones(rows, dy.dtype))
+
+
+def _layernorm_backward(cache, g, dx, dg, db, scratch) -> None:
+    """Writes dL/dx into ``dx`` and the gain and offset gradients into
+    ``dg`` and ``db``, for the dL/dy that ``scratch`` (``_layernorm_scratch``)
+    holds.  The row means are einsum row sums, as in ``_layernorm``, and
+    the column sums are GEMVs against the ones."""
+    xhat, istd = cache
+    dy, dy_2d, tmp, tmp_2d, stat, rows, width, ones = scratch
+    np.matmul(ones, dy_2d, out=db)
     np.multiply(dy, xhat, out=tmp)
-    _col_sum(tmp.reshape(dy2.shape), dg)
+    np.matmul(ones, tmp_2d, out=dg)
     np.multiply(dy, g, out=dx)
-    rows = stat[..., 0]  # row means, as in _layernorm
     _einsum("...i,...i->...", dx, xhat, out=rows)
     stat /= width
     np.multiply(xhat, stat, out=tmp)
@@ -427,11 +444,6 @@ def _layernorm_backward(dy, cache, g, dx, dg, db, tmp, stat) -> None:
     dx -= stat
     dx -= tmp
     dx *= istd
-
-
-def _split_heads(x, n_heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _prompt_buffers(cfg: ModelConfig, b: int, t: int, dtype):
@@ -471,7 +483,7 @@ class _Prompt:
         if f != cfg.feature_dim:
             raise ValueError(f"feature dim {f} != configured {cfg.feature_dim}")
         for arr in (inputs.nv, inputs.emo, inputs.context):
-            if not np.isfinite(arr).all():
+            if not np.logical_and.reduce(np.isfinite(arr), axis=None):
                 raise FloatingPointError("non-finite value in model input")
         emb = embed_phonemes(inputs.tokens.reshape(-1), params["phn_emb"])
         np.concatenate(
@@ -513,13 +525,21 @@ class _Workspace:
     forward pass reads is made here too, once: the 2-D (B*T, width) view
     of each GEMM input and output (suffix ``_2d``), each layernorm's
     row-sum view, the transposed k and the softmax row sum.  So are the
-    time code's buffers (``time``) and the positional code ``pe``.  The backward temporaries are
-    one set shared by all blocks, and the two residual stream buffers of
-    the forward, which the backward never reads, carry the residual
-    gradients there; so a backward leaves the cache intact.  The backward
-    half, with the gradient arena ``grads``, is made by the first backward
-    pass, so the sampler never holds it.  ``generation`` counts the
-    forward passes run here, so a backward can tell a stale cache.
+    time code's buffers (``time``) and the positional code ``pe``.
+
+    The backward half is made by the first backward pass
+    (``ensure_backward``), so the sampler never holds it: the gradient
+    arena ``grads`` with its views as tuples (``grad_head``, and per block
+    ``grad_blocks``, which starts with the (gradient, ``dw_qkv`` or
+    ``db_qkv`` column slice) pairs for q, k and v), and every view the
+    backward reads (the transposed 2-D inputs of the weight-gradient
+    GEMMs, suffix ``_T``, vᵀ, pᵀ, dsᵀ, the split-heads view of dy and
+    ``ln_scratch``).  The parameters come from the forward's prompt.  The
+    backward temporaries are one set shared by all blocks, and the two
+    residual stream buffers of the forward, which the backward never
+    reads, carry the residual gradients there; so a backward leaves the
+    cache intact.  ``generation`` counts the forward passes run here, so
+    a backward can tell a stale cache.
     """
 
     def __init__(self, cfg: ModelConfig, b: int, t: int, dtype):
@@ -535,7 +555,7 @@ class _Workspace:
         self.time = _TimeCode(b, d, dtype)
         self.tcode_rows = self.time.emb[:, None, :]  # broadcasts over the frames
         self.pe = positional_encoding(t, d, dtype)
-        self.scale = 1.0 / math.sqrt(dh)
+        self.scale = _const(1.0 / math.sqrt(dh), dtype)
         self.blocks = []
         for _ in range(cfg.n_layers):
             qkv, o = buf(b, t, 3, h, dh), buf(b, t, d)
@@ -565,21 +585,43 @@ class _Workspace:
         return np.empty(shape, self.key[2])
 
     def ensure_backward(self) -> None:
-        """Make the backward temporaries and the gradient arena on first use."""
+        """Make the backward half on first use: the temporaries, the
+        gradient arena, and every view the backward pass reads."""
         if self.grads is not None:
             return
         cfg, (b, t, dtype) = self.cfg, self.key
         d, f, h = cfg.d_model, cfg.d_ffn, cfg.n_heads
+        dh, bt = d // h, b * t
         buf = self._buf
-        self.f2 = buf(b, t, f)
+        self.ones = _ones(bt, dtype)
+        self.f1_2d, self.f2 = self.f1.reshape(bt, f), buf(b, t, f)
         self.dy, self.tmp, self.stat = buf(b, t, d), buf(b, t, d), buf(b, t, 1)
+        self.dy_2d = self.dy.reshape(bt, d)
+        self.do_heads = self.dy.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        self.ln_scratch = _layernorm_scratch(self.dy, self.tmp, self.stat)
         self.ds = buf(b, h, t, t)
+        self.dsT = self.ds.transpose(0, 1, 3, 2)
         # dq|dk|dv land in one buffer laid out like the fused q|k|v output
-        self.d_qkv = buf(b, t, 3, h, d // h)
+        self.d_qkv = buf(b, t, 3, h, dh)
+        self.d_qkv_2d = self.d_qkv.reshape(bt, 3 * d)
         self.dq, self.dk, self.dv = (self.d_qkv[:, :, j].transpose(0, 2, 1, 3) for j in range(3))
         self.dw_qkv, self.db_qkv = buf(d, 3 * d), buf(3 * d)
-        self.d_emb = buf(b * t, cfg.d_phn)
-        self.grads = _arena(_param_shapes(cfg), dtype)
+        self.d_emb = buf(bt, cfg.d_phn)
+        self.emb_rows = slice(2 * cfg.feature_dim, 2 * cfg.feature_dim + cfg.d_phn)
+        self.g_out_T = self.g_out_2d.T
+        self.grads = grads = _arena(_param_shapes(cfg), dtype)
+        self.grad_head = (*(grads[name] for name in _HEAD_TENSORS), grads["phn_emb"])
+        self.grad_blocks = []
+        for i, blk in enumerate(self.blocks):
+            for name in ("y1", "o", "y2", "a1"):
+                blk[name + "_T"] = blk[name + "_2d"].T
+            blk["vT"], blk["pT"] = blk["v"].transpose(0, 1, 3, 2), blk["p"].transpose(0, 1, 3, 2)
+            p = f"block{i}."
+            cols = [slice(j * d, (j + 1) * d) for j in range(3)]
+            # (gradient, fused column slice) for wq, wk, wv, then bq, bk, bv
+            qkv = tuple((grads[p + "w" + n], self.dw_qkv[:, c]) for n, c in zip("qkv", cols)) \
+                + tuple((grads[p + "b" + n], self.db_qkv[c]) for n, c in zip("qkv", cols))
+            self.grad_blocks.append((qkv, *(grads[p + name] for name in _BLOCK_TENSORS)))
 
 
 class VectorFieldModel:
@@ -612,7 +654,7 @@ class VectorFieldModel:
         b, f, t_len = x_t.shape
         if f != cfg.feature_dim:
             raise ValueError(f"feature dim {f} != configured {cfg.feature_dim}")
-        if not np.isfinite(x_t).all():
+        if not np.logical_and.reduce(np.isfinite(x_t), axis=None):
             raise FloatingPointError("non-finite value in model input")
 
         ws = self._ws
@@ -668,9 +710,8 @@ class VectorFieldModel:
         # fresh: callers hold velocities across calls (guidance)
         v_out = np.empty((b * t_len, f), dtype)
         _linear(ws.g_out_2d, out_w, out_b, v_out)
-        cache = {"workspace": ws, "generation": ws.generation, "u": prompt.u,
-                 "tokens": prompt.tokens, "qkv": prompt.qkv, "blocks": ws.blocks,
-                 "g_out": ws.g_out, "lnfc": ws.lnfc, "scale": scale}
+        cache = {"workspace": ws, "generation": ws.generation, "prompt": prompt,
+                 "blocks": ws.blocks, "lnfc": ws.lnfc}
         return v_out.reshape(b, t_len, f).transpose(0, 2, 1), cache
 
     # -- backward ----------------------------------------------------------
@@ -679,7 +720,11 @@ class VectorFieldModel:
         """Gradients of a scalar loss w.r.t. every parameter tensor.
 
         ``grad_out`` is dLoss/dOutput with output shape (B, F, T);
-        ``cache`` comes from the latest forward_batch.
+        ``cache`` comes from the latest forward_batch, and ``params`` must
+        be the parameter dict that forward was given.  The pass reads the
+        tensors that forward's prompt took from it (so a tensor replaced in
+        the dict after the forward is not read), and every buffer and view
+        from the workspace, made by its first backward pass.
         The gradients are views of the workspace's gradient arena and
         are valid until the next backward_batch call at this shape.
         """
@@ -690,67 +735,60 @@ class VectorFieldModel:
             raise RuntimeError(
                 "stale forward cache: a later forward_batch call has overwritten it"
             )
+        prompt = cache["prompt"]
+        if params is not prompt.params:
+            raise ValueError("backward_batch needs the parameter dict its forward pass was given")
         ws.ensure_backward()
-        cfg = self.config
-        d, heads = cfg.d_model, cfg.n_heads
-        grads = ws.grads
-        dy, dz, dz_attn = ws.dy, ws.z, ws.z_attn
-        scratch = (ws.tmp, ws.stat)
+        in_w, _, out_ln_g, _, out_w, _ = prompt.head
+        g_in_w, g_in_b, g_lnf_g, g_lnf_b, g_out_w, g_out_b, g_emb = ws.grad_head
+        ones, ln, scale = ws.ones, ws.ln_scratch, ws.scale
+        dy_2d, da1, da1_2d, gelu_g = ws.dy_2d, ws.f1, ws.f1_2d, ws.f2
+        # The residual stream buffers carry the residual gradients.
+        dz, dz_attn, dz_2d, dz_attn_2d = ws.z, ws.z_attn, ws.z_2d, ws.z_attn_2d
+        ds, ds_T, row, row_sum, do_heads = ws.ds, ws.dsT, ws.row, ws.row_sum, ws.do_heads
+        d_qkv_2d, dw_qkv, db_qkv = ws.d_qkv_2d, ws.dw_qkv, ws.db_qkv
 
-        _linear_backward(cache["g_out"], grad_out.transpose(0, 2, 1), params["out_w"],
-                         dy, grads["out_w"], grads["out_b"])
-        _layernorm_backward(dy, cache["lnfc"], params["out_ln_g"], dz,
-                            grads["out_ln_g"], grads["out_ln_b"], *scratch)
+        dv_2d = grad_out.transpose(0, 2, 1).reshape(-1, self.config.feature_dim)
+        _linear_backward(ws.g_out_T, dv_2d, out_w, dy_2d, g_out_w, g_out_b, ones)
+        _layernorm_backward(ws.lnfc, out_ln_g, dz, g_lnf_g, g_lnf_b, ln)
 
-        scale = cache["scale"]
-        for i in reversed(range(cfg.n_layers)):
-            p = f"block{i}."
-            blk = cache["blocks"][i]
-
+        for (w_qkv, _, ln1_g, _, wo, _, ln2_g, _, w1, _, w2, _), blk, (
+                g_qkv, g_ln1_g, g_ln1_b, g_wo, g_bo, g_ln2_g, g_ln2_b, g_w1, g_b1, g_w2, g_b2
+        ) in zip(reversed(prompt.blocks), reversed(ws.blocks), reversed(ws.grad_blocks)):
             # FFN sub-block: z_next = z_attn + ffn(ln2(z_attn))
-            da1, gelu_g = ws.f1, ws.f2
             _gelu_grad(blk["h1"], blk["erf1"], gelu_g)
-            _linear_backward(blk["a1"], dz, params[p + "ffn_w2"],
-                             da1, grads[p + "ffn_w2"], grads[p + "ffn_b2"])
+            _linear_backward(blk["a1_T"], dz_2d, w2, da1_2d, g_w2, g_b2, ones)
             da1 *= gelu_g
-            _linear_backward(blk["y2"], da1, params[p + "ffn_w1"],
-                             dy, grads[p + "ffn_w1"], grads[p + "ffn_b1"])
-            _layernorm_backward(dy, blk["ln2c"], params[p + "ln2_g"], dz_attn,
-                                grads[p + "ln2_g"], grads[p + "ln2_b"], *scratch)
+            _linear_backward(blk["y2_T"], da1_2d, w1, dy_2d, g_w1, g_b1, ones)
+            _layernorm_backward(blk["ln2c"], ln2_g, dz_attn, g_ln2_g, g_ln2_b, ln)
             dz_attn += dz  # residual branch
 
             # attention sub-block: z_attn = z + attn(ln1(z))
-            _linear_backward(blk["o"], dz_attn, params[p + "wo"],
-                             dy, grads[p + "wo"], grads[p + "bo"])
-            do_heads = _split_heads(dy, heads)
-            attn_p, ds = blk["p"], ws.ds
-            np.matmul(do_heads, blk["v"].transpose(0, 1, 3, 2), out=ds)  # dL/dp
-            np.matmul(attn_p.transpose(0, 1, 3, 2), do_heads, out=ws.dv)
+            _linear_backward(blk["o_T"], dz_attn_2d, wo, dy_2d, g_wo, g_bo, ones)
+            attn_p = blk["p"]
+            np.matmul(do_heads, blk["vT"], out=ds)  # dL/dp
+            np.matmul(blk["pT"], do_heads, out=ws.dv)
             # softmax backward: ds = p * (dp - rowdot(dp, p)), with scale folded in
-            _einsum("...i,...i->...", ds, attn_p, out=ws.row_sum)
-            ds -= ws.row
+            _einsum("...i,...i->...", ds, attn_p, out=row_sum)
+            ds -= row
             ds *= attn_p
             ds *= scale
             np.matmul(ds, blk["k"], out=ws.dq)
-            np.matmul(ds.transpose(0, 1, 3, 2), blk["q"], out=ws.dk)
-            _linear_backward(blk["y1"], ws.d_qkv, cache["qkv"][i][0], dy, ws.dw_qkv, ws.db_qkv)
-            for j, name in enumerate("qkv"):
-                grads[p + "w" + name][...] = ws.dw_qkv[:, j * d : (j + 1) * d]
-                grads[p + "b" + name][...] = ws.db_qkv[j * d : (j + 1) * d]
-            _layernorm_backward(dy, blk["ln1c"], params[p + "ln1_g"], dz,
-                                grads[p + "ln1_g"], grads[p + "ln1_b"], *scratch)
+            np.matmul(ds_T, blk["q"], out=ws.dk)
+            _linear_backward(blk["y1_T"], d_qkv_2d, w_qkv, dy_2d, dw_qkv, db_qkv, ones)
+            for grad, fused in g_qkv:
+                grad[...] = fused
+            _layernorm_backward(blk["ln1c"], ln1_g, dz, g_ln1_g, g_ln1_b, ln)
             dz += dz_attn  # residual branch
 
         # input projection; of its input gradient only the phoneme-embedding
         # rows feed a parameter
-        u, dz2 = cache["u"], dz.reshape(-1, d)
-        np.matmul(u.reshape(-1, u.shape[-1]).T, dz2, out=grads["in_w"])
-        _col_sum(dz2, grads["in_b"])
-        emb_rows = slice(2 * cfg.feature_dim, 2 * cfg.feature_dim + cfg.d_phn)
-        np.matmul(dz2, params["in_w"][emb_rows].T, out=ws.d_emb)
-        grads["phn_emb"].fill(0.0)
-        np.add.at(grads["phn_emb"], cache["tokens"].reshape(-1), ws.d_emb)
-        return dict(grads)
+        np.matmul(prompt.u_2d.T, dz_2d, out=g_in_w)
+        np.matmul(ones, dz_2d, out=g_in_b)
+        np.matmul(dz_2d, in_w[ws.emb_rows].T, out=ws.d_emb)
+        g_emb.fill(0.0)
+        np.add.at(g_emb, prompt.tokens.reshape(-1), ws.d_emb)
+        return dict(ws.grads)
 
 
 # -- loss, optimizer, training step --------------------------------------
@@ -772,13 +810,19 @@ def masked_batch_loss_grad(
     the dtype of ``v_pred``, so a float32 forward gets a float32 gradient.
     """
     dtype = v_pred.dtype
-    diff = v_pred - u_target.astype(dtype, copy=False)
+    # the target is rounded to dtype before the subtraction, as by astype
+    diff = np.subtract(v_pred, u_target, dtype=dtype)
     sel = mask_bits.astype(dtype, copy=False)[:, None, :]
     count = float(sel.sum() * v_pred.shape[1])
     if count == 0:
         raise ValueError("batch mask selects no frames")
-    loss = float(np.sum(diff * diff * sel) / count)
-    return loss, 2.0 * diff * sel / count
+    sq = np.multiply(diff, diff)
+    sq *= sel
+    loss = float(np.sum(sq) / count)
+    diff *= 2.0  # the gradient, 2 * diff * sel / count, in place of diff
+    diff *= sel
+    diff /= count
+    return loss, diff
 
 
 @dataclass(frozen=True)
@@ -821,7 +865,7 @@ class OptimizerState:
     the first update; ``scratch`` holds the update's three temporaries.
     ``compute`` is ``train_step``'s ``FIELD_DTYPE`` copy of the parameter
     arena, made on its first step and refreshed from the master before
-    every step.
+    every step; ``compute_vector`` is the one vector it tiles.
     """
 
     schedule: LrSchedule
@@ -830,6 +874,7 @@ class OptimizerState:
     v: np.ndarray | None = field(default=None, init=False)
     scratch: np.ndarray | None = field(default=None, init=False, repr=False)
     compute: dict[str, np.ndarray] | None = field(default=None, init=False, repr=False)
+    compute_vector: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def adam_update(params, grads, state: OptimizerState) -> float:
@@ -905,11 +950,11 @@ def train_step(
     master = _arena_vector(params, "params")
     if opt_state.compute is None:
         opt_state.compute = _arena({k: a.shape for k, a in params.items()}, FIELD_DTYPE)
-    compute = opt_state.compute
-    copy = _arena_vector(compute, "compute")
+        opt_state.compute_vector = _arena_vector(opt_state.compute, "compute")
+    compute, copy = opt_state.compute, opt_state.compute_vector
     with np.errstate(over="ignore", invalid="ignore"):
         np.copyto(copy, master)
-        if not np.isfinite(copy).all():
+        if not np.logical_and.reduce(np.isfinite(copy)):
             raise TrainingDivergedError(
                 f"a parameter is not finite in {copy.dtype} at optimizer step {opt_state.step + 1}"
             )
@@ -950,14 +995,15 @@ def make_field_fn(model: VectorFieldModel, params):
     prepared: list[tuple[BatchInputs, tuple, _Prompt]] = []  # the latest last
 
     def field(inputs: BatchInputs) -> np.ndarray:
-        streams = (inputs.tokens, inputs.nv, inputs.emo, inputs.context)
-        for batch, held, prompt in prepared:
-            if batch is inputs and all(a is b for a, b in zip(held, streams)):
+        for batch, (tokens, nv, emo, context), prompt in prepared:
+            if (batch is inputs and tokens is inputs.tokens and nv is inputs.nv
+                    and emo is inputs.emo and context is inputs.context):
                 break
         else:
             b, _, t_len = inputs.context.shape
             buffers = _prompt_buffers(cfg, b, t_len, FIELD_DTYPE)
             prompt = _Prompt(cfg, inputs, params, *buffers)
+            streams = (inputs.tokens, inputs.nv, inputs.emo, inputs.context)
             prepared.append((inputs, streams, prompt))
             del prepared[:-2]
         prompt.x_t, prompt.t = inputs.x_t, inputs.t

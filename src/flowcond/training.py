@@ -204,13 +204,16 @@ def draw_batch(
     """
     sources = rng.choice(len(corpora), size=B, p=ratios)
     records = rng.integers(np.array([len(c) for c in corpora])[sources])
+    # each corpus's (batch rows, its records), picked once for all streams
+    picks = [(rows, records[rows]) for rows in (sources == s for s in range(len(corpora)))]
 
     def gather(stream: str) -> np.ndarray:
-        first = getattr(corpora[0], stream)
-        out = np.empty((B,) + first.shape[1:], dtype=first.dtype)
-        for s, corpus in enumerate(corpora):
-            rows = sources == s
-            out[rows] = getattr(corpus, stream)[records[rows]]
+        stacks = [getattr(corpus, stream) for corpus in corpora]
+        if len(stacks) == 1:  # every row from the one corpus: no scatter
+            return stacks[0].take(records, axis=0)
+        out = np.empty((B,) + stacks[0].shape[1:], dtype=stacks[0].dtype)
+        for stack, (rows, picked) in zip(stacks, picks):
+            out[rows] = stack[picked]
         return out
 
     x1, tokens, nv, emo = (gather(name) for name in ("features", "phonemes", "nv", "emo"))

@@ -5,16 +5,19 @@ perfbench traces ``flowcond`` by wrapping the functions that
 traced ``VectorFieldModel.forward_batch`` call per field evaluation of a
 request (``perfbench/bench.py``, ``expected_field_evals``).  Its
 ``features.store_feature_matrix`` rows count the FMAT files that
-``generate_corpus`` writes through that module binding.  A change that
+``generate_corpus`` writes through that module binding, and its per-layer
+training rows the traced functions a training step calls.  A change that
 renames a traced function, that evaluates the field in fewer or more
-forward calls, or that writes an FMAT file past the traced function,
-fails here instead of leaving the benchmark to read zeros or count
-failed requests.  Nothing here changes a file under ``perfbench/``.
+forward calls, that writes an FMAT file past the traced function, or that
+runs a training step past one of its traced functions, fails here
+instead of leaving the benchmark to read zeros or count failed requests.
+Nothing here changes a file under ``perfbench/``.
 """
 
 import importlib.util
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,8 @@ from flowcond import (
     integrate_batch,
     make_field_fn,
 )
-from flowcond import features
+from flowcond import features, training
+from flowcond.infill import EMO_DIM, NV_DIM
 
 # Traced names whose functions are gone and that the benchmark has not yet
 # been re-pinned for (ROADMAP item 2).  The re-pin empties this list.
@@ -42,13 +46,30 @@ ABSENT_TARGETS = [
 ]
 
 
-def test_every_traced_target_resolves_but_the_pinned_absent_ones(monkeypatch):
+# What one training step calls, by traced name: each exactly once.
+STEP_TARGETS = [
+    "seqmodel.train_step",
+    "seqmodel.from_examples",
+    "infill.sample_mask",
+    "seqmodel.forward_batch",
+    "seqmodel.loss",
+    "seqmodel.backward_batch",
+    "seqmodel.adam_update",
+]
+
+
+def load_tracer(monkeypatch):
+    """A ``perfbench.tracer.Tracer``, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module.Tracer()
+
+
+def test_every_traced_target_resolves_but_the_pinned_absent_ones(monkeypatch):
+    tracer = load_tracer(monkeypatch)
     try:
         tracer.install()
     finally:
@@ -99,3 +120,26 @@ def test_generate_corpus_writes_every_fmat_through_the_module_binding(tmp_path, 
     assert sorted(path for path, _ in calls) == fmats
     # The shape the tracer reads off the first argument sizes each file.
     assert all(os.path.getsize(path) == 20 + 4 * rows * cols for path, (rows, cols) in calls)
+
+
+def test_one_training_step_calls_each_traced_step_function_once(monkeypatch):
+    # perfbench's train and toy rows (forward, backward, loss, Adam, batch
+    # building) time these wrappers; a step that reached one of them by
+    # another route would leave its row reading 0.
+    cfg = ModelConfig(n_layers=1, d_model=8, d_ffn=8, d_phn=2, n_phonemes=5, feature_dim=3)
+    rng = np.random.default_rng(0)
+    n, t = 4, 6
+    corpus = training.Corpus(
+        rng.standard_normal((n, cfg.feature_dim, t)), rng.integers(0, 5, (n, t)),
+        rng.standard_normal((n, NV_DIM, t)), rng.uniform(-0.5, 0.5, (n, EMO_DIM, t)),
+    )
+    tracer = load_tracer(monkeypatch)
+    tracer.install()
+    try:
+        settings = training.TrainSettings(steps=1, batch_frames=2 * t)
+        training.train_loop(cfg, [corpus], [1.0], settings)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    counts = Counter(spans.names[i] for i in spans.name)
+    assert {name: counts[name] for name in STEP_TARGETS} == dict.fromkeys(STEP_TARGETS, 1)

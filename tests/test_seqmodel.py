@@ -309,6 +309,23 @@ def test_backward_rejects_cache_overwritten_by_later_forward():
         model.backward_batch(np.ones((2, 3, 4)), cache, params)
 
 
+def test_backward_rejects_a_params_dict_other_than_its_forwards():
+    # The backward reads the tensors its forward's prompt took from the
+    # dict, so another dict, even one holding equal tensors, is refused.
+    rng = np.random.default_rng(35)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng, zero_output=False)
+    inputs, _ = make_batch(2, 4, SMALL, rng)
+    v, cache = model.forward_batch(inputs, params)
+    want = {k: g.copy() for k, g in model.backward_batch(np.ones_like(v), cache, params).items()}
+    for other in (dict(params), {k: a.copy() for k, a in params.items()}):
+        with pytest.raises(ValueError, match="parameter dict") as info:
+            model.backward_batch(np.ones_like(v), cache, other)
+        assert "\n" not in str(info.value)
+    got = model.backward_batch(np.ones_like(v), cache, params)  # the cache is still valid
+    assert all(np.array_equal(want[k], got[k]) for k in want)
+
+
 @pytest.mark.parametrize("b", [2, 3], ids=["same-shape", "new-shape"])
 def test_forward_that_fails_a_check_keeps_the_cache(b):
     rng = np.random.default_rng(31)
@@ -415,7 +432,7 @@ def reference_forward(cfg, inputs, params):
         axis=2,
     )
     z = linear(u, params["in_w"], params["in_b"])
-    z = z + seqmodel.time_embedding(inputs.t, d)[:, None, :]
+    z = z + seqmodel._TimeCode(b, d).write(inputs.t)[:, None, :]
     z = z + positional_encoding(T, d)[None]
     for i in range(cfg.n_layers):
         p = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith(f"block{i}.")}
@@ -507,8 +524,9 @@ def test_layernorm_reductions_match_einsum_rows_and_gemv_columns_bitwise(dtype, 
 
     dy = rng.standard_normal(x.shape).astype(dtype)
     dx, dg, db = np.empty_like(x), np.empty(width, dtype), np.empty(width, dtype)
-    seqmodel._layernorm_backward(dy, (xhat, istd), g, dx, dg, db,
-                                 np.empty_like(x), np.empty_like(istd))
+    seqmodel._layernorm_backward((xhat, istd), g, dx, dg, db,
+                                 seqmodel._layernorm_scratch(dy, np.empty_like(x),
+                                                             np.empty_like(istd)))
     for got, want in zip((dx, dg, db), reference_layernorm_backward(dy, xhat, istd, g)):
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
