@@ -19,9 +19,10 @@ import numpy as np
 from .features import interpolate_stream
 from .infill import BatchInputs
 
-# A field callable maps stacked model inputs (state x_t (B,F,T), times,
-# condition streams) to velocities of the same shape as the state.
-FieldFn = Callable[[BatchInputs], np.ndarray]
+# A field prepares a batch's conditions once and returns its evaluator,
+# which maps a state x_t (B,F,T) and times t (B,) to velocities shaped
+# like the state.  The batch's own x_t and t are not read.
+FieldFn = Callable[[BatchInputs], Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ def integrate_batch(
     standard-normal noise of the prompts' x_t shape and is stepped from
     t=0 to t=1 in ``cfg.nfe`` Euler steps; under guidance each step
     evaluates the field once with the real conditions and once with
-    blanked conditions.  Both batches are built once; an evaluation swaps in only
-    the state and the time, and the caller's prompts are left unchanged.
-    Returns the masked frames of the final state, (B, F, masked frames).
+    blanked conditions.  The field prepares the prompts, and under
+    guidance a blanked copy of them, once; the caller's prompts are left
+    unchanged.  Returns the masked frames of the final state,
+    (B, F, masked frames).
     """
     b = prompts.x_t.shape[0]
     if b == 0:
@@ -130,22 +132,20 @@ def integrate_batch(
     if np.any(prompts.context[:, :, sel] != 0.0):
         raise ValueError("prompt context must be zero under the mask")
     x = rng.standard_normal(prompts.x_t.shape)
-    # Own objects, so swapping x_t and t leaves the prompts alone; the
-    # blank batch also owns the streams it blanks.
-    cond_batch = replace(prompts)
-    blank_batch = None
+    cond = field(prompts)
+    uncond = None
     if cfg.strength > 0:
-        blank_batch = replace(prompts, **{name: getattr(prompts, name).copy()
-                                          for name in ("tokens", "nv", "emo", "context")})
-        blank_batch.blank(slice(None))
+        blank = replace(prompts, **{name: getattr(prompts, name).copy()
+                                    for name in ("tokens", "nv", "emo", "context")})
+        blank.blank(slice(None))
+        uncond = field(blank)
 
     h = 1.0 / cfg.nfe
     for k in range(cfg.nfe):
-        cond_batch.x_t, cond_batch.t = x, np.full(b, k * h)
-        v = field(cond_batch)
-        if blank_batch is not None:
-            blank_batch.x_t, blank_batch.t = x, cond_batch.t
-            v = guided_field(v, field(blank_batch), cfg.strength)
+        t = np.full(b, k * h)
+        v = cond(x, t)
+        if uncond is not None:
+            v = guided_field(v, uncond(x, t), cfg.strength)
         x = x + h * v
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state after step {k + 1}/{cfg.nfe}")

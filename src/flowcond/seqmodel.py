@@ -43,15 +43,16 @@ request prepares its prompt once.
   view of x_t's columns, each block's fused q|k|v weights, and the
   tensors the pass reads, taken from the parameter dict once as tuples
   (the head's six, and per block the fused pair and ten more).  The pass
-  itself checks x_t, writes its columns of ``u`` and adds the time code.
-  Training prepares every batch inline, into the workspace, so a tensor
-  replaced in its dict is read at the next step.  ``make_field_fn``'s
-  field prepares each batch it is handed once, into buffers of its own,
-  so a guided request prepares two prompts, not one per evaluation.
-  ``u`` and the input GEMM are the same either way, and so are the output
-  bytes.  The forward cache carries the prompt, and ``backward_batch``
-  reads the head and block tuples (the fused q|k|v weights among them)
-  from it, so it needs the parameter dict its forward was given.
+  itself checks x_t and t, writes x_t's columns of ``u`` and adds the
+  time code.  Training prepares every batch inline, into the workspace,
+  so a tensor replaced in its dict is read at the next step.
+  ``make_field_fn``'s field prepares a batch once, into buffers of its
+  own, and hands back an evaluator of (x_t, t), so a guided request
+  prepares two prompts, not one per evaluation.  ``u`` and the input GEMM
+  are the same either way, and so are the output bytes.  The forward
+  cache carries the prompt, and ``backward_batch`` reads the head and
+  block tuples (the fused q|k|v weights among them) from it, so it needs
+  the parameter dict its forward was given.
 - Workspace: a ``VectorFieldModel`` keeps one workspace for the
   (B, T, dtype) of its latest forward pass; a pass at another shape
   replaces it.  It holds the forward cache, every view the pass reads
@@ -466,17 +467,16 @@ class _Prompt:
     It checks the batch's context, nv and emo for non-finite values, looks
     up its phonemes, fills every column of the input matrix ``u``
     (B, T, input_dim) but x_t's, and fuses each block's q|k|v weights and
-    biases into ``qkv`` (one (d, 3d) GEMM; the checkpoint keeps three
-    tensors).  It takes the tensors a pass reads from ``params`` once, as
-    tuples: ``head`` (``_HEAD_TENSORS``) and, per block, ``blocks`` (the
-    fused pair, then ``_BLOCK_TENSORS``); it reads the tensors the dict
-    holds now, so a tensor replaced in the dict later needs a new prompt.
-    ``forward_batch`` reads ``x_t`` and ``t`` from it, checks x_t and
-    writes its columns of ``u`` through ``x_cols``; a caller that
-    evaluates the same conditions again sets only those two.
+    biases into the ``qkv`` buffers (one (d, 3d) GEMM; the checkpoint
+    keeps three tensors).  It takes the tensors a pass reads from
+    ``params`` once, as tuples: ``head`` (``_HEAD_TENSORS``) and, per
+    block, ``blocks`` (the fused pair, then ``_BLOCK_TENSORS``); it reads
+    the tensors the dict holds now, so a tensor replaced in the dict later
+    needs a new prompt.  ``forward_batch`` reads ``x_t`` and ``t`` from
+    it, checks both and writes x_t's columns of ``u`` through ``x_cols``.
     """
 
-    __slots__ = ("x_t", "t", "tokens", "u", "u_2d", "x_cols", "qkv", "params", "head", "blocks")
+    __slots__ = ("x_t", "t", "tokens", "u", "u_2d", "x_cols", "params", "head", "blocks")
 
     def __init__(self, cfg: ModelConfig, inputs: BatchInputs, params, u, qkv):
         b, f, t_len = inputs.context.shape
@@ -504,7 +504,7 @@ class _Prompt:
             np.concatenate([params[p + "bq"], params[p + "bk"], params[p + "bv"]], out=b_qkv)
             blocks.append((w_qkv, b_qkv, *(params[p + name] for name in _BLOCK_TENSORS)))
         self.x_t, self.t, self.tokens = inputs.x_t, inputs.t, inputs.tokens
-        self.u, self.qkv, self.params = u, qkv, params
+        self.u, self.params = u, params
         self.u_2d, self.x_cols = u.reshape(b * t_len, -1), u[:, :, :f]
         self.head = tuple(params[name] for name in _HEAD_TENSORS)
         self.blocks = tuple(blocks)
@@ -643,7 +643,8 @@ class VectorFieldModel:
         ``inputs`` is a ``BatchInputs``, whose input stage runs here into
         the workspace, or a ``_Prompt`` prepared for this ``params`` dict,
         of which the pass reads x_t and t.  The inputs are checked for
-        non-finite values as given and then cast to the parameter dtype.
+        non-finite values as given and then cast to the parameter dtype;
+        ``t`` must hold one time per row, shape (B,).
         The velocities are a fresh array on every call.  The cache refers
         to the model's workspace and the prompt's input buffers, and is
         valid until the next forward_batch call.
@@ -654,7 +655,11 @@ class VectorFieldModel:
         b, f, t_len = x_t.shape
         if f != cfg.feature_dim:
             raise ValueError(f"feature dim {f} != configured {cfg.feature_dim}")
-        if not np.logical_and.reduce(np.isfinite(x_t), axis=None):
+        t = inputs.t
+        if np.shape(t) != (b,):
+            raise ValueError(f"t must have shape ({b},), got {np.shape(t)}")
+        if not (np.logical_and.reduce(np.isfinite(x_t), axis=None)
+                and np.logical_and.reduce(np.isfinite(t))):
             raise FloatingPointError("non-finite value in model input")
 
         ws = self._ws
@@ -678,7 +683,7 @@ class VectorFieldModel:
         row, row_sum, scale = ws.row, ws.row_sum, ws.scale
         prompt.x_cols[...] = x_t.transpose(0, 2, 1)
         _linear(prompt.u_2d, in_w, in_b, z_2d)
-        ws.time.write(prompt.t)
+        ws.time.write(t)
         z += ws.tcode_rows
         z += ws.pe
 
@@ -710,8 +715,7 @@ class VectorFieldModel:
         # fresh: callers hold velocities across calls (guidance)
         v_out = np.empty((b * t_len, f), dtype)
         _linear(ws.g_out_2d, out_w, out_b, v_out)
-        cache = {"workspace": ws, "generation": ws.generation, "prompt": prompt,
-                 "blocks": ws.blocks, "lnfc": ws.lnfc}
+        cache = {"workspace": ws, "generation": ws.generation, "prompt": prompt}
         return v_out.reshape(b, t_len, f).transpose(0, 2, 1), cache
 
     # -- backward ----------------------------------------------------------
@@ -970,44 +974,30 @@ def train_step(
 
 
 def make_field_fn(model: VectorFieldModel, params):
-    """Adapt the model to the sampler's field interface: BatchInputs -> velocities.
+    """Adapt the model to the sampler's field interface:
+    BatchInputs -> evaluate(x_t, t) -> velocities.
 
     The parameters are cast to ``FIELD_DTYPE`` once, here, so every field
     evaluation runs a float32 forward and returns float32 velocities;
-    the caller's parameters are left as they are.
-
-    The field runs the input stage (``_Prompt``) once for each batch it is
-    handed; each evaluation after that checks and writes only x_t and the
-    time code, in one ``forward_batch`` call.  It holds the two batches it
-    saw last (a guided request's conditional and blanked batch) by
-    reference, so a recycled ``id()`` cannot match a stale prompt, and it
-    prepares again for any other batch object, or for a batch whose
-    tokens, nv, emo or context array was replaced.
-
-    Contract: a batch's condition streams (tokens, nv, emo, context)
-    must not be written in place after the field first sees that batch,
-    since the field would go on using the values it prepared.
-    ``integrate_batch`` blanks its unconditional batch before the first
-    call and never writes a stream after.
+    the caller's parameters are left as they are.  ``field(batch)`` runs
+    the input stage (``_Prompt``) for the batch's conditions, into
+    buffers of its own, and returns the evaluator: each ``evaluate(x_t, t)``
+    is one ``forward_batch`` call that checks and writes only x_t and the
+    time code.  The prompt is a snapshot, so writing the batch after
+    ``field(batch)`` does not change what the evaluator computes.
     """
     params = {name: arr.astype(FIELD_DTYPE) for name, arr in params.items()}
     cfg = model.config
-    prepared: list[tuple[BatchInputs, tuple, _Prompt]] = []  # the latest last
 
-    def field(inputs: BatchInputs) -> np.ndarray:
-        for batch, (tokens, nv, emo, context), prompt in prepared:
-            if (batch is inputs and tokens is inputs.tokens and nv is inputs.nv
-                    and emo is inputs.emo and context is inputs.context):
-                break
-        else:
-            b, _, t_len = inputs.context.shape
-            buffers = _prompt_buffers(cfg, b, t_len, FIELD_DTYPE)
-            prompt = _Prompt(cfg, inputs, params, *buffers)
-            streams = (inputs.tokens, inputs.nv, inputs.emo, inputs.context)
-            prepared.append((inputs, streams, prompt))
-            del prepared[:-2]
-        prompt.x_t, prompt.t = inputs.x_t, inputs.t
-        return model.forward_batch(prompt, params)[0]
+    def field(inputs: BatchInputs):
+        b, _, t_len = inputs.context.shape
+        prompt = _Prompt(cfg, inputs, params, *_prompt_buffers(cfg, b, t_len, FIELD_DTYPE))
+
+        def evaluate(x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
+            prompt.x_t, prompt.t = x_t, t
+            return model.forward_batch(prompt, params)[0]
+
+        return evaluate
 
     return field
 

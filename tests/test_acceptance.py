@@ -132,9 +132,8 @@ def test_criterion_1_analytic_path_exactness():
     x1 = rng.standard_normal((F_DIM, 12))
 
     def field(inputs):
-        x, t = inputs.x_t, inputs.t[0]
-        return np.stack(
-            [conditional_vector_field(x[i], x1, t, SIGMA_MIN) for i in range(x.shape[0])]
+        return lambda x, t: np.stack(
+            [conditional_vector_field(x[i], x1, t[0], SIGMA_MIN) for i in range(x.shape[0])]
         )
 
     prompt = blank_prompt(F_DIM, 12)
@@ -494,8 +493,11 @@ def test_criterion_6_cfg_sanity():
     calls = {"n": 0}
 
     def counting_field(inputs):
-        calls["n"] += 1
-        return np.zeros_like(inputs.x_t)
+        def evaluate(x, t):
+            calls["n"] += 1
+            return np.zeros_like(x)
+
+        return evaluate
 
     prompt = blank_prompt(3, 6)
     integrate_batch(

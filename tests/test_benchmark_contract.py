@@ -3,7 +3,9 @@
 perfbench traces ``flowcond`` by wrapping the functions that
 ``perfbench.tracer.TARGETS`` names, and its ``sample`` workload counts one
 traced ``VectorFieldModel.forward_batch`` call per field evaluation of a
-request (``perfbench/bench.py``, ``expected_field_evals``).  Its
+request (``perfbench/bench.py``, ``expected_field_evals``), whose span has
+``sampler.integrate_batch`` as its parent (``perfbench/layers.py``,
+``sampler.field_evals``).  Its
 ``features.store_feature_matrix`` rows count the FMAT files that
 ``generate_corpus`` writes through that module binding, and its per-layer
 training rows the traced functions a training step calls.  A change that
@@ -32,7 +34,7 @@ from flowcond import (
     integrate_batch,
     make_field_fn,
 )
-from flowcond import features, training
+from flowcond import features, sampler, training
 from flowcond.infill import EMO_DIM, NV_DIM
 
 # Traced names whose functions are gone and that the benchmark has not yet
@@ -100,6 +102,36 @@ def test_one_forward_call_per_field_evaluation(monkeypatch, strength, per_step):
         calls["n"] = 0
         integrate_batch(field, prompt, GuidanceConfig(strength=strength, nfe=nfe), rng)
         assert calls["n"] == per_step * nfe
+
+
+@pytest.mark.parametrize("strength, per_step", [(1.0, 2), (0.0, 1)], ids=["guided", "unguided"])
+def test_traced_request_nests_a_measured_forward_per_evaluation(monkeypatch, strength, per_step):
+    # sampler.field_evals counts forward spans under integrate_batch, and
+    # fwd_gflop_s divides the forward flop counter (sized from the second
+    # argument's x_t) by their time; either reads 0 if the field stops
+    # calling forward_batch with the prompt directly.
+    cfg = ModelConfig(n_layers=1, d_model=8, d_ffn=8, d_phn=2, n_phonemes=5, feature_dim=3)
+    field = make_field_fn(VectorFieldModel(cfg), init_params(cfg, np.random.default_rng(0)))
+    rng = np.random.default_rng(1)
+    prompt = assemble_prompt(
+        rng.standard_normal((3, 4)), rng.integers(1, 5, 4), rng.standard_normal((32, 4)),
+        rng.uniform(-0.5, 0.5, (2, 4)), rng.integers(1, 5, 6), rng.standard_normal((32, 6)),
+        rng.uniform(-0.5, 0.5, (2, 6)),
+    )
+    nfe = 3
+    tracer = load_tracer(monkeypatch)
+    tracer.install()
+    try:
+        sampler.integrate_batch(field, prompt, GuidanceConfig(strength=strength, nfe=nfe), rng)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    names = np.array(spans.names)[spans.name]
+    forwards = np.flatnonzero(names == "seqmodel.forward_batch")
+    assert len(forwards) == per_step * nfe
+    parents = spans.parent[forwards]
+    assert (parents >= 0).all() and set(names[parents]) == {"sampler.integrate_batch"}
+    assert tracer.counters["seqmodel.forward_batch", "flop"] > 0
 
 
 def test_generate_corpus_writes_every_fmat_through_the_module_binding(tmp_path, monkeypatch):

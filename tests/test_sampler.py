@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcond import (
     BatchInputs,
@@ -217,7 +220,7 @@ def blank_prompt(bits, context):
 
 
 def zero_field(inputs):
-    return np.zeros_like(inputs.x_t)
+    return lambda x, t: np.zeros_like(x)
 
 
 def test_integrate_rejects_nonzero_context_under_mask():
@@ -290,13 +293,12 @@ def test_guided_shape_mismatch():
 def analytic_field_toward(x1, sigma_min):
     """Field callable that ignores conditions and flows toward a fixed x1."""
 
-    def field(inputs):
-        x, t = inputs.x_t, inputs.t[0]
+    def evaluate(x, t):
         return np.stack(
-            [conditional_vector_field(x[i], x1, t, sigma_min) for i in range(x.shape[0])]
+            [conditional_vector_field(x[i], x1, t[0], sigma_min) for i in range(x.shape[0])]
         )
 
-    return field
+    return lambda inputs: evaluate
 
 
 def test_integrate_analytic_euler_exact_any_nfe():
@@ -333,8 +335,11 @@ def test_integrate_evaluation_count_under_guidance():
     calls = {"n": 0}
 
     def counting_field(inputs):
-        calls["n"] += 1
-        return np.zeros_like(inputs.x_t)
+        def evaluate(x, t):
+            calls["n"] += 1
+            return np.zeros_like(x)
+
+        return evaluate
 
     integrate_batch(
         counting_field,
@@ -358,7 +363,7 @@ def test_integrate_nonfinite_state_reports_step():
     prompt = make_prompt(seed=6)
 
     def exploding_field(inputs):
-        return np.full_like(inputs.x_t, np.inf)
+        return lambda x, t: np.full_like(x, np.inf)
 
     with pytest.raises(FloatingPointError, match="step 1"):
         integrate_batch(
@@ -396,7 +401,7 @@ def test_integrate_leaves_prompts_unchanged(strength):
     prompts = stack([make_prompt(seed=s) for s in (20, 21)])
     before = {k: v.copy() for k, v in vars(prompts).items()}
     integrate_batch(
-        lambda inputs: np.ones_like(inputs.x_t), prompts,
+        lambda inputs: lambda x, t: np.ones_like(x), prompts,
         GuidanceConfig(strength=strength, nfe=3), np.random.default_rng(0),
     )
     for name, value in before.items():
@@ -419,7 +424,7 @@ def test_float32_field_tracks_float64_integration(strength):
         return integrate_batch(field, prompts, guidance, np.random.default_rng(9))
 
     got = run(make_field_fn(model, params))
-    want = run(lambda inputs: model.forward_batch(inputs, params)[0])
+    want = run(lambda batch: lambda x, t: model.forward_batch(replace(batch, x_t=x, t=t), params)[0])
     assert got.dtype == want.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-5
 
@@ -457,24 +462,46 @@ def small_model(seed=0):
     return VectorFieldModel(cfg), params
 
 
-def test_prepared_field_is_the_forward_bitwise():
-    # Alternating conditional and blanked batches, as a guided request
-    # hands them over, then a batch whose nv array was replaced.
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(order=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8),
+       times=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_prepared_field_is_the_forward_bitwise(order, times):
+    # Two evaluators of one field (a guided request's conditional and
+    # blanked batch), used in any order, each give forward_batch's bytes
+    # for its batch with x_t and t swapped in.
     model, params = small_model()
     params32 = {k: v.astype(np.float32) for k, v in params.items()}
     field = make_field_fn(model, params)
     cond = stack([make_prompt(seed=s) for s in (30, 31)])
     blank = BatchInputs(**{k: v.copy() for k, v in vars(cond).items()})
     blank.blank(slice(None))
+    pairs = [(batch, field(batch)) for batch in (cond, blank)]
     rng = np.random.default_rng(1)
-    for step in range(4):
-        for batch in (cond, blank):
-            batch.x_t, batch.t = rng.standard_normal(batch.x_t.shape), np.full(2, step / 4)
-            want = model.forward_batch(batch, params32)[0]
-            assert field(batch).tobytes() == want.tobytes(), step
-    cond.nv = rng.standard_normal(cond.nv.shape)
-    want = model.forward_batch(cond, params32)[0]
-    assert field(cond).tobytes() == want.tobytes()
+    for i, time in zip(order, times):
+        batch, evaluate = pairs[i]
+        x, t = rng.standard_normal(batch.x_t.shape), np.full(2, time)
+        want = model.forward_batch(replace(batch, x_t=x, t=t), params32)[0]
+        assert evaluate(x, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stream", ["tokens", "nv", "emo", "context"])
+def test_prepared_field_is_a_snapshot_of_its_batch(stream):
+    # Writing a condition stream in place after field(batch) leaves the
+    # evaluator's bytes as they were; a new evaluator reads the new values.
+    model, params = small_model()
+    field = make_field_fn(model, params)
+    batch = stack([make_prompt(seed=s) for s in (32, 33)])
+    rng = np.random.default_rng(2)
+    x, t = rng.standard_normal(batch.x_t.shape), np.full(2, 0.25)
+    evaluate = field(batch)
+    before = evaluate(x, t).tobytes()
+    arr = getattr(batch, stream)
+    if stream == "tokens":
+        arr[...] = np.where(arr == 1, 2, 1)
+    else:
+        arr *= -1.0
+    assert evaluate(x, t).tobytes() == before
+    assert field(batch)(x, t).tobytes() != before
 
 
 def test_reused_field_gives_a_fresh_fields_bytes():
@@ -517,7 +544,7 @@ def test_prepared_field_rejects_non_finite_conditions(stream):
     calls = {"n": 0}
     field = make_field_fn(model, params)
 
-    def counting(inputs):
+    def counting(inputs):  # counts the batches handed to the field
         calls["n"] += 1
         return field(inputs)
 

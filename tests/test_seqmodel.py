@@ -172,6 +172,29 @@ def test_forward_rejects_nonfinite_input():
         forward_one(model, x, 0.5, cond, params)
 
 
+@pytest.mark.parametrize("via", ["batch", "prompt"])
+@pytest.mark.parametrize("t, error, message", [
+    ([0.5, np.nan], FloatingPointError, "^non-finite value in model input$"),
+    ([-np.inf, 0.5], FloatingPointError, "^non-finite value in model input$"),
+    (0.5, ValueError, r"^t must have shape \(2,\), got \(\)$"),
+    ([0.5, 0.5, 0.5], ValueError, r"^t must have shape \(2,\), got \(3,\)$"),
+], ids=["nan", "inf", "0-d", "too-long"])
+def test_forward_checks_t_where_it_checks_x_t(t, error, message, via):
+    # A NaN time would give its row NaN velocities, and a 0-d time would
+    # be broadcast over the rows by the time code.
+    rng = np.random.default_rng(4)
+    model = VectorFieldModel(SMALL)
+    params = init_params(SMALL, rng)
+    inputs, _ = make_batch(2, 5, SMALL, rng)
+    t = np.array(t)
+    with pytest.raises(error, match=message):
+        if via == "batch":
+            inputs.t = t
+            model.forward_batch(inputs, params)
+        else:
+            make_field_fn(model, params)(inputs)(inputs.x_t, t)
+
+
 def test_forward_permutation_equivariant_without_positions(monkeypatch):
     # With a zero position code, attention sees the frames as a set.
     monkeypatch.setattr(seqmodel, "positional_encoding",
@@ -556,7 +579,7 @@ def test_float32_erf_accuracy_and_special_values():
 
 
 def cached_arrays(obj, path=""):
-    """Every float array in a forward cache, by its path."""
+    """Every float array in nested dicts, lists and tuples, by its path."""
     if isinstance(obj, np.ndarray):
         return {path: obj} if obj.dtype.kind == "f" else {}
     if isinstance(obj, dict):
@@ -577,7 +600,8 @@ def test_float32_params_keep_forward_and_cache_float32():
     model = VectorFieldModel(SMALL)
     out, cache = model.forward_batch(inputs, params32)
     assert out.dtype == np.float32
-    arrays = cached_arrays(cache)
+    ws = cache["workspace"]
+    arrays = cached_arrays({"blocks": ws.blocks, "lnfc": ws.lnfc})
     assert len(arrays) >= 3 + 13 * SMALL.n_layers
     assert {k: a.dtype for k, a in arrays.items() if a.dtype != np.float32} == {}
     np.testing.assert_allclose(out, model.forward_batch(inputs, params)[0], rtol=0, atol=1e-5)
@@ -587,7 +611,7 @@ def test_field_fn_runs_in_float32_and_leaves_params():
     rng = np.random.default_rng(23)
     params = init_params(SMALL, rng, zero_output=False)
     inputs, _ = make_batch(2, 6, SMALL, rng)
-    v = make_field_fn(VectorFieldModel(SMALL), params)(inputs)
+    v = make_field_fn(VectorFieldModel(SMALL), params)(inputs)(inputs.x_t, inputs.t)
     assert v.dtype == np.float32 and v.shape == inputs.x_t.shape
     assert all(arr.dtype == np.float64 for arr in params.values())
 
@@ -669,7 +693,8 @@ def test_field_evaluates_erf_once_per_layer(erf_calls):
     # The float32 erf is numpy code, but it is still reached through seqmodel.erf.
     rng = np.random.default_rng(18)
     params = init_params(SMALL, rng, zero_output=False)
-    make_field_fn(VectorFieldModel(SMALL), params)(make_batch(2, 5, SMALL, rng)[0])
+    inputs, _ = make_batch(2, 5, SMALL, rng)
+    make_field_fn(VectorFieldModel(SMALL), params)(inputs)(inputs.x_t, inputs.t)
     assert erf_calls == [np.float32] * SMALL.n_layers
 
 
